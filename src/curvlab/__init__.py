@@ -32,7 +32,7 @@ from .yamabe import (ConformalClass, ConformalProblem, ConformalSolution,
                      solve_negative_constant)
 from .prescribe import (ApproximationResult, Diffeo1D, MetricPerturbation,
                         NewtonResult, PrescribeConfig, PrescriptionResult,
-                        adjoint_formula, approximate_by_diffeo, full_prescribe,
+                        approximate_by_diffeo, full_prescribe,
                         kernel_min_singular, linearize_scal,
                         linearize_scal_adjoint, linearize_scal_matrix,
                         newton_prescribe, pinching_check, pullback_metric,

@@ -5,7 +5,8 @@ the fibers changes sectional curvatures by plane type: horizontal-horizontal
 mixes base and total-space values, mixed planes pick up s^2, and vertical
 planes scale by s.  Assembling these over an adapted orthonormal basis gives
 a rational function of s with a 1/s fiber term, so a positively curved fiber
-dominates as s -> 0; the positivity threshold solver locates the first root.
+dominates as s -> 0; the positivity threshold is the first positive root of
+a cubic.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import numpy as np
 
 from .errors import PreconditionError
 
-_UNBOUNDED_SCAN = 1e6
+# roots whose imaginary part is below this fraction of their modulus are real:
+# a double root comes back from np.roots as a pair split by about sqrt(eps)
+_REAL_ROOT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -95,30 +98,22 @@ def cv_scal(data: SubmersionPointData, s: float) -> float:
     return horiz + 2.0 * s * sm + data.fiber_scal / s
 
 
-def positivity_threshold(data: SubmersionPointData, tol: float = 1e-10) -> float:
-    """Largest s* with cv_scal > 0 on (0, s*); inf when positive up to 1e6.
+def positivity_threshold(data: SubmersionPointData) -> float:
+    """Largest s* with cv_scal > 0 on (0, s*); inf when positive for every s > 0.
 
     Needs a positively curved fiber (the 1/s term guarantees positivity for
-    small s); the threshold is the first positive root, bracketed on a
-    logarithmic scan and resolved by bisection.
+    small s).  For s > 0 the sign of cv_scal is that of the cubic
+        s cv_scal(s) = (st - sb) s^3 + 2 sm s^2 + sb s + fiber_scal
+    (sb, st, sm the sums of K_base, K_tot_hh, K_mixed), so the threshold is
+    its smallest positive real root.
     """
     if data.fiber_scal <= 0:
         raise PreconditionError("fiber scalar curvature must be positive",
                                 condition="positive-fiber")
-    grid = np.logspace(-8, np.log10(_UNBOUNDED_SCAN), 4000)
-    values = np.array([cv_scal(data, s) for s in grid])
-    negative = np.nonzero(values <= 0)[0]
-    if negative.size == 0:
-        return float("inf")
-    hi_idx = negative[0]
-    if hi_idx == 0:
-        raise PreconditionError("deformed curvature not positive near s = 0",
-                                condition="positive-fiber")
-    lo, hi = grid[hi_idx - 1], grid[hi_idx]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if cv_scal(data, mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+    sb = float(np.sum(data.K_base))
+    st = float(np.sum(data.K_tot_hh))
+    sm = float(np.sum(data.K_mixed))
+    roots = np.roots([st - sb, 2.0 * sm, sb, data.fiber_scal])
+    real = roots.real[np.abs(roots.imag) <= _REAL_ROOT_TOL * np.abs(roots)]
+    positive = real[real > 0]
+    return float(np.min(positive)) if positive.size else float("inf")

@@ -10,6 +10,10 @@ Every other module integrates with the single quadrature defined here, so
 that summation-by-parts and adjointness checks are statements about matrices
 rather than about mismatched quadrature rules.
 
+The operator matrices (first and second derivative, stiffness, Laplacian)
+are banded, with at most five nonzeros per row.  Each mesh builds them once
+as `scipy.sparse` CSR arrays; every caller shares them, read-only.
+
 Meshes are uniform.  On interval topology the weight may vanish at the two
 endpoint nodes only (singular orbits); the Laplacian closes the stencil there
 with a zero-flux (Neumann) condition, which is the correct boundary behavior
@@ -19,8 +23,10 @@ for smooth invariant functions across a singular orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 CIRCLE = "circle"
 INTERVAL = "interval"
@@ -151,6 +157,18 @@ class QuotientMesh:
             return 0.5 * (w + np.roll(w, -1))
         return 0.5 * (w[:-1] + w[1:])
 
+    @cached_property
+    def _cell_volumes(self) -> np.ndarray:
+        """Laplacian cell volumes: the quadrature masses, except that the half
+        cell at a vanishing interval endpoint weight uses the face average."""
+        vol = self.mass_vector()
+        if self.topology == INTERVAL:
+            ends = [0, -1]
+            vol[ends] = np.where(self.weights[ends] > 0, vol[ends],
+                                 0.25 * self.h * self._face_weights()[ends])
+        vol.setflags(write=False)
+        return vol
+
     def laplacian(self, u) -> np.ndarray:
         """Divergence-form Laplacian (1/w)(w u')' with zero-flux closure.
 
@@ -161,20 +179,13 @@ class QuotientMesh:
         (1+k) u'' of u'' + k u'/r for linearly vanishing weight.
         """
         u = _as_values(u, self.node_count)
-        h = self.h
-        wf = self._face_weights()
         if self.topology == CIRCLE:
-            flux = wf * (np.roll(u, -1) - u) / h
-            return (flux - np.roll(flux, 1)) / (h * self.weights)
-        out = np.empty_like(u)
-        flux = wf * (u[1:] - u[:-1]) / h
-        out[1:-1] = (flux[1:] - flux[:-1]) / (h * self.weights[1:-1])
-        w0, wn = self.weights[0], self.weights[-1]
-        vol0 = 0.5 * h * (w0 if w0 > 0 else 0.5 * wf[0])
-        voln = 0.5 * h * (wn if wn > 0 else 0.5 * wf[-1])
-        out[0] = flux[0] / vol0
-        out[-1] = -flux[-1] / voln
-        return out
+            flux = self._face_weights() * (np.roll(u, -1) - u) / self.h
+            div = flux - np.roll(flux, 1)
+        else:
+            flux = self._face_weights() * np.diff(u) / self.h
+            div = np.diff(flux, prepend=0.0, append=0.0)
+        return div / self._cell_volumes
 
     # -- bilinear forms and matrices -------------------------------------
 
@@ -196,39 +207,51 @@ class QuotientMesh:
             dv = v[1:] - v[:-1]
         return float(np.sum(wf * du * dv) / self.h)
 
-    def stiffness_matrix(self) -> np.ndarray:
-        """Dense matrix S with u.S.v == dirichlet_form(u, v)."""
-        n = self.node_count
-        wf = self._face_weights()
-        S = np.zeros((n, n))
+    @cached_property
+    def _operators(self) -> dict:
+        n, h = self.node_count, self.h
         if self.topology == CIRCLE:
-            for j in range(n):
-                jp = (j + 1) % n
-                S[j, j] += wf[j]
-                S[jp, jp] += wf[j]
-                S[j, jp] -= wf[j]
-                S[jp, j] -= wf[j]
+            # the corner offsets +-(n-1) close the periodic stencils
+            d1 = sp.diags_array([-1.0, 1.0, 1.0, -1.0], offsets=[-1, 1, 1 - n, n - 1], shape=(n, n))
+            d2 = sp.diags_array([1.0, -2.0, 1.0, 1.0, 1.0], offsets=[-1, 0, 1, 1 - n, n - 1],
+                                shape=(n, n))
+            grad = sp.diags_array([-1.0, 1.0, 1.0], offsets=[0, 1, 1 - n], shape=(n, n))
         else:
-            for j in range(n - 1):
-                S[j, j] += wf[j]
-                S[j + 1, j + 1] += wf[j]
-                S[j, j + 1] -= wf[j]
-                S[j + 1, j] -= wf[j]
-        return S / self.h
+            # second-order one-sided closures in the first and last rows
+            d1 = sp.diags_array([-1.0, 1.0], offsets=[-1, 1], shape=(n, n), format="lil")
+            d1[0, :3], d1[n - 1, n - 3:] = [-3.0, 4.0, -1.0], [1.0, -4.0, 3.0]
+            d2 = sp.diags_array([1.0, -2.0, 1.0], offsets=[-1, 0, 1], shape=(n, n), format="lil")
+            d2[0, :4], d2[n - 1, n - 4:] = [2.0, -5.0, 4.0, -1.0], [-1.0, 4.0, -5.0, 2.0]
+            grad = sp.diags_array([-1.0, 1.0], offsets=[0, 1], shape=(n - 1, n))
+        # grad takes face differences u_{j+1} - u_j: S = grad^T diag(w_face) grad / h
+        stiffness = grad.T @ sp.diags_array(self._face_weights()) @ grad / h
+        ops = {"d1": d1 / (2.0 * h), "d2": d2 / (h * h), "stiffness": stiffness,
+               "laplacian": -sp.diags_array(1.0 / self._cell_volumes) @ stiffness}
+        ops = {name: sp.csr_array(op) for name, op in ops.items()}
+        for op in ops.values():
+            for arr in (op.data, op.indices, op.indptr):
+                arr.setflags(write=False)
+        return ops
 
-    def d1_matrix(self) -> np.ndarray:
-        """Dense matrix of `derivative`."""
-        n = self.node_count
-        return np.column_stack(
-            [self.derivative(np.eye(n)[:, j]) for j in range(n)]
-        )
+    def d1_matrix(self) -> sp.csr_array:
+        """Matrix of `derivative`, an (N, N) CSR array."""
+        return self._operators["d1"]
 
-    def d2_matrix(self) -> np.ndarray:
-        """Dense matrix of `second_derivative`."""
-        n = self.node_count
-        return np.column_stack(
-            [self.second_derivative(np.eye(n)[:, j]) for j in range(n)]
-        )
+    def d2_matrix(self) -> sp.csr_array:
+        """Matrix of `second_derivative`, an (N, N) CSR array."""
+        return self._operators["d2"]
+
+    def stiffness_matrix(self) -> sp.csr_array:
+        """Stiffness S, an (N, N) CSR array with u.S.v == dirichlet_form(u, v)."""
+        return self._operators["stiffness"]
+
+    def laplacian_matrix(self) -> sp.csr_array:
+        """Matrix of `laplacian`, an (N, N) CSR array: L = -diag(1/vol) S.
+
+        ``vol`` are the Laplacian's cell volumes: the quadrature masses, with
+        the half-cell rule at vanishing interval endpoints.
+        """
+        return self._operators["laplacian"]
 
 
 def build_mesh(topology: str, n: int, length: float, weight) -> QuotientMesh:

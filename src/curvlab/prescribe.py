@@ -5,11 +5,11 @@ invariant diagonal directions h = a dr^2 + b f^2 g_F.  Its linearization is
 evaluated two ways: `linearize_scal` differences F symmetrically with one
 Richardson extrapolation (one implementation for every model), while
 `linearize_scal_matrix` assembles the exact Jacobian of the discrete operator
-by the chain rule through the difference stencils.  The formal adjoint
-`linearize_scal_adjoint` is the exact transpose of that Jacobian in the mesh
-inner products, so adjointness holds at the level of matrices; the continuum
-expression -(lap u) g + Hess u - u Ric becomes an O(h^2) consistency check
-instead of the implementation.
+by the chain rule through the difference stencils, as a sparse CSR array in
+O(N) work.  The formal adjoint `linearize_scal_adjoint` is the exact
+transpose of that Jacobian in the mesh inner products, so adjointness holds
+at the level of matrices; the continuum expression -(lap u) g + Hess u - u Ric
+becomes an O(h^2) consistency check instead of the implementation.
 
 A metric is locally surjective onto nearby curvature functions whenever the
 adjoint has trivial kernel (quantified by `kernel_min_singular`: exactly zero
@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import PreconditionError, SolverError
 from .mesh import CIRCLE, INTERVAL, QuotientMesh, build_mesh
@@ -123,41 +124,39 @@ def _scal_jacobian_components(mesh: QuotientMesh, A, B, fiber_dim: int, fiber_sc
     return dA, dAr, dB, dF, dFr, dFrr, F
 
 
-def linearize_scal_matrix(metric, A=None, B=None) -> np.ndarray:
-    """Exact Jacobian of the discrete F in (a, b) coordinates, shape (N, 2N).
+def linearize_scal_matrix(metric, A=None, B=None) -> sp.csr_array:
+    """Exact Jacobian of the discrete F in (a, b) coordinates, a CSR array (N, 2N).
 
     Accepts a warped base (A=1, B=f^2) or explicit diagonal components; the b
     block carries the base factor f^2 because perturbations are measured
-    against the warped background.
+    against the warped background.  Each block scales the rows and columns
+    of the mesh's sparse D1 and D2, so it stays banded.
     """
+    mesh, k, c_f = metric.mesh, metric.fiber_dim, metric.fiber_scal
     if isinstance(metric, WarpedProductMetric):
-        mesh, k, c_f = metric.mesh, metric.fiber_dim, metric.fiber_scal
         base_fiber = metric.warping**2
         A = np.ones(mesh.node_count) if A is None else A
         B = base_fiber if B is None else B
     else:
-        mesh, k, c_f = metric.mesh, metric.fiber_dim, metric.fiber_scal
         if A is None or B is None:
             A, B = metric.radial, metric.fiber
         base_fiber = B
     dA, dAr, dB, dF, dFr, dFrr, F = _scal_jacobian_components(mesh, A, B, k, c_f)
     D1 = mesh.d1_matrix()
     D2 = mesh.d2_matrix()
-    block_a = np.diag(dA) + np.diag(dAr) @ D1
-    chain = (np.diag(dF) + np.diag(dFr) @ D1 + np.diag(dFrr) @ D2) @ np.diag(0.5 / F)
-    block_b = (np.diag(dB) + chain) @ np.diag(base_fiber)
-    return np.hstack([block_a, block_b])
+    diag = sp.diags_array
+    block_a = diag(dA) + diag(dAr) @ D1
+    chain = (diag(dF) + diag(dFr) @ D1 + diag(dFrr) @ D2) @ diag(0.5 / F)
+    block_b = (diag(dB) + chain) @ diag(base_fiber)
+    return sp.hstack([block_a, block_b], format="csr")
 
 
-def _adjoint_matrix(metric: WarpedProductMetric, A_mat: np.ndarray | None = None) -> np.ndarray:
-    """The exact adjoint as a (2N, N) matrix: M_h^{-1} A^T M_u."""
-    mesh = metric.mesh
-    k = metric.fiber_dim
-    if A_mat is None:
-        A_mat = linearize_scal_matrix(metric)
-    m = mesh.mass_vector()
-    mh = np.concatenate([m, k * m])
-    return (A_mat.T * m[None, :]) / mh[:, None]
+def _adjoint_matrix(metric: WarpedProductMetric) -> sp.csr_array:
+    """The exact adjoint as a (2N, N) CSR array: M_h^{-1} A^T M_u."""
+    m = metric.mesh.mass_vector()
+    mh = np.concatenate([m, metric.fiber_dim * m])
+    A_mat = linearize_scal_matrix(metric)
+    return (sp.diags_array(1.0 / mh) @ A_mat.T @ sp.diags_array(m)).tocsr()
 
 
 def linearize_scal_adjoint(metric: WarpedProductMetric, u) -> MetricPerturbation:
@@ -172,28 +171,6 @@ def linearize_scal_adjoint(metric: WarpedProductMetric, u) -> MetricPerturbation
     return MetricPerturbation(a=full[:n], b=full[n:])
 
 
-def adjoint_formula(metric: WarpedProductMetric, u) -> MetricPerturbation:
-    """The continuum adjoint formula discretized directly (consistency oracle).
-
-    Radial component -lap(u) + u'' - u Ric_rr; fiber component
-    -lap(u) + (f'/f) u' - u Ric_fiber.
-    """
-    from .models import ricci_warped
-
-    u = np.asarray(u, dtype=float)
-    mesh = metric.mesh
-    f = metric.warping
-    lap = mesh.laplacian(u)
-    du = mesh.derivative(u)
-    d2u = mesh.second_derivative(u)
-    ric_rr, ric_fiber = ricci_warped(metric)
-    df = mesh.derivative(f)
-    return MetricPerturbation(
-        a=-lap + d2u - u * ric_rr,
-        b=-lap + (df / f) * du - u * ric_fiber,
-    )
-
-
 def kernel_min_singular(metric: WarpedProductMetric) -> float:
     """Smallest singular value of the adjoint between the weighted spaces.
 
@@ -201,13 +178,11 @@ def kernel_min_singular(metric: WarpedProductMetric) -> float:
     curvature and zero Ricci); bounded away from zero on generic backgrounds,
     which is the quantitative form of the kernel dichotomy.
     """
-    mesh = metric.mesh
-    k = metric.fiber_dim
+    m = metric.mesh.mass_vector()
+    mh = np.concatenate([m, metric.fiber_dim * m])
     A_mat = linearize_scal_matrix(metric)
-    m = mesh.mass_vector()
-    mh = np.concatenate([m, k * m])
-    B = (A_mat.T * np.sqrt(m)[None, :]) / np.sqrt(mh)[:, None]
-    return float(np.linalg.svd(B, compute_uv=False)[-1])
+    B = sp.diags_array(1.0 / np.sqrt(mh)) @ A_mat.T @ sp.diags_array(np.sqrt(m))
+    return float(np.linalg.svd(B.toarray(), compute_uv=False)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +218,9 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
     """Solve F(g + adjoint(u)) = K for the potential u.
 
     The linear solves use the composition of the current-point Jacobian with
-    the base-point adjoint; a Tikhonov shift is applied only when the system
-    is numerically singular, and that event is reported on the result.
+    the base-point adjoint, a sparse product made dense for the SVD and the
+    solve; a Tikhonov shift is applied only when the system is numerically
+    singular, and that event is reported on the result.
     """
     cfg = cfg or PrescribeConfig()
     mesh = metric.mesh
@@ -287,7 +263,7 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
         if res_norm < cfg.newton_tol:
             break
         J_cur = linearize_scal_matrix(metric, A=A, B=B)
-        JQ = J_cur @ Ast
+        JQ = (J_cur @ Ast).toarray()
         smin = np.linalg.svd(JQ, compute_uv=False)[-1]
         if smin < cfg.tikhonov_floor:
             JQ = JQ + cfg.tikhonov_floor * np.eye(n)

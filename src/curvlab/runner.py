@@ -231,11 +231,12 @@ def _resolve_model(cfg: ScenarioConfig):
         profile = parse_profile_expr(cfg.get("model.f"))
     try:
         model = get_preset(name, n=n, length=length, fiber_dim=k, profile=profile)
-    except KeyError as exc:
+        if cfg.get("model.cF") is not None and isinstance(model, WarpedProductMetric):
+            model = WarpedProductMetric.from_profile(
+                n, length, k, cfg.get_float("model.cF"), model.warping)
+    except (KeyError, ValueError) as exc:
+        # the model constructors validate the configured values
         raise ConfigError(str(exc)) from exc
-    if cfg.get("model.cF") is not None and isinstance(model, WarpedProductMetric):
-        model = WarpedProductMetric.from_profile(
-            n, length, k, cfg.get_float("model.cF"), model.warping)
     return model
 
 
@@ -402,7 +403,7 @@ def _run_canonical(cfg, outdir):
 
 def _run_approx(cfg, outdir):
     model = _require_warped(_resolve_model(cfg), "approx")
-    target_text = cfg.get("approx.target", cfg.get("prescribe.target"))
+    target_text = cfg.get("approx.target")
     if target_text is None:
         raise ConfigError("approx.target is required")
     target = parse_profile_expr(target_text)(model.mesh.nodes)
@@ -496,6 +497,8 @@ def main(argv=None) -> int:
         for flag, key in _FLAG_KEYS.items():
             value = getattr(args, f"flag_{flag}", None)
             if value is not None:
+                if args.command == "approx" and key.startswith("prescribe."):
+                    key = "approx." + key.partition(".")[2]  # approx.target, .p, .eps
                 options[key] = value
         if getattr(args, "negative", False):
             options["yamabe.negative"] = "true"

@@ -37,6 +37,7 @@ from enum import Enum
 import numpy as np
 import scipy.interpolate
 import scipy.linalg
+import scipy.sparse as sp
 
 from .errors import ObstructionError, PreconditionError, SolverError
 from .mesh import QuotientMesh
@@ -169,7 +170,7 @@ def _polish_critical_point(p: ConformalProblem, u, cprime, cfg: SolverConfig):
     scal = scal_warped(p.metric)
     n = mesh.node_count
     m = mesh.mass_vector()
-    lap_matrix = np.column_stack([mesh.laplacian(np.eye(n)[:, j]) for j in range(n)])
+    scaled_lap = 4.0 * g.b_n * mesh.laplacian_matrix()
 
     def residual(u_, cp_):
         r = 4.0 * g.b_n * mesh.laplacian(u_) - scal * u_ + cp_ * u_**g.gamma_n
@@ -183,8 +184,8 @@ def _polish_critical_point(p: ConformalProblem, u, cprime, cfg: SolverConfig):
                 and abs(res[n]) < 1e-13 * max(1.0, p.epsilon)):
             return u, cprime, True
         J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = (4.0 * g.b_n * lap_matrix
-                     - np.diag(scal - cprime * g.gamma_n * u**(g.gamma_n - 1)))
+        J[:n, :n] = (scaled_lap
+                     - sp.diags_array(scal - cprime * g.gamma_n * u**(g.gamma_n - 1))).toarray()
         J[:n, n] = u**g.gamma_n
         J[n, :n] = p.c * u**g.gamma_n * m
         try:
@@ -314,8 +315,7 @@ def solve_negative_constant(metric: WarpedProductMetric, cfg: SolverConfig | Non
         raise PreconditionError("start profile must be positive", condition="positive-start")
     mass0 = float(np.dot(u * u, m))
     cprime = float(c)
-
-    lap_matrix = None
+    scaled_lap = 4.0 * g.b_n * mesh.laplacian_matrix()
 
     def residual_vec(u_, cp_):
         r = 4.0 * g.b_n * mesh.laplacian(u_) - scal * u_ - cp_ * u_**g.gamma_n
@@ -326,10 +326,9 @@ def solve_negative_constant(metric: WarpedProductMetric, cfg: SolverConfig | Non
     converged = False
     newton_iterations = 0
     for newton_iterations in range(1, cfg.max_iter + 1):
-        if lap_matrix is None:
-            lap_matrix = np.column_stack([mesh.laplacian(np.eye(n)[:, j]) for j in range(n)])
         J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = 4.0 * g.b_n * lap_matrix - np.diag(scal + cprime * g.gamma_n * u**(g.gamma_n - 1))
+        J[:n, :n] = (scaled_lap
+                     - sp.diags_array(scal + cprime * g.gamma_n * u**(g.gamma_n - 1))).toarray()
         J[:n, n] = -(u**g.gamma_n)
         J[n, :n] = 2.0 * u * m
         try:
@@ -421,7 +420,7 @@ def classify_conformal_class(metric: WarpedProductMetric, tol: float = 1e-8):
     mesh = metric.mesh
     scal = scal_warped(metric)
     m = mesh.mass_vector()
-    A = 4.0 * g.b_n * mesh.stiffness_matrix() + np.diag(m * scal)
+    A = (4.0 * g.b_n * mesh.stiffness_matrix() + sp.diags_array(m * scal)).toarray()
     lam1 = float(scipy.linalg.eigh(A, np.diag(m), eigvals_only=True,
                                    subset_by_index=[0, 0])[0])
     if lam1 > tol:

@@ -3,10 +3,15 @@
 These deliberately re-derive quantities along different routes than the
 library: full index-level curvature tensor contraction for group metrics,
 dense sampling plus derivative-free subspace ascent for the constrained
-twist-term maximum, and plain high-resolution quadrature.
+twist-term maximum, plain high-resolution quadrature, a dense
+column-by-column assembly of the discrete curvature Jacobian, and the
+continuum formula of its adjoint.
 """
 
 import numpy as np
+
+from curvlab.models import WarpedProductMetric, ricci_warped
+from curvlab.prescribe import MetricPerturbation, _scal_jacobian_components
 
 
 def curvature_tensor_scal(m) -> float:
@@ -97,3 +102,51 @@ def fine_circle_norm(phi, source_nodes, source_vals, target_vals, weights, lengt
     err = interp(source_vals, phi(x)) - interp(target_vals, x)
     w = interp(weights, x)
     return float(np.sum(np.abs(err) ** p * w * (length / resolution)) ** (1.0 / p))
+
+
+def dense_scal_jacobian(metric, A=None, B=None):
+    """Jacobian of the discrete scal in (a, b) coordinates, dense, (N, 2N).
+
+    The chain rule of the library's `linearize_scal_matrix`, assembled the
+    slow way: the derivative matrices are built column by column by applying
+    the mesh stencils to unit vectors, and every product is a dense matrix
+    product.  Same arguments as `linearize_scal_matrix`.
+    """
+    mesh = metric.mesh
+    if isinstance(metric, WarpedProductMetric):
+        base_fiber = metric.warping**2
+        A = np.ones(mesh.node_count) if A is None else A
+        B = base_fiber if B is None else B
+    else:
+        if A is None or B is None:
+            A, B = metric.radial, metric.fiber
+        base_fiber = B
+    dA, dAr, dB, dF, dFr, dFrr, F = _scal_jacobian_components(
+        mesh, A, B, metric.fiber_dim, metric.fiber_scal)
+    eye = np.eye(mesh.node_count)
+    D1 = np.column_stack([mesh.derivative(col) for col in eye.T])
+    D2 = np.column_stack([mesh.second_derivative(col) for col in eye.T])
+    block_a = np.diag(dA) + np.diag(dAr) @ D1
+    chain = (np.diag(dF) + np.diag(dFr) @ D1 + np.diag(dFrr) @ D2) @ np.diag(0.5 / F)
+    block_b = (np.diag(dB) + chain) @ np.diag(base_fiber)
+    return np.hstack([block_a, block_b])
+
+
+def adjoint_formula(metric, u):
+    """The continuum adjoint formula discretized directly.
+
+    Radial component -lap(u) + u'' - u Ric_rr; fiber component
+    -lap(u) + (f'/f) u' - u Ric_fiber.
+    """
+    u = np.asarray(u, dtype=float)
+    mesh = metric.mesh
+    f = metric.warping
+    lap = mesh.laplacian(u)
+    du = mesh.derivative(u)
+    d2u = mesh.second_derivative(u)
+    ric_rr, ric_fiber = ricci_warped(metric)
+    df = mesh.derivative(f)
+    return MetricPerturbation(
+        a=-lap + d2u - u * ric_rr,
+        b=-lap + (df / f) * du - u * ric_fiber,
+    )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvlab import (PreconditionError, SubmersionPointData, cv_scal,
                      cv_sectional, positivity_threshold)
@@ -122,6 +124,53 @@ def test_threshold_brackets_positive_region():
     d = product_data(base_scal=-4.0, fiber_scal=2.0)
     s_star = positivity_threshold(d)
     for s in np.linspace(1e-4, s_star * 0.999, 40):
+        assert cv_scal(d, float(s)) > 0
+
+
+def test_threshold_finds_narrow_negative_dip():
+    # s cv_scal(s) = (s - 1)(s - 1.001)(s + 1): negative only on (1, 1.001)
+    K_base = np.array([[0.0, -0.5], [-0.5, 0.0]])
+    d = SubmersionPointData(base_dim=2, fiber_dim=2, K_base=K_base,
+                            K_tot_hh=np.zeros((2, 2)), K_mixed=np.diag([-0.25025, -0.25025]),
+                            fiber_scal=1.001)
+    assert cv_scal(d, 1.0005) < 0
+    assert positivity_threshold(d) == pytest.approx(1.0, rel=1e-12)
+
+
+def cubic_data(a3, a2, a1, a0):
+    """2+2 data whose s cv_scal(s) is a3 s^3 + a2 s^2 + a1 s + a0."""
+    off = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return SubmersionPointData(base_dim=2, fiber_dim=2, K_base=0.5 * a1 * off,
+                               K_tot_hh=0.5 * (a3 + a1) * off,
+                               K_mixed=np.full((2, 2), a2 / 8.0), fiber_scal=a0)
+
+
+root = st.floats(0.05, 5.0) | st.floats(-5.0, -0.05)
+
+
+@settings(max_examples=300, deadline=None)
+@given(root, st.none() | st.floats(1e-4, 0.5), st.none() | root,
+       st.none() | st.tuples(st.floats(-5.0, 5.0), st.floats(0.05, 5.0)), st.floats(0.1, 10.0))
+def test_threshold_is_smallest_positive_root_of_random_cubics(r, twin_gap, other, pair, scale):
+    # real roots r, optionally a twin r (1 + gap) (a narrow dip when r > 0),
+    # then a third real root or a complex pair while the degree stays <= 3
+    roots = [r] + ([r * (1.0 + twin_gap)] if twin_gap is not None else [])
+    if other is not None and min(abs(other - x) for x in roots) > 1e-3 and len(roots) < 3:
+        roots.append(other)
+    if pair is not None and len(roots) == 1:
+        roots += [complex(*pair), complex(pair[0], -pair[1])]
+    poly = np.real(np.poly(roots))
+    # the sign makes the constant term (the fiber scalar curvature) positive
+    coeffs = np.zeros(4)
+    coeffs[4 - poly.size:] = poly * scale * np.sign(poly[-1])
+    d = cubic_data(*coeffs)
+    positive = [x.real for x in roots if x.imag == 0 and x.real > 0]
+    s_star = positivity_threshold(d)
+    if not positive:
+        assert s_star == float("inf")
+        return
+    assert s_star == pytest.approx(min(positive), rel=1e-8)
+    for s in np.linspace(0.01, 0.99, 25) * s_star:
         assert cv_scal(d, float(s)) > 0
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from curvlab import CIRCLE, INTERVAL, build_mesh, circle_mesh
 from curvlab.models import YamabeConstants
@@ -197,3 +198,56 @@ def test_interval_laplacian_with_singular_weight_spherical_harmonic():
     assert errs[0] / errs[1] > 2.0
     assert errs[1] / errs[2] > 2.0
     assert errs[-1] < 5e-3
+
+
+# ---------------------------------------------------------------------------
+# sparse operator matrices
+# ---------------------------------------------------------------------------
+
+OPERATOR_MESHES = {
+    "circle-even": lambda: circle_mesh(16, 2 * np.pi, lambda r: 1.0 + 0.3 * np.sin(r)),
+    "circle-odd": lambda: circle_mesh(33, 2 * np.pi, lambda r: 1.0 + 0.3 * np.sin(r)),
+    "interval-sin-even": lambda: build_mesh(INTERVAL, 16, np.pi, np.sin),
+    "interval-sin-odd": lambda: build_mesh(INTERVAL, 33, np.pi, np.sin),
+    "interval-positive-odd": lambda: build_mesh(INTERVAL, 17, 1.0, lambda r: 1.0 + r**2),
+}
+
+
+@pytest.mark.parametrize("make", OPERATOR_MESHES.values(), ids=OPERATOR_MESHES.keys())
+def test_sparse_operators_match_stencils(make):
+    mesh = make()
+    rng = np.random.default_rng(23)
+    pairs = ((mesh.d1_matrix(), mesh.derivative), (mesh.d2_matrix(), mesh.second_derivative),
+             (mesh.laplacian_matrix(), mesh.laplacian))
+    for matrix, stencil in pairs:
+        assert isinstance(matrix, sp.csr_array)
+        assert np.max(np.diff(matrix.indptr)) <= 5
+        for _ in range(3):
+            u = rng.normal(size=mesh.node_count)
+            ref = stencil(u)
+            assert np.max(np.abs(matrix @ u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("make", OPERATOR_MESHES.values(), ids=OPERATOR_MESHES.keys())
+def test_laplacian_matrix_is_scaled_stiffness(make):
+    # -diag(vol) L == S, with vol the quadrature masses except at a vanishing
+    # interval endpoint, where the half cell uses the face-average weight
+    mesh = make()
+    w, h = mesh.weights, mesh.h
+    vol = mesh.mass_vector()
+    if mesh.topology == INTERVAL:
+        for j, face in ((0, 0.5 * (w[0] + w[1])), (-1, 0.5 * (w[-1] + w[-2]))):
+            if w[j] == 0:
+                vol[j] = 0.25 * h * face
+    S = mesh.stiffness_matrix()
+    assert np.max(np.diff(S.indptr)) <= 5
+    gap = -(vol[:, None] * mesh.laplacian_matrix().toarray()) - S.toarray()
+    assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(S.toarray()))
+
+
+def test_operator_matrices_are_cached_and_read_only():
+    mesh = circle_mesh(16, 2 * np.pi)
+    for method in (mesh.d1_matrix, mesh.d2_matrix, mesh.stiffness_matrix, mesh.laplacian_matrix):
+        assert method() is method()
+        with pytest.raises(ValueError):
+            method().data[0] = 1.0

@@ -2,16 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from curvlab import (Diffeo1D, MetricPerturbation, PreconditionError,
-                     PrescribeConfig, SolverError, WarpedProductMetric,
-                     adjoint_formula, approximate_by_diffeo, full_prescribe,
+from curvlab import (DiagonalInvariantMetric, Diffeo1D, MetricPerturbation,
+                     PreconditionError, PrescribeConfig, SolverError,
+                     WarpedProductMetric, approximate_by_diffeo, full_prescribe,
                      get_preset, kernel_min_singular, linearize_scal,
                      linearize_scal_adjoint, linearize_scal_matrix,
                      newton_prescribe, pinching_check, pullback_metric,
                      ricci_warped, scal_operator, scal_warped, tensor_inner)
 
-from oracles import fine_circle_norm
+from oracles import adjoint_formula, dense_scal_jacobian, fine_circle_norm
 
 
 def bumpy(amplitude=0.2, n=64):
@@ -78,6 +79,22 @@ def test_linearization_matrix_matches_differencing():
         fd = linearize_scal(metric, h)
         exact = A_mat @ h.flat()
         assert np.max(np.abs(fd - exact)) < 1e-7 * max(1.0, np.max(np.abs(exact)))
+
+
+@pytest.mark.parametrize("n", [16, 17, 64])
+def test_sparse_jacobian_matches_dense_chain_rule(n):
+    metric = bumpy(n=n)
+    r = metric.mesh.nodes
+    A = 1.0 + 0.1 * np.cos(r)
+    B = metric.warping**2 * (1.0 + 0.05 * np.sin(2 * r))
+    diagonal = DiagonalInvariantMetric(metric.mesh, 3, 6.0, radial=A, fiber=B)
+    for args in ((metric,), (metric, A, B), (diagonal,)):
+        J = linearize_scal_matrix(*args)
+        ref = dense_scal_jacobian(*args)
+        assert isinstance(J, sp.csr_array) and J.shape == (n, 2 * n)
+        assert np.max(np.abs(J.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for block in (J[:, :n], J[:, n:]):
+            assert np.max(np.diff(block.tocsr().indptr)) <= 5
 
 
 def test_huge_perturbation_rejected():

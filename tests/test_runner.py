@@ -249,3 +249,23 @@ def test_main_solver_failure_exit_code(tmp_path, capsys):
                  "--tol", "1e-30", "--outdir", str(tmp_path / "o")])
     assert code == EXIT_SOLVER
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_main_approx_flags_reach_the_approx_keys(tmp_path, capsys):
+    # --target, --p and --eps under `approx` set approx.*, not prescribe.*
+    outdir = tmp_path / "o"
+    code = main(["approx", "--model", "bumpy", "--target", "6 + 0.5*sin(r)",
+                 "--p", "1", "--eps", "0.05", "--outdir", str(outdir)])
+    assert code == EXIT_OK
+    assert "requested_eps = 0.050000000000000003" in capsys.readouterr().out
+    report = (outdir / "report.txt").read_text().splitlines()
+    assert "input.approx.eps = 0.05" in report
+    assert "input.approx.p = 1" in report
+    assert not any(line.startswith("input.prescribe.") for line in report)
+
+
+def test_main_invalid_model_is_a_config_error(tmp_path, capsys):
+    code = main(["classify", "--model", "bumpy", "--f", "0-1", "--outdir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.strip() == "configuration error: warping must be strictly positive"
