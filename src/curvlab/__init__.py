@@ -23,7 +23,7 @@ from .models import (DiagonalInvariantMetric, LeftInvariantMetric,
 from .cheeger import (IsotropyData, OrbitData, TangentSplit,
                       deformed_group_metric, homogeneous_scal, isotropy_term,
                       orbit_tensor_eig, pinching_limit, scal_cheeger,
-                      shrink_map_apply, twist_term, twist_term_sampled)
+                      shrink_map_apply, twist_term)
 from .yamabe import (ConformalClass, ConformalProblem, ConformalSolution,
                      SolverConfig, classify_conformal_class, coercive_energy,
                      conformal_energy, conformal_scal, conformal_warped_metric,

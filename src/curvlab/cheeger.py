@@ -210,25 +210,6 @@ def twist_term(orbit: OrbitData, t: float, x: TangentSplit, y: TangentSplit,
     return 3.0 * t * float(lvec @ np.linalg.solve(M, lvec))
 
 
-def twist_term_sampled(orbit: OrbitData, t: float, x: TangentSplit, y: TangentSplit,
-                       iso: IsotropyData | None = None, samples: int = 100_000,
-                       rng=None) -> float:
-    """Dense-sampling lower bound for `twist_term` (diagnostic oracle)."""
-    if t < 0:
-        raise ValueError("deformation time must be nonnegative")
-    if t == 0:
-        return 0.0
-    rng = np.random.default_rng(rng)
-    lvec, d_iso = _twist_vector(orbit, t, x, y, iso)
-    k = orbit.orbit_dim
-    d = k + d_iso
-    Z = rng.normal(size=(samples, d))
-    Z /= np.linalg.norm(Z, axis=1, keepdims=True)
-    num = (Z @ lvec) ** 2
-    den = t * np.einsum('si,ij,sj->s', Z[:, :k], orbit.algebra.tensor, Z[:, :k]) + 1.0
-    return 3.0 * t * float(np.max(num / den))
-
-
 def scal_cheeger(orbit: OrbitData, iso: IsotropyData | None, t: float) -> float:
     """Exact deformed scalar curvature at the point; the undeformed value at t=0."""
     if t < 0:

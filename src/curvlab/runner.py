@@ -8,14 +8,14 @@ Configuration is a flat text file with one dotted key per line::
     run.outdir = out
 
 Recognized keys: model.preset, model.N, model.L, model.k, model.cF, model.f,
-solver.tol, solver.max_iter, run.seed, run.outdir, yamabe.c, yamabe.negative,
+solver.tol, solver.max_iter, run.outdir, yamabe.c, yamabe.negative,
 prescribe.target, prescribe.p, prescribe.eps, cheeger.t_max, canonical.sweep,
-approx.target, approx.p, approx.eps.
+approx.target, approx.p, approx.eps.  Any other key is a configuration error.
 
 Outputs per run: report.txt (key = value lines), CSV data files at full
 double precision, and gnuplot-compatible two-column files under plotdata/.
-Identical configuration and seed reproduce every output byte for byte; wall
-time is therefore reported on stderr only.
+Identical configuration reproduces every output byte for byte; wall time is
+therefore reported on stderr only.
 
 Exit codes: 0 success, 2 precondition rejection, 3 solver non-convergence,
 4 configuration or I/O failure.
@@ -47,6 +47,12 @@ EXIT_SOLVER = 3
 EXIT_CONFIG = 4
 
 COMMANDS = ("classify", "yamabe", "prescribe", "cheeger", "canonical", "approx")
+
+RECOGNIZED_KEYS = frozenset((
+    "model.preset", "model.N", "model.L", "model.k", "model.cF", "model.f",
+    "solver.tol", "solver.max_iter", "run.outdir", "yamabe.c", "yamabe.negative",
+    "prescribe.target", "prescribe.p", "prescribe.eps", "cheeger.t_max", "canonical.sweep",
+    "approx.target", "approx.p", "approx.eps"))
 
 CANONICAL_PRESETS = {
     "product-round-fiber": dict(base_dim=2, fiber_dim=2, base_scal=0.0, fiber_scal=2.0),
@@ -161,6 +167,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
+        unknown = sorted(set(self.options) - RECOGNIZED_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown configuration key(s): {', '.join(unknown)}")
 
     def get(self, key, default=None):
         return self.options.get(key, default)
@@ -437,8 +446,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     n = cfg.get_int("model.N", 64)
     if n is not None and n < 16:
         raise ConfigError("model.N must be at least 16")
-    seed = cfg.get_int("run.seed", 0)
-    np.random.seed(seed % 2**32)
     outdir = Path(cfg.get("run.outdir", "curvlab-out"))
     try:
         (outdir / "plotdata").mkdir(parents=True, exist_ok=True)
@@ -467,7 +474,7 @@ _FLAG_KEYS = {
     "k": "model.k", "cF": "model.cF", "f": "model.f", "c": "yamabe.c",
     "target": "prescribe.target", "p": "prescribe.p", "eps": "prescribe.eps",
     "t_max": "cheeger.t_max", "sweep": "canonical.sweep", "tol": "solver.tol",
-    "max_iter": "solver.max_iter", "seed": "run.seed", "outdir": "run.outdir",
+    "max_iter": "solver.max_iter", "outdir": "run.outdir",
 }
 
 

@@ -12,9 +12,15 @@ the Euler-Lagrange equation of
 restricted to the constraint set  (c / 2*) int u^{2*} = eps,  u >= 0.
 
 The positive regime (scal >= 0, not identically 0, c > 0) is solved by
-projected gradient descent on the constraint: the Lagrange multiplier lam
-recovered at convergence shifts the constant to c' = (1 + lam) c and the
-residual reported is the Euler-Lagrange defect at c'.
+projected Sobolev-gradient descent on the constraint (Neuberger, *Sobolev
+Gradients and Differential Equations*, LNM 1670, 1997): each step is the
+gradient in the H^1 inner product <h, v>_H = 4 b_n v.S.h + v.M.h of the mesh
+stiffness S and quadrature masses M, projected onto the constraint's tangent
+space in that inner product.  Its step size is not limited by the stiffest
+mode of the discrete Laplacian, so the step count does not grow with N.  A
+bordered Newton polish then resolves the critical point; the Lagrange
+multiplier lam recovered at convergence shifts the constant to
+c' = (1 + lam) c and the residual reported is the Euler-Lagrange defect at c'.
 
 The negative regime solves the equation with constant -c' directly by a
 bordered Newton iteration in (u, c'), with a mass normalization excluding the
@@ -33,11 +39,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.interpolate
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from .errors import ObstructionError, PreconditionError, SolverError
 from .mesh import QuotientMesh
@@ -72,6 +80,13 @@ class ConformalProblem:
     def mesh(self) -> QuotientMesh:
         return self.metric.mesh
 
+    @cached_property
+    def scal(self) -> np.ndarray:
+        """Background scalar curvature at the nodes, computed once, read-only."""
+        scal = scal_warped(self.metric)
+        scal.setflags(write=False)
+        return scal
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -102,10 +117,9 @@ def conformal_energy(p: ConformalProblem, u) -> float:
     """J(u); the gradient term uses the stiffness pairing of the mesh."""
     g = p.constants
     mesh = p.mesh
-    scal = scal_warped(p.metric)
     u = np.asarray(u, dtype=float)
     return (2.0 * g.b_n * mesh.dirichlet_form(u, u)
-            + 0.5 * mesh.integrate(scal * u**2)
+            + 0.5 * mesh.integrate(p.scal * u**2)
             - (p.c / g.two_star) * mesh.integrate(np.abs(u) ** g.two_star))
 
 
@@ -113,19 +127,17 @@ def coercive_energy(p: ConformalProblem, u) -> float:
     """The all-plus functional of the negative regime (grows in every direction)."""
     g = p.constants
     mesh = p.mesh
-    scal = scal_warped(p.metric)
     u = np.asarray(u, dtype=float)
     return (2.0 * g.b_n * mesh.dirichlet_form(u, u)
-            + 0.5 * mesh.integrate(scal * u**2)
+            + 0.5 * mesh.integrate(p.scal * u**2)
             + (p.c / g.two_star) * mesh.integrate(np.abs(u) ** g.two_star))
 
 
 def energy_gradient(p: ConformalProblem, u) -> np.ndarray:
     """Weighted-L2 gradient of J: -4 b_n lap(u) + scal u - c u^gamma."""
     g = p.constants
-    scal = scal_warped(p.metric)
     u = np.asarray(u, dtype=float)
-    return (-4.0 * g.b_n * p.mesh.laplacian(u) + scal * u
+    return (-4.0 * g.b_n * p.mesh.laplacian(u) + p.scal * u
             - p.c * np.sign(u) * np.abs(u) ** g.gamma_n)
 
 
@@ -148,8 +160,7 @@ def el_residual(p: ConformalProblem, u, constant: float) -> np.ndarray:
         raise PreconditionError("conformal factor must be strictly positive",
                                 condition="positive-factor")
     g = p.constants
-    scal = scal_warped(p.metric)
-    return 4.0 * g.b_n * p.mesh.laplacian(u) - scal * u + constant * u ** g.gamma_n
+    return 4.0 * g.b_n * p.mesh.laplacian(u) - p.scal * u + constant * u ** g.gamma_n
 
 
 def _spectral_tail(mesh: QuotientMesh, u) -> float:
@@ -167,7 +178,7 @@ def _polish_critical_point(p: ConformalProblem, u, cprime, cfg: SolverConfig):
     """
     mesh = p.mesh
     g = p.constants
-    scal = scal_warped(p.metric)
+    scal = p.scal
     n = mesh.node_count
     m = mesh.mass_vector()
     scaled_lap = 4.0 * g.b_n * mesh.laplacian_matrix()
@@ -209,18 +220,22 @@ def _polish_critical_point(p: ConformalProblem, u, cprime, cfg: SolverConfig):
 
 def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
                            u0=None) -> ConformalSolution:
-    """Projected gradient descent with backtracking on the constraint set.
+    """Projected Sobolev-gradient descent with backtracking on the constraint set.
 
-    Hypotheses: scal >= 0 and not identically zero, c > 0.  The descent phase
-    runs until the projected gradient is small, then a bordered Newton polish
-    resolves the critical point to tolerance (the energy history records the
-    descent phase, along which the energy never increases).  The reported
-    residual is the Euler-Lagrange defect at the recovered constant
-    c' = (1 + lam) c.
+    Hypotheses: scal >= 0 and not identically zero, c > 0.  Each descent step
+    maps the weighted-L2 gradient of J and the constraint normal c u^gamma to
+    their H^1 representatives by one solve with H = 4 b_n S + M (factored once
+    per call), projects the gradient onto the constraint's tangent space in
+    the H inner product, and backtracks on J with an Armijo test against the
+    squared H-norm of the step.  The descent phase runs until the weighted-L2
+    projected gradient is small, then a bordered Newton polish resolves the
+    critical point to tolerance (the energy history records the descent
+    phase, along which the energy never increases).  The reported residual is
+    the Euler-Lagrange defect at the recovered constant c' = (1 + lam) c.
     """
     cfg = cfg or SolverConfig()
     mesh = p.mesh
-    scal = scal_warped(p.metric)
+    scal = p.scal
     if p.c <= 0:
         raise PreconditionError("positive regime needs c > 0", condition="positive-c")
     if np.min(scal) < -1e-11 * max(1.0, float(np.max(np.abs(scal)))):
@@ -230,6 +245,11 @@ def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
         raise PreconditionError("background scalar curvature vanishes identically",
                                 condition="nonvanishing-scal-hypothesis")
 
+    m = mesh.mass_vector()
+    # the H-representative x of a functional with weighted-L2 gradient G
+    # satisfies <x, v>_H = <G, v>_w for all v, i.e. H x = M G
+    riesz = scipy.sparse.linalg.factorized(sp.csc_array(
+        4.0 * p.constants.b_n * mesh.stiffness_matrix() + sp.diags_array(m)))
     u = project_to_constraint(p, np.ones(mesh.node_count) if u0 is None else np.asarray(u0, float))
     energy = conformal_energy(p, u)
     history = [energy]
@@ -240,17 +260,22 @@ def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
     for iterations in range(1, cfg.max_iter + 1):
         grad = energy_gradient(p, u)
         normal = p.c * u ** p.constants.gamma_n
-        nn = mesh.inner(normal, normal)
-        mult = mesh.inner(grad, normal) / nn
-        direction = -(grad - mult * normal)
-        dnorm = np.sqrt(mesh.inner(direction, direction))
-        if dnorm < max(cfg.tol_gradient, 1e-5 * scale) or iterations > descent_budget:
+        mult = mesh.inner(grad, normal) / mesh.inner(normal, normal)
+        tangent = grad - mult * normal
+        if (np.sqrt(mesh.inner(tangent, tangent)) < max(cfg.tol_gradient, 1e-5 * scale)
+                or iterations > descent_budget):
             break
+        grad_h, normal_h = riesz(m * grad), riesz(m * normal)
+        # <x, normal_h>_H = <x, normal>_w: the H-projection keeps the step
+        # tangent to the constraint
+        direction = -(grad_h - mesh.inner(grad_h, normal) / mesh.inner(normal_h, normal) * normal_h)
+        # ||d||_H^2 = -<d, grad_h>_H = -<d, grad>_w, the decrease rate along d
+        dnorm_h2 = -mesh.inner(direction, grad)
         accepted = False
         while step >= 1e-14:
             cand = project_to_constraint(p, u + step * direction)
             cand_energy = conformal_energy(p, cand)
-            if cand_energy <= energy - 1e-4 * step * dnorm**2:
+            if cand_energy <= energy - 1e-4 * step * dnorm_h2:
                 u, energy = cand, cand_energy
                 history.append(energy)
                 accepted = True

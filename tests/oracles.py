@@ -10,6 +10,7 @@ continuum formula of its adjoint.
 
 import numpy as np
 
+from curvlab.cheeger import _twist_vector
 from curvlab.models import WarpedProductMetric, ricci_warped
 from curvlab.prescribe import MetricPerturbation, _scal_jacobian_components
 
@@ -45,6 +46,26 @@ def curvature_tensor_scal(m) -> float:
                 term -= alpha[i, j, mm] * gamma[mm, j, i]
             scal += term
     return float(scal)
+
+
+def twist_term_sampled(orbit, t, x, y, iso=None, samples=100_000, rng=None) -> float:
+    """Dense-sampling lower bound for `curvlab.cheeger.twist_term`.
+
+    Evaluates the twist ratio 3t (l.Z)^2 / (t Z.S.Z + 1) at random unit
+    vectors Z instead of the library's closed-form maximum.
+    """
+    if t < 0:
+        raise ValueError("deformation time must be nonnegative")
+    if t == 0:
+        return 0.0
+    rng = np.random.default_rng(rng)
+    lvec, d_iso = _twist_vector(orbit, t, x, y, iso)
+    k = orbit.orbit_dim
+    Z = rng.normal(size=(samples, k + d_iso))
+    Z /= np.linalg.norm(Z, axis=1, keepdims=True)
+    num = (Z @ lvec) ** 2
+    den = t * np.einsum('si,ij,sj->s', Z[:, :k], orbit.algebra.tensor, Z[:, :k]) + 1.0
+    return 3.0 * t * float(np.max(num / den))
 
 
 def ratio_max_sampled_refined(lvec, S, t, samples=100_000, rng=None, iters=80):

@@ -5,8 +5,8 @@ import pytest
 
 from curvlab.errors import ConfigError
 from curvlab.runner import (EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION,
-                            ScenarioConfig, emit_csv, main, parse_config_file,
-                            parse_profile_expr, run_scenario)
+                            RECOGNIZED_KEYS, ScenarioConfig, emit_csv, main,
+                            parse_config_file, parse_profile_expr, run_scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +86,17 @@ def test_parse_config_file(tmp_path):
 def test_config_rejects_unknown_command():
     with pytest.raises(ConfigError):
         ScenarioConfig(command="explode")
+
+
+def test_config_rejects_unknown_keys():
+    with pytest.raises(ConfigError, match="model.n, run.seed"):
+        ScenarioConfig(command="classify", options={"run.seed": "7", "model.n": "32"})
+
+
+def test_recognized_keys_match_the_module_docstring():
+    import curvlab.runner as runner
+    listed = runner.__doc__.split("Recognized keys:")[1].split(".  ")[0]
+    assert {k.strip() for k in listed.split(",")} == RECOGNIZED_KEYS
 
 
 def test_config_rejects_bad_number():
@@ -196,8 +207,8 @@ def test_report_excludes_wall_time(tmp_path):
 
 
 def test_determinism_byte_for_byte(tmp_path):
-    # identical config (same outdir) and seed reproduce every byte
-    options = {"model.preset": "round-fiber", "yamabe.c": "6.0", "run.seed": "7",
+    # identical config (same outdir) reproduces every byte
+    options = {"model.preset": "round-fiber", "yamabe.c": "6.0",
                "run.outdir": str(tmp_path / "out")}
     cfg = ScenarioConfig(command="yamabe", options=dict(options))
     run_scenario(cfg)
@@ -269,3 +280,14 @@ def test_main_invalid_model_is_a_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.strip() == "configuration error: warping must be strictly positive"
+
+
+def test_main_rejects_unknown_key(tmp_path, capsys):
+    # a misspelled key (model.n for model.N) used to be ignored: the run
+    # exited 0 and wrote a 64-node scal.csv
+    outdir = tmp_path / "o"
+    code = main(["classify", "--model", "bumpy", "--set", "model.n=32", "--outdir", str(outdir)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.strip() == "configuration error: unknown configuration key(s): model.n"
+    assert not (outdir / "scal.csv").exists()

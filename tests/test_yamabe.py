@@ -178,6 +178,24 @@ def test_minimize_bumpy_start_descends_to_critical_point():
     assert np.all(np.diff(energies) <= 1e-12)
 
 
+@pytest.mark.parametrize("n", [64, 512])
+def test_minimize_step_count_does_not_grow_with_n(n):
+    # the weighted-L2 descent direction needed about N^2 steps on this
+    # background (993 at N = 64; the 20000-step budget ran out at N = 512)
+    p = ConformalProblem(get_preset("bumpy", n=n), c=6.0)
+    sol = minimize_on_constraint(p, SolverConfig())
+    assert sol.iterations <= 50
+    assert p.mesh.lp_norm(el_residual(p, sol.u, sol.achieved_constant), 2) <= 1e-9
+    assert np.all(np.diff(sol.energy_history) <= 0)
+
+
+def test_problem_caches_background_scal():
+    p = ConformalProblem(get_preset("bumpy"), c=6.0)
+    assert p.scal is p.scal
+    assert np.array_equal(p.scal, scal_warped(p.metric))
+    assert not p.scal.flags.writeable
+
+
 def test_minimize_rejects_flat_background():
     p = ConformalProblem(get_preset("flat-torus"), c=1.0)
     with pytest.raises(PreconditionError):
