@@ -382,20 +382,67 @@ def _periodic_interp(x, nodes, values, length):
 
 def _monotone_runs(values: np.ndarray):
     """Split a periodic sample into maximal monotone runs (index pairs)."""
-    n = len(values)
-    ext = np.concatenate([values, values[:1]])
-    d = np.diff(ext)
-    sign = np.sign(d)
+    sign = np.sign(np.diff(values, append=values[:1]))
     sign[sign == 0] = 1.0
-    turns = [0]
-    for i in range(1, n):
-        if sign[i] != sign[i - 1]:
-            turns.append(i)
-    runs = []
-    for idx, start in enumerate(turns):
-        stop = turns[idx + 1] if idx + 1 < len(turns) else n
-        runs.append((start, stop))
-    return runs
+    bounds = [0, *(np.flatnonzero(np.diff(sign)) + 1).tolist(), len(values)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _greedy_walk(table: np.ndarray, L: float, mu: float, starts):
+    """Winding-one walk through the candidate table, or None if none fits.
+
+    From each start in turn, every cell takes the nearest candidate at or
+    ahead of the previous position (repeated target values reuse the same
+    point); a start fails once the walk spans more than L - (m + 2) mu.  The
+    first walk that fits is returned with its positions pushed at least mu
+    apart.
+
+    The walk advances in windows of cells.  Each window is first walked with
+    the position held at its start, which is right while the walk stays on
+    one monotone run of the source, then every cell is recomputed from the
+    guessed previous position; the cells up to the first disagreement are
+    exact, and the next window starts there.  A window does the same IEEE
+    operations per cell as the one-cell-at-a-time walk, on all R runs at
+    once.  Windows double while they hold and restart at twice the exact
+    stretch, so a walk costs O(m R) array work in about log m windows plus
+    one per change of run or of lift.
+    """
+    m = table.shape[1]
+    limit = L - (m + 2) * mu
+    no_candidate = np.flatnonzero(np.all(np.isnan(table[:, 1:]), axis=0))
+    reach = int(no_candidate[0]) + 1 if len(no_candidate) else m
+
+    def step(prev, lo, hi):
+        cands = table[:, lo:hi]
+        lifted = cands + L * np.ceil((prev - cands) / L - 1e-12)
+        return np.maximum(np.fmin.reduce(lifted, axis=0), prev)
+
+    for start in starts:
+        X = np.empty(m)
+        X[0] = start
+        i, width = 1, 64
+        while i < reach:
+            hi = min(i + width, reach)
+            guess = np.maximum.accumulate(np.append(X[i - 1], step(X[i - 1], i, hi)))
+            exact = step(guess[:-1], i, hi)
+            wrong = np.flatnonzero(exact != guess[1:])
+            done = int(wrong[0]) + 1 if len(wrong) else hi - i
+            X[i:i + done] = exact[:done]
+            i += done
+            width = max(64, 2 * done)
+            if X[i - 1] - X[0] > limit:
+                break
+        else:
+            if reach < m:
+                raise ValueError(f"cell {reach} has no candidate position")
+            # mu spacing: X[i] = max(X[i], X[i-1] + mu) binds only after
+            # near-repeats, and each bound stretch ends where X catches up
+            for i in np.flatnonzero(X[:-1] + mu > X[1:]) + 1:
+                while i < m and X[i - 1] + mu > X[i]:
+                    X[i] = X[i - 1] + mu
+                    i += 1
+            return X
+    return None
 
 
 def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
@@ -409,7 +456,8 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
     near that point, spending only a thin transition set on the moves between
     points.  The forward greedy pick keeps the lift within one period, so the
     map has winding one; when the source oscillates less than the target that
-    is impossible and a winding obstruction is reported.
+    is impossible and a winding obstruction is reported.  The walk costs
+    O(m R) for m cells and R monotone runs of the source, per start tried.
 
     Interval quotients are handled on the mirrored double cover and the
     returned map lives there.
@@ -484,8 +532,8 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
         for idx, (seg, xseg) in enumerate(runs):
             ok = (gbar >= seg[0] - tol) & (gbar <= seg[-1] + tol)
             if np.any(ok):
-                pos[idx, ok] = np.interp(np.clip(gbar[ok], seg[0], seg[-1]), seg, xseg)
-        return np.mod(pos, L)
+                pos[idx, ok] = np.mod(np.interp(np.clip(gbar[ok], seg[0], seg[-1]), seg, xseg), L)
+        return pos
 
     # initial cell count from the target's slope against the plateau budget
     g_slope = float(np.max(np.abs(np.diff(np.append(g, g[0]))))) / mesh.h
@@ -510,28 +558,7 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
             continue
 
         starts = sorted(set(np.round(table[~np.isnan(table[:, 0]), 0], 12)))[:16]
-        chosen = None
-        for start in starts:
-            X = np.empty(m_cells)
-            X[0] = start
-            feasible = True
-            for i in range(1, m_cells):
-                # nearest candidate at or ahead of the current position;
-                # repeated target values reuse the same point
-                cands = table[:, i]
-                cands = cands[~np.isnan(cands)]
-                lifted = cands + L * np.ceil((X[i - 1] - cands) / L - 1e-12)
-                nxt = max(float(np.min(lifted)), X[i - 1])
-                if nxt - X[0] > L - (m_cells + 2) * mu:
-                    feasible = False
-                    break
-                X[i] = nxt
-            if feasible:
-                chosen = X
-                break
-        if chosen is not None:
-            for i in range(1, m_cells):
-                chosen[i] = max(chosen[i], chosen[i - 1] + mu)
+        chosen = _greedy_walk(table, L, mu, starts)
         if chosen is None:
             raise PreconditionError(
                 "the source oscillates less than the target: no monotone "

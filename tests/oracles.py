@@ -5,7 +5,9 @@ library: full index-level curvature tensor contraction for group metrics,
 dense sampling plus derivative-free subspace ascent for the constrained
 twist-term maximum, plain high-resolution quadrature, a dense
 column-by-column assembly of the discrete curvature Jacobian, and the
-continuum formula of its adjoint.
+continuum formula of its adjoint, and the per-cell loops that
+`approximate_by_diffeo` once ran for its greedy walk and its monotone-run
+split.
 """
 
 import numpy as np
@@ -171,3 +173,53 @@ def adjoint_formula(metric, u):
         a=-lap + d2u - u * ric_rr,
         b=-lap + (df / f) * du - u * ric_fiber,
     )
+
+
+def greedy_walk_loop(table, L, mu, starts):
+    """The greedy walk of `approximate_by_diffeo`, one numpy call per cell.
+
+    Same contract as `curvlab.prescribe._greedy_walk`: positions of the
+    first start whose walk fits in one period, pushed mu apart, or None.
+    """
+    m_cells = table.shape[1]
+    chosen = None
+    for start in starts:
+        X = np.empty(m_cells)
+        X[0] = start
+        feasible = True
+        for i in range(1, m_cells):
+            # nearest candidate at or ahead of the current position;
+            # repeated target values reuse the same point
+            cands = table[:, i]
+            cands = cands[~np.isnan(cands)]
+            lifted = cands + L * np.ceil((X[i - 1] - cands) / L - 1e-12)
+            nxt = max(float(np.min(lifted)), X[i - 1])
+            if nxt - X[0] > L - (m_cells + 2) * mu:
+                feasible = False
+                break
+            X[i] = nxt
+        if feasible:
+            chosen = X
+            break
+    if chosen is not None:
+        for i in range(1, m_cells):
+            chosen[i] = max(chosen[i], chosen[i - 1] + mu)
+    return chosen
+
+
+def monotone_runs_loop(values):
+    """Maximal monotone runs of a periodic sample, found by a Python loop."""
+    n = len(values)
+    ext = np.concatenate([values, values[:1]])
+    d = np.diff(ext)
+    sign = np.sign(d)
+    sign[sign == 0] = 1.0
+    turns = [0]
+    for i in range(1, n):
+        if sign[i] != sign[i - 1]:
+            turns.append(i)
+    runs = []
+    for idx, start in enumerate(turns):
+        stop = turns[idx + 1] if idx + 1 < len(turns) else n
+        runs.append((start, stop))
+    return runs

@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvlab import (DiagonalInvariantMetric, Diffeo1D, MetricPerturbation,
                      PreconditionError, PrescribeConfig, SolverError,
-                     WarpedProductMetric, approximate_by_diffeo, full_prescribe,
-                     get_preset, kernel_min_singular, linearize_scal,
+                     WarpedProductMetric, approximate_by_diffeo, circle_mesh,
+                     full_prescribe, get_preset, kernel_min_singular, linearize_scal,
                      linearize_scal_adjoint, linearize_scal_matrix,
                      newton_prescribe, pinching_check, pullback_metric,
                      ricci_warped, scal_operator, scal_warped, tensor_inner)
+from curvlab.prescribe import _greedy_walk, _monotone_runs
 
-from oracles import adjoint_formula, dense_scal_jacobian, fine_circle_norm
+from oracles import (adjoint_formula, dense_scal_jacobian, fine_circle_norm,
+                     greedy_walk_loop, monotone_runs_loop)
 
 
 def bumpy(amplitude=0.2, n=64):
@@ -311,6 +315,141 @@ def test_interval_quotient_uses_double_cover():
     assert result.achieved_error < 2e-2
     assert result.phi.mesh.topology == "circle"
     assert result.phi.mesh.length == pytest.approx(2 * np.pi)
+
+
+def criterion9_pair(draw, rotation_steps, n=64):
+    """Draw `draw` of acceptance criterion 9's generator, rotated on the nodes."""
+    rng = np.random.default_rng(2027)
+    for _ in range(draw + 1):
+        a1, a2 = rng.uniform(0.8, 1.5), rng.uniform(0.2, 0.6)
+        p1, p2 = rng.uniform(0, 2 * np.pi, 2)
+        offset = rng.normal()
+        amp, phase = rng.uniform(0.3, 0.75), rng.uniform(0, 2 * np.pi)
+    mesh = circle_mesh(n, 2 * np.pi)
+    r = mesh.nodes + 2 * np.pi / 64 * rotation_steps
+    f = a1 * np.sin(r + p1) + a2 * np.sin(2 * r + p2) + offset
+    lo, hi = float(np.min(f)), float(np.max(f))
+    g = 0.5 * (lo + hi) + amp * 0.5 * (hi - lo) * np.sin(r + phase)
+    return mesh, f, g
+
+
+@pytest.mark.xfail(strict=True, raises=PreconditionError, reason=(
+    "false winding obstruction: for p = 1 the initial cell count doubles straight to "
+    "max_cells = 4096, where the best greedy span is (1 - 3.9e-6) L but the reserve limit "
+    "L - (m + 2) mu is (1 - 4.1e-6) L; with max_cells = 2048 the same call succeeds "
+    "(error 5.0e-4), and with max_cells = 256 too (error 7.2e-3)"))
+def test_criterion9_draw3_rotated_has_no_obstruction():
+    mesh, f, g = criterion9_pair(draw=3, rotation_steps=38)
+    result = approximate_by_diffeo(mesh, f, g, p=1.0, eps=1e-2)
+    assert result.achieved_error < 1e-2
+    assert fine_circle_norm(result.phi, mesh.nodes, f, g, mesh.weights, mesh.length, 1.0) < 1e-2
+
+
+def test_criterion9_draw3_rotated_succeeds_below_4096_cells():
+    # the false obstruction above is the mu reserve outgrowing the greedy
+    # span's slack at 4096 cells; fewer cells leave room
+    mesh, f, g = criterion9_pair(draw=3, rotation_steps=38)
+    for max_cells, bound in ((2048, 1e-3), (256, 1e-2)):
+        result = approximate_by_diffeo(mesh, f, g, p=1.0, eps=1e-2, max_cells=max_cells)
+        assert result.cells == max_cells
+        assert result.achieved_error < bound
+
+
+@st.composite
+def candidate_tables(draw):
+    """Candidate tables as `approximate_by_diffeo` builds them, and harder ones.
+
+    Rows are either monotone runs that split the circle, each holding the
+    point where it attains a cell value that rises and falls once or twice
+    over the cells (NaN where the value leaves the run's range), or uniform
+    at random with scattered NaNs.  Whole columns may repeat the previous one
+    exactly or within 1e-12 L (the clamp and the ceil lift) or be all NaN,
+    and a large mu binds the spacing or makes walks infeasible.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L = draw(st.sampled_from([1.0, 2 * np.pi, 10.0]))
+    monotone_runs = draw(st.sampled_from([True, True, False]))
+    runs = draw(st.integers(2 if monotone_runs else 1, 5))
+    m = draw(st.integers(1, 70) | st.integers(65, 400))
+    if monotone_runs:
+        cuts = np.sort(rng.uniform(0, L, runs))
+        widths = np.diff(np.append(cuts, cuts[0] + L))
+        waves = draw(st.sampled_from([1, 1, 2])) * 2 * np.pi / m * np.arange(m)
+        value = 0.5 + rng.uniform(0.2, 0.5) * np.sin(waves + rng.uniform(0, 2 * np.pi))
+        lo, hi = np.zeros(runs), np.ones(runs)
+        if draw(st.booleans()):  # the two runs at the global minimum span the range
+            lo[2:] = rng.uniform(0.0, 0.3, runs - 2)
+            hi[2:] = rng.uniform(0.7, 1.0, runs - 2)
+        frac = (value - lo[:, None]) / (hi - lo)[:, None]
+        rising = (np.arange(runs) + rng.integers(2)) % 2 == 0
+        frac = np.where(rising[:, None], frac, 1.0 - frac)
+        frac[(frac < 0) | (frac > 1)] = np.nan
+        table = np.mod(cuts[:, None] + widths[:, None] * frac, L)
+    else:
+        table = rng.uniform(0, L, (runs, m))
+        table[rng.uniform(size=(runs, m)) < draw(st.sampled_from([0.0, 0.05, 0.3]))] = np.nan
+    p_repeat = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    p_near = draw(st.sampled_from([0.0, 0.01, 0.1]))
+    for i in range(1, m):
+        u = rng.uniform()
+        if u < p_repeat:
+            table[:, i] = table[:, i - 1]
+        elif u < p_repeat + p_near:
+            shift = rng.choice([-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12], runs)
+            table[:, i] = np.mod(table[:, i - 1] + shift * L, L)
+    table[:, rng.integers(0, m, draw(st.sampled_from([0, 0, 0, 0, 1, 2])))] = np.nan
+    mu = draw(st.sampled_from([0.0, 1e-9 * m, 1e-9 * m, 0.05, 0.3])) * L / m
+    if draw(st.sampled_from([True, True, True, False])):
+        starts = sorted(set(np.round(table[~np.isnan(table[:, 0]), 0], 12)))[:16]
+    else:
+        starts = draw(st.lists(st.floats(0.0, L, exclude_max=True), min_size=1, max_size=4))
+    return table, L, mu, starts
+
+
+def walk_outcome(walk, table, L, mu, starts):
+    try:
+        chosen = walk(table, L, mu, starts)
+    except ValueError as exc:
+        return type(exc)
+    return None if chosen is None else (chosen.shape, chosen.dtype, chosen.tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_tables())
+def test_greedy_walk_matches_per_cell_loop_bit_for_bit(case):
+    assert walk_outcome(_greedy_walk, *case) == walk_outcome(greedy_walk_loop, *case)
+
+
+def test_greedy_walk_matches_per_cell_loop_on_approximation_tables(monkeypatch):
+    import curvlab.prescribe as prescribe
+    walk, calls = prescribe._greedy_walk, []
+    monkeypatch.setattr(prescribe, "_greedy_walk", lambda *args: calls.append(args) or walk(*args))
+    for draw, rotation_steps, p in ((0, 5, 2.0), (3, 38, 1.0), (7, 20, 4.0)):
+        mesh, f, g = criterion9_pair(draw, rotation_steps)
+        try:
+            approximate_by_diffeo(mesh, f, g, p=p, eps=1e-2)
+        except PreconditionError:
+            pass
+    outcomes = [walk_outcome(walk, *args) for args in calls]
+    assert None in outcomes  # the false obstruction's walk
+    assert outcomes == [walk_outcome(greedy_walk_loop, *args) for args in calls]
+
+
+periodic_samples = st.one_of(
+    st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=1, max_size=80),  # plateaus
+    st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=80),
+    st.builds(lambda n, v: [v] * n, st.integers(1, 40), st.floats(-10.0, 10.0)),
+    st.builds(lambda n, a, b: [a, b] * n, st.integers(1, 40),
+              st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(periodic_samples)
+def test_monotone_runs_matches_per_sample_loop(values):
+    values = np.array(values)
+    assert _monotone_runs(values) == monotone_runs_loop(values)
 
 
 def test_pullback_law_for_smooth_maps():
