@@ -25,9 +25,9 @@ from .cheeger import (IsotropyData, OrbitData, TangentSplit,
                       orbit_tensor_eig, pinching_limit, scal_cheeger,
                       shrink_map_apply, twist_term)
 from .yamabe import (ConformalClass, ConformalProblem, ConformalSolution,
-                     SolverConfig, classify_conformal_class, coercive_energy,
-                     conformal_energy, conformal_scal, conformal_warped_metric,
-                     el_residual, energy_gradient, minimize_on_constraint,
+                     SolverConfig, classify_conformal_class, conformal_energy,
+                     conformal_scal, conformal_warped_metric, el_residual,
+                     energy_gradient, minimize_on_constraint,
                      negative_constant_bound, project_to_constraint,
                      solve_negative_constant)
 from .prescribe import (ApproximationResult, Diffeo1D, MetricPerturbation,
@@ -36,7 +36,7 @@ from .prescribe import (ApproximationResult, Diffeo1D, MetricPerturbation,
                         kernel_min_singular, linearize_scal,
                         linearize_scal_adjoint, linearize_scal_matrix,
                         newton_prescribe, pinching_check, pullback_metric,
-                        scal_operator, tensor_inner)
+                        tensor_inner)
 from .canonical import SubmersionPointData, cv_scal, cv_sectional, positivity_threshold
 from .errors import (ConfigError, CurvLabError, ObstructionError,
                      PreconditionError, SolverError)

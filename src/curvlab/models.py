@@ -170,10 +170,6 @@ class DiagonalInvariantMetric:
                 raise ValueError(f"{name} component must stay positive definite")
             a.setflags(write=False)
 
-    def volume_weight(self) -> np.ndarray:
-        """Orbit-volume density sqrt(A) B^(k/2)."""
-        return np.sqrt(self.radial) * self.fiber ** (self.fiber_dim / 2.0)
-
     def scal(self) -> np.ndarray:
         return scal_diagonal(self.mesh, self.radial, self.fiber,
                              self.fiber_dim, self.fiber_scal)

@@ -60,15 +60,6 @@ def tensor_inner(mesh: QuotientMesh, fiber_dim: int, h1: MetricPerturbation,
     return float(np.dot(h1.a * h2.a, m) + fiber_dim * np.dot(h1.b * h2.b, m))
 
 
-def scal_operator(metric) -> np.ndarray:
-    """The curvature operator F(g) on either metric representation."""
-    if isinstance(metric, WarpedProductMetric):
-        return scal_warped(metric)
-    if isinstance(metric, DiagonalInvariantMetric):
-        return metric.scal()
-    raise TypeError(f"unsupported metric type {type(metric)!r}")
-
-
 # ---------------------------------------------------------------------------
 # linearization and its exact adjoint
 # ---------------------------------------------------------------------------

@@ -17,16 +17,18 @@ Gradients and Differential Equations*, LNM 1670, 1997): each step is the
 gradient in the H^1 inner product <h, v>_H = 4 b_n v.S.h + v.M.h of the mesh
 stiffness S and quadrature masses M, projected onto the constraint's tangent
 space in that inner product.  Its step size is not limited by the stiffest
-mode of the discrete Laplacian, so the step count does not grow with N.  A
-bordered Newton polish then resolves the critical point; the Lagrange
-multiplier lam recovered at convergence shifts the constant to
-c' = (1 + lam) c and the residual reported is the Euler-Lagrange defect at c'.
+mode of the discrete Laplacian, so the step count does not grow with N.
 
-The negative regime solves the equation with constant -c' directly by a
-bordered Newton iteration in (u, c'), with a mass normalization excluding the
-trivial solution.  On backgrounds whose conformal class admits no negative
-constant the iteration converges to c' = 0; that state is reported as an
-obstruction rather than returned.
+Both regimes end in the same equation 4 b_n lap(u) - scal u + s u^gamma = 0,
+and one bordered Newton iteration in (u, s) solves it for each (Keller's
+bordering, 1977).  In the positive regime it polishes the descent iterate
+with s = c' and the constraint level as the border; the Lagrange multiplier
+lam recovered at convergence shifts the constant to c' = (1 + lam) c and the
+residual reported is the Euler-Lagrange defect at c'.  In the negative regime
+it solves with s = -c' from a start profile, bordered by a mass normalization
+that excludes the trivial solution.  On backgrounds whose conformal class
+admits no negative constant the iteration converges to c' = 0; that state is
+reported as an obstruction rather than returned.
 
 The sign of the smallest eigenvalue of the conformal Laplacian
 u -> -4 b_n lap(u) + scal u classifies the conformal class (P_G / Z_G / N_G):
@@ -90,6 +92,13 @@ class ConformalProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Tolerances and budgets of the conformal solvers.
+
+    ``max_iter`` bounds the descent steps of `minimize_on_constraint`; the
+    bordered Newton iteration of both regimes has a fixed budget of
+    40 steps.
+    """
+
     step: float = 1.0
     tol_residual: float = 1e-9
     max_iter: int = 200_000
@@ -123,16 +132,6 @@ def conformal_energy(p: ConformalProblem, u) -> float:
             - (p.c / g.two_star) * mesh.integrate(np.abs(u) ** g.two_star))
 
 
-def coercive_energy(p: ConformalProblem, u) -> float:
-    """The all-plus functional of the negative regime (grows in every direction)."""
-    g = p.constants
-    mesh = p.mesh
-    u = np.asarray(u, dtype=float)
-    return (2.0 * g.b_n * mesh.dirichlet_form(u, u)
-            + 0.5 * mesh.integrate(p.scal * u**2)
-            + (p.c / g.two_star) * mesh.integrate(np.abs(u) ** g.two_star))
-
-
 def energy_gradient(p: ConformalProblem, u) -> np.ndarray:
     """Weighted-L2 gradient of J: -4 b_n lap(u) + scal u - c u^gamma."""
     g = p.constants
@@ -163,59 +162,59 @@ def el_residual(p: ConformalProblem, u, constant: float) -> np.ndarray:
     return 4.0 * g.b_n * p.mesh.laplacian(u) - p.scal * u + constant * u ** g.gamma_n
 
 
-def _spectral_tail(mesh: QuotientMesh, u) -> float:
-    spec = np.abs(np.fft.rfft(u))
-    head = np.max(spec[: max(2, len(spec) // 4)])
-    tail = np.max(spec[len(spec) // 2:]) if len(spec) > 3 else 0.0
-    return float(tail / head) if head > 0 else 0.0
+_NEWTON_STEPS = 40
 
 
-def _polish_critical_point(p: ConformalProblem, u, cprime, cfg: SolverConfig):
-    """Bordered Newton on (u, c'): defect at c' and the constraint level.
+def _bordered_newton(p: ConformalProblem, u, s, border, tol, border_scale, floor):
+    """Newton's method for el_residual(p, u, s) = 0 in (u, s), bordered by one side condition.
 
-    Warm-started from the descent iterate; keeps u positive by damping.
-    Returns (u, c', converged).
+    ``border(u)`` returns the side condition's value and its gradient row.
+    Each step solves the dense bordered system and halves the step until u
+    stays above ``floor`` and the residual norm falls by the factor
+    1 - tau/4 (Kelley, *Iterative Methods for Linear and Nonlinear
+    Equations*, 1995, 8.1).  Stops when the weighted-L2 norm of the defect is
+    below ``tol`` and |border| below tol * max(1, border_scale).  Returns
+    (u, s, steps); raises SolverError on a singular system, a stalled line
+    search or a spent budget.
     """
     mesh = p.mesh
     g = p.constants
-    scal = p.scal
     n = mesh.node_count
-    m = mesh.mass_vector()
     scaled_lap = 4.0 * g.b_n * mesh.laplacian_matrix()
 
-    def residual(u_, cp_):
-        r = 4.0 * g.b_n * mesh.laplacian(u_) - scal * u_ + cp_ * u_**g.gamma_n
-        cons = (p.c / g.two_star) * float(np.dot(u_**g.two_star, m)) - p.epsilon
-        return np.concatenate([r, [cons]])
+    def residual(u_, s_):
+        value, row = border(u_)
+        return np.append(el_residual(p, u_, s_), value), row
 
-    res = residual(u, cprime)
+    res, row = residual(u, s)
     res_norm = np.linalg.norm(res)
-    for _ in range(40):
-        if (mesh.lp_norm(res[:n], 2) < 0.05 * cfg.tol_residual
-                and abs(res[n]) < 1e-13 * max(1.0, p.epsilon)):
-            return u, cprime, True
+    for steps in range(_NEWTON_STEPS + 1):
+        if mesh.lp_norm(res[:n], 2) < tol and abs(res[n]) < tol * max(1.0, border_scale):
+            return u, s, steps
+        if steps == _NEWTON_STEPS:
+            raise SolverError(f"bordered Newton spent its {_NEWTON_STEPS} steps "
+                              f"(residual {res_norm:.3e})")
         J = np.zeros((n + 1, n + 1))
         J[:n, :n] = (scaled_lap
-                     - sp.diags_array(scal - cprime * g.gamma_n * u**(g.gamma_n - 1))).toarray()
+                     - sp.diags_array(p.scal - s * g.gamma_n * u**(g.gamma_n - 1))).toarray()
         J[:n, n] = u**g.gamma_n
-        J[n, :n] = p.c * u**g.gamma_n * m
+        J[n, :n] = row
         try:
             delta = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError:
-            return u, cprime, False
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular bordered Newton system: {exc}") from exc
         tau = 1.0
         while tau >= 1e-8:
             u_new = u + tau * delta[:n]
-            if np.min(u_new) > cfg.positivity_floor:
-                cp_new = cprime + tau * delta[n]
-                res_new = residual(u_new, cp_new)
-                if np.linalg.norm(res_new) < res_norm or tau < 1e-6:
-                    u, cprime, res, res_norm = u_new, cp_new, res_new, np.linalg.norm(res_new)
+            s_new = s + tau * delta[n]
+            if np.min(u_new) > floor:
+                res_new, row_new = residual(u_new, s_new)
+                if np.linalg.norm(res_new) <= (1.0 - 0.25 * tau) * res_norm:
                     break
             tau *= 0.5
         else:
-            return u, cprime, False
-    return u, cprime, mesh.lp_norm(res[:n], 2) < cfg.tol_residual
+            raise SolverError(f"bordered Newton line search stalled (residual {res_norm:.3e})")
+        u, s, res, row, res_norm = u_new, s_new, res_new, row_new, np.linalg.norm(res_new)
 
 
 def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
@@ -285,19 +284,25 @@ def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
         if not accepted:
             break
 
+    if np.min(u) <= cfg.positivity_floor:
+        raise SolverError(f"descent profile is not strictly positive (min u = {np.min(u):.3e})")
     grad = energy_gradient(p, u)
     normal = p.c * u ** p.constants.gamma_n
     lam = mesh.inner(grad, normal) / mesh.inner(normal, normal)
-    u, achieved, polished = _polish_critical_point(p, u, (1.0 + lam) * p.c, cfg)
+
+    def constraint(u_):
+        g = p.constants
+        return ((p.c / g.two_star) * float(np.dot(u_**g.two_star, m)) - p.epsilon,
+                p.c * u_**g.gamma_n * m)
+
+    u, achieved, _ = _bordered_newton(p, u, (1.0 + lam) * p.c, constraint,
+                                      0.05 * cfg.tol_residual, p.epsilon, cfg.positivity_floor)
     lam = achieved / p.c - 1.0
-    if np.min(u) <= cfg.positivity_floor:
-        raise SolverError(f"converged profile is not strictly positive (min u = {np.min(u):.3e})")
     residual = mesh.lp_norm(el_residual(p, u, achieved), 2)
     if residual > cfg.tol_residual:
         raise SolverError(f"Euler-Lagrange residual {residual:.3e} above tolerance "
                           f"{cfg.tol_residual:.1e} after {iterations} iterations")
-    logger.debug("constraint minimization: %d iterations, residual %.3e, spectral tail %.2e",
-                 iterations, residual, _spectral_tail(mesh, u))
+    logger.debug("constraint minimization: %d iterations, residual %.3e", iterations, residual)
     return ConformalSolution(u=u, lagrange=lam, achieved_constant=achieved,
                              residual_norm=residual, iterations=iterations,
                              energy_history=tuple(history))
@@ -315,7 +320,8 @@ def solve_negative_constant(metric: WarpedProductMetric, cfg: SolverConfig | Non
                             c: float | None = None, u0=None):
     """Newton solve of 4 b_n lap(u) - scal u - c' u^gamma = 0 with mass normalization.
 
-    Unknowns are (u, c'); the normalization <u, u>_w = <u0, u0>_w excludes the
+    Unknowns are (u, c'), solved by the bordered Newton iteration with s = -c';
+    the normalization <u, u>_w = <u0, u0>_w borders it and excludes the
     trivial solution.  Returns (ConformalSolution, c_used) with the multiplier
     convention c' = (1 + lam) c_used.  When the class only admits the zero
     constant the iteration converges to c' = 0 and an ObstructionError
@@ -323,8 +329,6 @@ def solve_negative_constant(metric: WarpedProductMetric, cfg: SolverConfig | Non
     """
     cfg = cfg or SolverConfig(tol_residual=1e-8)
     mesh = metric.mesh
-    g = YamabeConstants.for_dimension(metric.dim)
-    scal = scal_warped(metric)
     bound = negative_constant_bound(metric)
     if c is None:
         c = bound + 1.0
@@ -333,55 +337,20 @@ def solve_negative_constant(metric: WarpedProductMetric, cfg: SolverConfig | Non
             f"functional constant {c:.6g} below the coercivity bound {bound:.6g}",
             condition="coercivity-bound")
 
-    n = mesh.node_count
     m = mesh.mass_vector()
-    u = np.ones(n) if u0 is None else np.asarray(u0, dtype=float).copy()
+    u = np.ones(mesh.node_count) if u0 is None else np.asarray(u0, dtype=float).copy()
     if np.any(u <= 0):
         raise PreconditionError("start profile must be positive", condition="positive-start")
     mass0 = float(np.dot(u * u, m))
-    cprime = float(c)
-    scaled_lap = 4.0 * g.b_n * mesh.laplacian_matrix()
 
-    def residual_vec(u_, cp_):
-        r = 4.0 * g.b_n * mesh.laplacian(u_) - scal * u_ - cp_ * u_**g.gamma_n
-        return np.concatenate([r, [np.dot(u_ * u_, m) - mass0]])
+    def normalization(u_):
+        return np.dot(u_ * u_, m) - mass0, 2.0 * u_ * m
 
-    res = residual_vec(u, cprime)
-    res_norm = np.linalg.norm(res)
-    converged = False
-    newton_iterations = 0
-    for newton_iterations in range(1, cfg.max_iter + 1):
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = (scaled_lap
-                     - sp.diags_array(scal + cprime * g.gamma_n * u**(g.gamma_n - 1))).toarray()
-        J[:n, n] = -(u**g.gamma_n)
-        J[n, :n] = 2.0 * u * m
-        try:
-            delta = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular Newton system: {exc}") from exc
-        tau = 1.0
-        while tau >= 1e-10:
-            u_new = u + tau * delta[:n]
-            cp_new = cprime + tau * delta[n]
-            if np.min(u_new) > cfg.positivity_floor:
-                res_new = residual_vec(u_new, cp_new)
-                if np.linalg.norm(res_new) <= (1.0 - 0.25 * tau) * res_norm or tau < 1e-8:
-                    break
-            tau *= 0.5
-        else:
-            raise SolverError("Newton line search stalled")
-        u, cprime, res, res_norm = u_new, cp_new, res_new, np.linalg.norm(res_new)
-        if np.max(np.abs(u)) < cfg.positivity_floor:
-            raise SolverError("profile collapsed toward the trivial solution")
-        pde_norm = mesh.lp_norm(res[:n], 2)
-        if pde_norm < cfg.tol_residual and abs(res[n]) < cfg.tol_residual * max(1.0, mass0):
-            converged = True
-            break
-    if not converged:
-        raise SolverError(f"negative-constant Newton did not converge (residual {res_norm:.3e})")
-
-    pde_norm = mesh.lp_norm(res[:n], 2)
+    p = ConformalProblem(metric, c)
+    u, s, newton_iterations = _bordered_newton(p, u, -float(c), normalization,
+                                               cfg.tol_residual, mass0, cfg.positivity_floor)
+    cprime = -s
+    pde_norm = mesh.lp_norm(el_residual(p, u, s), 2)
     if cprime <= 1e-8:
         reason = ("only the zero constant is attainable" if abs(cprime) <= 1e-8
                   else "no negative constant exists")

@@ -5,16 +5,24 @@ library: full index-level curvature tensor contraction for group metrics,
 dense sampling plus derivative-free subspace ascent for the constrained
 twist-term maximum, plain high-resolution quadrature, a dense
 column-by-column assembly of the discrete curvature Jacobian, and the
-continuum formula of its adjoint, and the per-cell loops that
+continuum formula of its adjoint, the per-cell loops that
 `approximate_by_diffeo` once ran for its greedy walk and its monotone-run
-split.
+split, and the hand-written Newton loop `solve_negative_constant` once ran.
+Two small functions that only tests read live here too: the coercive energy
+of the negative regime and the representation-independent curvature
+operator.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from curvlab.cheeger import _twist_vector
-from curvlab.models import WarpedProductMetric, ricci_warped
+from curvlab.errors import ObstructionError, PreconditionError, SolverError
+from curvlab.models import (DiagonalInvariantMetric, WarpedProductMetric,
+                            YamabeConstants, ricci_warped, scal_warped)
 from curvlab.prescribe import MetricPerturbation, _scal_jacobian_components
+from curvlab.yamabe import (ConformalProblem, ConformalSolution, SolverConfig,
+                            negative_constant_bound)
 
 
 def curvature_tensor_scal(m) -> float:
@@ -223,3 +231,104 @@ def monotone_runs_loop(values):
         stop = turns[idx + 1] if idx + 1 < len(turns) else n
         runs.append((start, stop))
     return runs
+
+
+def scal_operator(metric) -> np.ndarray:
+    """The curvature operator F(g) on either metric representation."""
+    if isinstance(metric, WarpedProductMetric):
+        return scal_warped(metric)
+    if isinstance(metric, DiagonalInvariantMetric):
+        return metric.scal()
+    raise TypeError(f"unsupported metric type {type(metric)!r}")
+
+
+def coercive_energy(p: ConformalProblem, u) -> float:
+    """The all-plus functional of the negative regime (grows in every direction)."""
+    g = p.constants
+    mesh = p.mesh
+    u = np.asarray(u, dtype=float)
+    return (2.0 * g.b_n * mesh.dirichlet_form(u, u)
+            + 0.5 * mesh.integrate(p.scal * u**2)
+            + (p.c / g.two_star) * mesh.integrate(np.abs(u) ** g.two_star))
+
+
+def negative_newton_loop(metric: WarpedProductMetric, cfg: SolverConfig | None = None,
+                         c: float | None = None, u0=None):
+    """`solve_negative_constant` as it was before its loop became `_bordered_newton`.
+
+    A hand-written bordered Newton iteration in (u, c') with the mass
+    normalization as the border, a budget of `cfg.max_iter` steps and a line
+    search that accepts any step below tau = 1e-8.  Same arguments, return
+    value and exceptions as `solve_negative_constant`.
+    """
+    cfg = cfg or SolverConfig(tol_residual=1e-8)
+    mesh = metric.mesh
+    g = YamabeConstants.for_dimension(metric.dim)
+    scal = scal_warped(metric)
+    bound = negative_constant_bound(metric)
+    if c is None:
+        c = bound + 1.0
+    elif c < bound:
+        raise PreconditionError(
+            f"functional constant {c:.6g} below the coercivity bound {bound:.6g}",
+            condition="coercivity-bound")
+
+    n = mesh.node_count
+    m = mesh.mass_vector()
+    u = np.ones(n) if u0 is None else np.asarray(u0, dtype=float).copy()
+    if np.any(u <= 0):
+        raise PreconditionError("start profile must be positive", condition="positive-start")
+    mass0 = float(np.dot(u * u, m))
+    cprime = float(c)
+    scaled_lap = 4.0 * g.b_n * mesh.laplacian_matrix()
+
+    def residual_vec(u_, cp_):
+        r = 4.0 * g.b_n * mesh.laplacian(u_) - scal * u_ - cp_ * u_**g.gamma_n
+        return np.concatenate([r, [np.dot(u_ * u_, m) - mass0]])
+
+    res = residual_vec(u, cprime)
+    res_norm = np.linalg.norm(res)
+    converged = False
+    newton_iterations = 0
+    for newton_iterations in range(1, cfg.max_iter + 1):
+        J = np.zeros((n + 1, n + 1))
+        J[:n, :n] = (scaled_lap
+                     - sp.diags_array(scal + cprime * g.gamma_n * u**(g.gamma_n - 1))).toarray()
+        J[:n, n] = -(u**g.gamma_n)
+        J[n, :n] = 2.0 * u * m
+        try:
+            delta = np.linalg.solve(J, -res)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular Newton system: {exc}") from exc
+        tau = 1.0
+        while tau >= 1e-10:
+            u_new = u + tau * delta[:n]
+            cp_new = cprime + tau * delta[n]
+            if np.min(u_new) > cfg.positivity_floor:
+                res_new = residual_vec(u_new, cp_new)
+                if np.linalg.norm(res_new) <= (1.0 - 0.25 * tau) * res_norm or tau < 1e-8:
+                    break
+            tau *= 0.5
+        else:
+            raise SolverError("Newton line search stalled")
+        u, cprime, res, res_norm = u_new, cp_new, res_new, np.linalg.norm(res_new)
+        if np.max(np.abs(u)) < cfg.positivity_floor:
+            raise SolverError("profile collapsed toward the trivial solution")
+        pde_norm = mesh.lp_norm(res[:n], 2)
+        if pde_norm < cfg.tol_residual and abs(res[n]) < cfg.tol_residual * max(1.0, mass0):
+            converged = True
+            break
+    if not converged:
+        raise SolverError(f"negative-constant Newton did not converge (residual {res_norm:.3e})")
+
+    pde_norm = mesh.lp_norm(res[:n], 2)
+    if cprime <= 1e-8:
+        reason = ("only the zero constant is attainable" if abs(cprime) <= 1e-8
+                  else "no negative constant exists")
+        raise ObstructionError(
+            f"{reason} in this conformal class (converged with c' = {cprime:.3e})",
+            condition="negative-class-obstruction", u=u, constant=cprime, residual=pde_norm)
+    lam = cprime / c - 1.0
+    solution = ConformalSolution(u=u, lagrange=lam, achieved_constant=cprime,
+                                 residual_norm=pde_norm, iterations=newton_iterations)
+    return solution, float(c)

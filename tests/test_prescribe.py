@@ -12,11 +12,11 @@ from curvlab import (DiagonalInvariantMetric, Diffeo1D, MetricPerturbation,
                      full_prescribe, get_preset, kernel_min_singular, linearize_scal,
                      linearize_scal_adjoint, linearize_scal_matrix,
                      newton_prescribe, pinching_check, pullback_metric,
-                     ricci_warped, scal_operator, scal_warped, tensor_inner)
+                     ricci_warped, scal_warped, tensor_inner)
 from curvlab.prescribe import _greedy_walk, _monotone_runs
 
 from oracles import (adjoint_formula, dense_scal_jacobian, fine_circle_norm,
-                     greedy_walk_loop, monotone_runs_loop)
+                     greedy_walk_loop, monotone_runs_loop, scal_operator)
 
 
 def bumpy(amplitude=0.2, n=64):

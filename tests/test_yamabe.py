@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvlab import (ConformalClass, ConformalProblem, ObstructionError,
-                     PreconditionError, SolverConfig, WarpedProductMetric,
-                     classify_conformal_class, coercive_energy,
+                     PreconditionError, SolverConfig, SolverError,
+                     WarpedProductMetric, classify_conformal_class,
                      conformal_energy, conformal_scal, conformal_warped_metric,
                      el_residual, energy_gradient, get_preset,
                      minimize_on_constraint, negative_constant_bound,
                      project_to_constraint, scal_warped, solve_negative_constant)
+from curvlab.yamabe import _bordered_newton
+
+from oracles import coercive_energy, negative_newton_loop
 
 
 def round_problem(c=6.0, n=64, eps=1.0):
@@ -178,6 +183,35 @@ def test_minimize_bumpy_start_descends_to_critical_point():
     assert np.all(np.diff(energies) <= 1e-12)
 
 
+def test_polish_converges_in_few_newton_solves(monkeypatch):
+    # the polish once tested the constraint at rounding level (1e-13), so on
+    # this start it ran all 40 dense solves and ended unconverged, unreported
+    calls = []
+    solve = np.linalg.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    p = round_problem(c=6.0, n=64)
+    sol = minimize_on_constraint(p, SolverConfig(tol_residual=1e-7),
+                                 u0=1.0 + 0.2 * np.sin(p.mesh.nodes))
+    assert len(calls) <= 5
+    assert p.mesh.lp_norm(el_residual(p, sol.u, sol.achieved_constant), 2) <= 1e-7
+
+
+def test_bordered_newton_raises_on_singular_border():
+    p = round_problem(c=6.0)
+
+    def flat_border(u):
+        return 1.0, np.zeros_like(u)
+
+    with pytest.raises(SolverError, match="singular"):
+        _bordered_newton(p, 1.0 + 0.2 * np.sin(p.mesh.nodes), 6.0, flat_border,
+                         1e-10, 1.0, 1e-10)
+
+
 @pytest.mark.parametrize("n", [64, 512])
 def test_minimize_step_count_does_not_grow_with_n(n):
     # the weighted-L2 descent direction needed about N^2 steps on this
@@ -279,6 +313,37 @@ def test_negative_constant_bound_reported():
     with pytest.raises(PreconditionError) as info:
         solve_negative_constant(metric, c=bound / 2)
     assert f"{bound:.6g}" in str(info.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(32, 256), fiber_scal=st.sampled_from([-2.0, 0.0, 6.0]),
+       harmonic=st.integers(1, 3), amplitude=st.floats(0.05, 0.3),
+       phase=st.floats(0.0, 2 * np.pi), start=st.floats(0.0, 0.3))
+def test_negative_solve_matches_hand_written_loop(n, fiber_scal, harmonic, amplitude,
+                                                 phase, start):
+    metric = WarpedProductMetric.from_profile(
+        n, 2 * np.pi, 3, fiber_scal, lambda r: 1.0 + amplitude * np.sin(harmonic * r + phase))
+    u0 = 1.0 + start * np.cos(harmonic * metric.mesh.nodes)
+    # the loop's budget was cfg.max_iter; it gets the helper's 40 steps here
+    # (from a bumped start on a positive class it once took 211 to converge)
+    outcomes = []
+    for solve, cfg in ((solve_negative_constant, None),
+                       (negative_newton_loop, SolverConfig(tol_residual=1e-8, max_iter=40))):
+        try:
+            outcomes.append(solve(metric, cfg, u0=u0))
+        except (ObstructionError, SolverError) as exc:
+            outcomes.append(exc)
+    new, old = outcomes
+    assert type(new) is type(old)
+    if isinstance(old, ObstructionError):
+        assert new.condition == old.condition
+        assert new.u.tobytes() == old.u.tobytes()
+        assert (new.constant, new.residual) == (old.constant, old.residual)
+    elif not isinstance(old, SolverError):
+        (sol, c_used), (ref, ref_c) = new, old
+        assert sol.u.tobytes() == ref.u.tobytes()
+        assert (sol.lagrange, sol.achieved_constant, sol.residual_norm, sol.iterations, c_used) \
+            == (ref.lagrange, ref.achieved_constant, ref.residual_norm, ref.iterations, ref_c)
 
 
 # ---------------------------------------------------------------------------
