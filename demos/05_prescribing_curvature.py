@@ -1,8 +1,8 @@
 """Prescribing a scalar-curvature profile on the warped family
 ===============================================================
 
-The curvature operator is linearized two ways (differencing and an exact
-discrete Jacobian whose transpose is the adjoint), the kernel dichotomy is
+The curvature operator is linearized by an exact discrete Jacobian whose
+transpose in the mesh inner products is the adjoint, the kernel dichotomy is
 quantified by a singular value, and a Newton iteration on the composed
 operator drives the curvature to the target.  The full pipeline adds the
 window-constant search and, when needed, a measure-concentrating
@@ -12,8 +12,8 @@ reparametrization of the circle.
 import numpy as np
 
 from curvlab import (MetricPerturbation, approximate_by_diffeo, full_prescribe,
-                     get_preset, kernel_min_singular, linearize_scal,
-                     linearize_scal_adjoint, newton_prescribe, scal_warped,
+                     get_preset, kernel_min_singular, linearize_scal_adjoint,
+                     linearize_scal_matrix, newton_prescribe, scal_warped,
                      tensor_inner)
 
 metric = get_preset("bumpy", n=128)  # f = 1 + 0.2 sin r, round fiber
@@ -23,7 +23,7 @@ mesh = metric.mesh
 rng = np.random.default_rng(1)
 h = MetricPerturbation(a=0.3 * np.sin(mesh.nodes), b=0.2 * np.cos(2 * mesh.nodes))
 u = 1.0 + 0.4 * np.sin(mesh.nodes)
-lhs = mesh.inner(linearize_scal(metric, h), u)
+lhs = mesh.inner(linearize_scal_matrix(metric) @ h.flat(), u)
 rhs = tensor_inner(mesh, 3, h, linearize_scal_adjoint(metric, u))
 print("adjoint identity gap:", abs(lhs - rhs))
 

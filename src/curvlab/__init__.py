@@ -33,8 +33,8 @@ from .yamabe import (ConformalClass, ConformalProblem, ConformalSolution,
 from .prescribe import (ApproximationResult, Diffeo1D, MetricPerturbation,
                         NewtonResult, PrescribeConfig, PrescriptionResult,
                         approximate_by_diffeo, full_prescribe,
-                        kernel_min_singular, linearize_scal,
-                        linearize_scal_adjoint, linearize_scal_matrix,
+                        kernel_min_singular, linearize_scal_adjoint,
+                        linearize_scal_matrix,
                         newton_prescribe, pinching_check, pullback_metric,
                         tensor_inner)
 from .canonical import SubmersionPointData, cv_scal, cv_sectional, positivity_threshold

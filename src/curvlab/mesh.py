@@ -12,7 +12,8 @@ rather than about mismatched quadrature rules.
 
 The operator matrices (first and second derivative, stiffness, Laplacian)
 are banded, with at most five nonzeros per row.  Each mesh builds them once
-as `scipy.sparse` CSR arrays; every caller shares them, read-only.
+as `scipy.sparse` CSR arrays, and next to them the union pattern of I, D1
+and D2 (`StencilPattern`); every caller shares them, read-only.
 
 Meshes are uniform.  On interval topology the weight may vanish at the two
 endpoint nodes only (singular orbits); the Laplacian closes the stencil there
@@ -22,6 +23,7 @@ for smooth invariant functions across a singular orbit.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +43,12 @@ def _as_values(u, n: int) -> np.ndarray:
     if u.shape != (n,):
         raise ValueError(f"discrete function has length {u.shape}, mesh has {n} nodes")
     return u
+
+
+# Union pattern of I, D1 and D2 in sorted CSR order: entry e sits at
+# (row[e], col[e]) and holds the D1 and D2 values there (0 where absent);
+# diagonal[j] is the entry at (j, j).
+StencilPattern = namedtuple("StencilPattern", "indptr row col d1 d2 diagonal")
 
 
 @dataclass(frozen=True)
@@ -252,6 +260,25 @@ class QuotientMesh:
         the half-cell rule at vanishing interval endpoints.
         """
         return self._operators["laplacian"]
+
+    @cached_property
+    def stencil_pattern(self) -> StencilPattern:
+        """The `StencilPattern` of this mesh, built once from `d1_matrix` and
+        `d2_matrix`; read-only.  Interval closure rows hold 4 entries, others 3."""
+        n, ops = self.node_count, (self.d1_matrix(), self.d2_matrix())
+        # row-major entry keys, sorted within each canonical CSR array
+        keys = [np.repeat(n * np.arange(n), np.diff(op.indptr)) + op.indices for op in ops]
+        diagonal = (n + 1) * np.arange(n)
+        union = np.unique(np.concatenate([diagonal, *keys]))
+        values = np.zeros((2, len(union)))
+        for vals, op, key in zip(values, ops, keys):
+            vals[np.searchsorted(union, key)] = op.data
+        row, col = np.divmod(union, n)
+        pattern = StencilPattern(np.searchsorted(row, np.arange(n + 1)), row, col, *values,
+                                 np.searchsorted(union, diagonal))
+        for arr in (*pattern, values):
+            arr.setflags(write=False)
+        return pattern
 
 
 def build_mesh(topology: str, n: int, length: float, weight) -> QuotientMesh:

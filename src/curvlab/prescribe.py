@@ -1,24 +1,24 @@
 """Prescribing scalar curvature on the warped family by direct linearization.
 
 The quasilinear curvature operator F(g) = scal_g is differentiated in the
-invariant diagonal directions h = a dr^2 + b f^2 g_F.  Its linearization is
-evaluated two ways: `linearize_scal` differences F symmetrically with one
-Richardson extrapolation (one implementation for every model), while
-`linearize_scal_matrix` assembles the exact Jacobian of the discrete operator
-by the chain rule through the difference stencils, as a sparse CSR array in
-O(N) work.  The formal adjoint `linearize_scal_adjoint` is the exact
-transpose of that Jacobian in the mesh inner products, so adjointness holds
-at the level of matrices; the continuum expression -(lap u) g + Hess u - u Ric
-becomes an O(h^2) consistency check instead of the implementation.
+invariant diagonal directions h = a dr^2 + b f^2 g_F.  `linearize_scal_matrix`
+assembles the exact Jacobian of the discrete operator by the chain rule
+through the difference stencils, as a sparse CSR array filled in O(N) numpy
+work on the mesh's cached stencil pattern.  The formal adjoint
+`linearize_scal_adjoint` is the exact transpose of that Jacobian in the mesh
+inner products, so adjointness holds at the level of matrices; the continuum
+expression -(lap u) g + Hess u - u Ric becomes an O(h^2) consistency check
+instead of the implementation.
 
 A metric is locally surjective onto nearby curvature functions whenever the
 adjoint has trivial kernel (quantified by `kernel_min_singular`: exactly zero
 on the flat model, where constants are annihilated, and bounded away from
-zero on generic backgrounds).  `newton_prescribe` then solves
-F(g + adjoint(u)) = K by Newton iterations whose linear systems use the
-composition jacobian . adjoint, and `full_prescribe` chains the pinching
-window search, an optional measure-concentrating reparametrization, the
-Newton solve, and the final rescaling/pull-back.
+zero on generic backgrounds).  `newton_prescribe` tests that once per metric,
+then solves F(g + adjoint(u)) = K by Newton iterations whose linear systems
+use the composition jacobian . adjoint, and `full_prescribe` chains the
+pinching window search, the escape from a kernel background, an optional
+measure-concentrating reparametrization, the Newton solve, and the final
+rescaling/pull-back.
 """
 
 from __future__ import annotations
@@ -65,33 +65,6 @@ def tensor_inner(mesh: QuotientMesh, fiber_dim: int, h1: MetricPerturbation,
 # ---------------------------------------------------------------------------
 
 
-def _perturbed_scal(metric: WarpedProductMetric, h: MetricPerturbation, t: float) -> np.ndarray:
-    A = 1.0 + t * h.a
-    B = metric.warping**2 * (1.0 + t * h.b)
-    if np.any(A <= 0) or np.any(B <= 0):
-        raise PreconditionError("perturbation leaves the positive-definite cone",
-                                condition="positive-cone")
-    return scal_diagonal(metric.mesh, A, B, metric.fiber_dim, metric.fiber_scal)
-
-
-def linearize_scal(metric: WarpedProductMetric, h: MetricPerturbation,
-                   step: float | None = None) -> np.ndarray:
-    """Directional derivative of F at g by symmetric differencing, Richardson once."""
-    hnorm = max(float(np.max(np.abs(h.a))), float(np.max(np.abs(h.b))))
-    if hnorm == 0.0:
-        return np.zeros(metric.mesh.node_count)
-    tau = step if step is not None else min(1e-3, 0.125 / hnorm)
-    while tau > 1e-9:
-        try:
-            d_tau = (_perturbed_scal(metric, h, tau) - _perturbed_scal(metric, h, -tau)) / (2 * tau)
-            d_half = (_perturbed_scal(metric, h, tau / 2) - _perturbed_scal(metric, h, -tau / 2)) / tau
-            return (4.0 * d_half - d_tau) / 3.0
-        except PreconditionError:
-            tau *= 0.25
-    raise PreconditionError("perturbation too large for any admissible difference step",
-                            condition="positive-cone")
-
-
 def _scal_jacobian_components(mesh: QuotientMesh, A, B, fiber_dim: int, fiber_scal: float):
     """Pointwise partials of scal_diagonal in its arclength form.
 
@@ -120,8 +93,10 @@ def linearize_scal_matrix(metric, A=None, B=None) -> sp.csr_array:
 
     Accepts a warped base (A=1, B=f^2) or explicit diagonal components; the b
     block carries the base factor f^2 because perturbations are measured
-    against the warped background.  Each block scales the rows and columns
-    of the mesh's sparse D1 and D2, so it stays banded.
+    against the warped background.  The chain rule through D1 and D2 is
+    evaluated entry by entry on the mesh's cached `StencilPattern`: O(N) numpy
+    work on one data array.  The indices are sorted and depend on the mesh
+    alone; pattern entries a block does not reach hold exact zeros.
     """
     mesh, k, c_f = metric.mesh, metric.fiber_dim, metric.fiber_scal
     if isinstance(metric, WarpedProductMetric):
@@ -133,21 +108,41 @@ def linearize_scal_matrix(metric, A=None, B=None) -> sp.csr_array:
             A, B = metric.radial, metric.fiber
         base_fiber = B
     dA, dAr, dB, dF, dFr, dFrr, F = _scal_jacobian_components(mesh, A, B, k, c_f)
-    D1 = mesh.d1_matrix()
-    D2 = mesh.d2_matrix()
-    diag = sp.diags_array
-    block_a = diag(dA) + diag(dAr) @ D1
-    chain = (diag(dF) + diag(dFr) @ D1 + diag(dFrr) @ D2) @ diag(0.5 / F)
-    block_b = (diag(dB) + chain) @ diag(base_fiber)
-    return sp.hstack([block_a, block_b], format="csr")
+    pattern = mesh.stencil_pattern
+    row, col, diagonal = pattern.row, pattern.col, pattern.diagonal
+    # a: diag(dA) + diag(dAr) D1; b: (diag(dB) + (diag(dF) + diag(dFr) D1 +
+    # diag(dFrr) D2) diag(1/2F)) diag(base_fiber), summed in that order, so
+    # every entry is bit for bit the one the sparse products give
+    block_a = dAr[row] * pattern.d1
+    block_a[diagonal] += dA
+    block_b = dFr[row] * pattern.d1
+    block_b[diagonal] += dF
+    block_b += dFrr[row] * pattern.d2
+    block_b *= (0.5 / F)[col]
+    block_b[diagonal] += dB
+    block_b *= base_fiber[col]
+    # row j of J holds row j of the a block, then row j of the b block
+    n, entry = mesh.node_count, np.arange(len(row))
+    slots = np.concatenate([entry + pattern.indptr[row], entry + pattern.indptr[row + 1]])
+    data = np.empty(2 * len(row))
+    data[slots] = np.concatenate([block_a, block_b])
+    indices = np.empty(2 * len(row), dtype=col.dtype)
+    indices[slots] = np.concatenate([col, col + n])
+    return sp.csr_array((data, indices, 2 * pattern.indptr), shape=(n, 2 * n))
 
 
-def _adjoint_matrix(metric: WarpedProductMetric) -> sp.csr_array:
-    """The exact adjoint as a (2N, N) CSR array: M_h^{-1} A^T M_u."""
+def _scaled_transpose(J: sp.csr_array, left, right) -> sp.csc_array:
+    """diag(left) J^T diag(right), a CSC array on J's own index arrays."""
+    rows = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
+    return sp.csc_array((left[J.indices] * J.data * right[rows], J.indices, J.indptr),
+                        shape=J.shape[::-1])
+
+
+def _adjoint_matrix(metric: WarpedProductMetric) -> sp.csc_array:
+    """The exact adjoint as a (2N, N) CSC array: M_h^{-1} A^T M_u."""
     m = metric.mesh.mass_vector()
     mh = np.concatenate([m, metric.fiber_dim * m])
-    A_mat = linearize_scal_matrix(metric)
-    return (sp.diags_array(1.0 / mh) @ A_mat.T @ sp.diags_array(m)).tocsr()
+    return _scaled_transpose(linearize_scal_matrix(metric), 1.0 / mh, m)
 
 
 def linearize_scal_adjoint(metric: WarpedProductMetric, u) -> MetricPerturbation:
@@ -171,8 +166,7 @@ def kernel_min_singular(metric: WarpedProductMetric) -> float:
     """
     m = metric.mesh.mass_vector()
     mh = np.concatenate([m, metric.fiber_dim * m])
-    A_mat = linearize_scal_matrix(metric)
-    B = sp.diags_array(1.0 / np.sqrt(mh)) @ A_mat.T @ sp.diags_array(np.sqrt(m))
+    B = _scaled_transpose(linearize_scal_matrix(metric), 1.0 / np.sqrt(mh), np.sqrt(m))
     return float(np.linalg.svd(B.toarray(), compute_uv=False)[-1])
 
 
@@ -228,7 +222,7 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
             condition="kernel-dichotomy")
 
     base_fiber = metric.warping**2
-    Ast = _adjoint_matrix(metric)
+    Ast = _adjoint_matrix(metric).tocsr()
     u = np.zeros(n)
     regularized = False
 
@@ -648,8 +642,10 @@ class PrescriptionResult:
 
 
 def _pinching_window(target, scal) -> list[float]:
+    """The grid constants c that pass `pinching_check`, tested all at once."""
     grid = np.logspace(-3.0, 3.0, 61)
-    return [float(c) for c in grid if pinching_check(target, scal, c)]
+    inside = (grid * np.min(target) < np.min(scal)) & (np.max(scal) < grid * np.max(target))
+    return [float(c) for c in grid[inside]]
 
 
 def _window_constant(target, scal) -> float:
@@ -670,13 +666,13 @@ def full_prescribe(metric: WarpedProductMetric, target,
     Search the window constant over a logarithmic grid, solve
     F(g + adjoint(u)) = c * target (directly when the scaled target lies in
     the Newton basin, through a measure-concentrating reparametrization
-    otherwise), and undo the scaling.  Backgrounds in the exceptional kernel
-    cases are escaped by a small invariant bump of the warping before
-    solving.  On the direct path the reported curvature is recomputed from
-    the output metric by the difference stencils; on the reparametrized path
-    the constructed map is not stencil-smooth and the curvature is
-    transported through the diffeomorphism identity
-    scal(phi*g) = scal(g) o phi instead.
+    otherwise), and undo the scaling.  When the kernel test that
+    `newton_prescribe` makes first finds an exceptional background, the solve
+    starts over on a small invariant bump of the warping.  On the direct path
+    the reported curvature is recomputed from the output metric by the
+    difference stencils; on the reparametrized path the constructed map is not
+    stencil-smooth and the curvature is transported through the
+    diffeomorphism identity scal(phi*g) = scal(g) o phi instead.
     """
     cfg = cfg or PrescribeConfig()
     mesh = metric.mesh
@@ -690,16 +686,22 @@ def full_prescribe(metric: WarpedProductMetric, target,
             u=np.zeros(mesh.node_count), scal_out=scal0,
             residuals={"sup_error": 0.0}, path="trivial", scal_eval="stencil")
 
+    try:
+        return _prescribe_on(metric, scal0, target, cfg, mesh)
+    except PreconditionError as err:
+        if err.condition != "kernel-dichotomy" or cfg.escape_bump <= 0:
+            raise
+    bumped = WarpedProductMetric.from_profile(
+        mesh.node_count, mesh.length, metric.fiber_dim, metric.fiber_scal,
+        metric.warping * (1.0 + cfg.escape_bump * np.sin(2 * np.pi * mesh.nodes / mesh.length)))
+    return _prescribe_on(bumped, scal_warped(bumped), target, cfg, mesh)
+
+
+def _prescribe_on(metric: WarpedProductMetric, scal0, target, cfg: PrescribeConfig,
+                  mesh: QuotientMesh) -> PrescriptionResult:
+    """`full_prescribe` on one background; the approximation and the map
+    live on the caller's ``mesh`` even when the background is bumped."""
     c = _window_constant(target, scal0)
-
-    if kernel_min_singular(metric) < cfg.kernel_floor and cfg.escape_bump > 0:
-        bumped = WarpedProductMetric.from_profile(
-            mesh.node_count, mesh.length, metric.fiber_dim, metric.fiber_scal,
-            metric.warping * (1.0 + cfg.escape_bump * np.sin(2 * np.pi * mesh.nodes / mesh.length)))
-        metric = bumped
-        scal0 = scal_warped(metric)
-        c = _window_constant(target, scal0)
-
     if not cfg.force_reparametrization:
         try:
             newton = newton_prescribe(metric, c * target, cfg)

@@ -4,10 +4,12 @@ These deliberately re-derive quantities along different routes than the
 library: full index-level curvature tensor contraction for group metrics,
 dense sampling plus derivative-free subspace ascent for the constrained
 twist-term maximum, plain high-resolution quadrature, a dense
-column-by-column assembly of the discrete curvature Jacobian, and the
-continuum formula of its adjoint, the per-cell loops that
-`approximate_by_diffeo` once ran for its greedy walk and its monotone-run
-split, and the hand-written Newton loop `solve_negative_constant` once ran.
+column-by-column assembly of the discrete curvature Jacobian, the
+sparse-product assembly `linearize_scal_matrix` once ran, a Richardson-
+extrapolated difference quotient of the curvature, the continuum formula of
+the Jacobian's adjoint, the per-cell loops that `approximate_by_diffeo` once
+ran for its greedy walk and its monotone-run split, and the hand-written
+Newton loop `solve_negative_constant` once ran.
 Two small functions that only tests read live here too: the coercive energy
 of the negative regime and the representation-independent curvature
 operator.
@@ -19,7 +21,7 @@ import scipy.sparse as sp
 from curvlab.cheeger import _twist_vector
 from curvlab.errors import ObstructionError, PreconditionError, SolverError
 from curvlab.models import (DiagonalInvariantMetric, WarpedProductMetric,
-                            YamabeConstants, ricci_warped, scal_warped)
+                            YamabeConstants, ricci_warped, scal_diagonal, scal_warped)
 from curvlab.prescribe import MetricPerturbation, _scal_jacobian_components
 from curvlab.yamabe import (ConformalProblem, ConformalSolution, SolverConfig,
                             negative_constant_bound)
@@ -135,14 +137,8 @@ def fine_circle_norm(phi, source_nodes, source_vals, target_vals, weights, lengt
     return float(np.sum(np.abs(err) ** p * w * (length / resolution)) ** (1.0 / p))
 
 
-def dense_scal_jacobian(metric, A=None, B=None):
-    """Jacobian of the discrete scal in (a, b) coordinates, dense, (N, 2N).
-
-    The chain rule of the library's `linearize_scal_matrix`, assembled the
-    slow way: the derivative matrices are built column by column by applying
-    the mesh stencils to unit vectors, and every product is a dense matrix
-    product.  Same arguments as `linearize_scal_matrix`.
-    """
+def _jacobian_partials(metric, A, B):
+    """Base factor and pointwise partials, resolved as `linearize_scal_matrix` does."""
     mesh = metric.mesh
     if isinstance(metric, WarpedProductMetric):
         base_fiber = metric.warping**2
@@ -152,8 +148,19 @@ def dense_scal_jacobian(metric, A=None, B=None):
         if A is None or B is None:
             A, B = metric.radial, metric.fiber
         base_fiber = B
-    dA, dAr, dB, dF, dFr, dFrr, F = _scal_jacobian_components(
-        mesh, A, B, metric.fiber_dim, metric.fiber_scal)
+    return base_fiber, _scal_jacobian_components(mesh, A, B, metric.fiber_dim, metric.fiber_scal)
+
+
+def dense_scal_jacobian(metric, A=None, B=None):
+    """Jacobian of the discrete scal in (a, b) coordinates, dense, (N, 2N).
+
+    The chain rule of the library's `linearize_scal_matrix`, assembled the
+    slow way: the derivative matrices are built column by column by applying
+    the mesh stencils to unit vectors, and every product is a dense matrix
+    product.  Same arguments as `linearize_scal_matrix`.
+    """
+    mesh = metric.mesh
+    base_fiber, (dA, dAr, dB, dF, dFr, dFrr, F) = _jacobian_partials(metric, A, B)
     eye = np.eye(mesh.node_count)
     D1 = np.column_stack([mesh.derivative(col) for col in eye.T])
     D2 = np.column_stack([mesh.second_derivative(col) for col in eye.T])
@@ -161,6 +168,53 @@ def dense_scal_jacobian(metric, A=None, B=None):
     chain = (np.diag(dF) + np.diag(dFr) @ D1 + np.diag(dFrr) @ D2) @ np.diag(0.5 / F)
     block_b = (np.diag(dB) + chain) @ np.diag(base_fiber)
     return np.hstack([block_a, block_b])
+
+
+def sparse_product_jacobian(metric, A=None, B=None):
+    """The same Jacobian as scipy.sparse products of diagonal scalings with D1 and D2.
+
+    This is how `linearize_scal_matrix` assembled it before it filled the
+    mesh's stencil pattern directly: each entry goes through the same IEEE
+    operations, and scipy prunes the entries that come out exactly zero.
+    """
+    base_fiber, (dA, dAr, dB, dF, dFr, dFrr, F) = _jacobian_partials(metric, A, B)
+    D1, D2 = metric.mesh.d1_matrix(), metric.mesh.d2_matrix()
+    diag = sp.diags_array
+    block_a = diag(dA) + diag(dAr) @ D1
+    chain = (diag(dF) + diag(dFr) @ D1 + diag(dFrr) @ D2) @ diag(0.5 / F)
+    block_b = (diag(dB) + chain) @ diag(base_fiber)
+    return sp.hstack([block_a, block_b], format="csr")
+
+
+def perturbed_scal(metric: WarpedProductMetric, h: MetricPerturbation, t: float) -> np.ndarray:
+    A = 1.0 + t * h.a
+    B = metric.warping**2 * (1.0 + t * h.b)
+    if np.any(A <= 0) or np.any(B <= 0):
+        raise PreconditionError("perturbation leaves the positive-definite cone",
+                                condition="positive-cone")
+    return scal_diagonal(metric.mesh, A, B, metric.fiber_dim, metric.fiber_scal)
+
+
+def linearize_scal(metric: WarpedProductMetric, h: MetricPerturbation,
+                   step: float | None = None) -> np.ndarray:
+    """Directional derivative of F at g by symmetric differencing, Richardson once.
+
+    Differences the curvature operator itself, without the chain rule of
+    `linearize_scal_matrix`; one implementation for every model.
+    """
+    hnorm = max(float(np.max(np.abs(h.a))), float(np.max(np.abs(h.b))))
+    if hnorm == 0.0:
+        return np.zeros(metric.mesh.node_count)
+    tau = step if step is not None else min(1e-3, 0.125 / hnorm)
+    while tau > 1e-9:
+        try:
+            d_tau = (perturbed_scal(metric, h, tau) - perturbed_scal(metric, h, -tau)) / (2 * tau)
+            d_half = (perturbed_scal(metric, h, tau / 2) - perturbed_scal(metric, h, -tau / 2)) / tau
+            return (4.0 * d_half - d_tau) / 3.0
+        except PreconditionError:
+            tau *= 0.25
+    raise PreconditionError("perturbation too large for any admissible difference step",
+                            condition="positive-cone")
 
 
 def adjoint_formula(metric, u):

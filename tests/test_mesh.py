@@ -245,6 +245,37 @@ def test_laplacian_matrix_is_scaled_stiffness(make):
     assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(S.toarray()))
 
 
+@pytest.mark.parametrize("make", OPERATOR_MESHES.values(), ids=OPERATOR_MESHES.keys())
+def test_stencil_pattern_is_the_union_of_identity_d1_and_d2(make):
+    mesh = make()
+    n = mesh.node_count
+    pattern = mesh.stencil_pattern
+    assert np.array_equal(pattern.row, np.repeat(np.arange(n), np.diff(pattern.indptr)))
+    keys = n * pattern.row.astype(np.int64) + pattern.col
+    assert np.all(np.diff(keys) > 0)  # sorted CSR order, each entry once
+    d1, d2 = mesh.d1_matrix(), mesh.d2_matrix()
+    union = (abs(d1) + abs(d2) + sp.eye_array(n)).tocoo()
+    assert set(zip(union.row, union.col)) == set(zip(pattern.row, pattern.col))
+    for values, op in ((pattern.d1, d1), (pattern.d2, d2)):
+        on_pattern = sp.csr_array((values, pattern.col, pattern.indptr), shape=(n, n))
+        assert np.array_equal(on_pattern.toarray(), op.toarray())
+    assert np.array_equal(pattern.row[pattern.diagonal], np.arange(n))
+    assert np.array_equal(pattern.col[pattern.diagonal], np.arange(n))
+    per_row = np.full(n, 3)
+    if mesh.topology == INTERVAL:
+        per_row[[0, -1]] = 4  # the one-sided D2 closures
+    assert np.array_equal(np.diff(pattern.indptr), per_row)
+
+
+def test_stencil_pattern_is_built_once_and_read_only():
+    mesh = build_mesh(INTERVAL, 17, 1.0, lambda r: 1.0 + r**2)
+    pattern = mesh.stencil_pattern
+    assert mesh.stencil_pattern is pattern
+    for arr in pattern:
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
 def test_operator_matrices_are_cached_and_read_only():
     mesh = circle_mesh(16, 2 * np.pi)
     for method in (mesh.d1_matrix, mesh.d2_matrix, mesh.stiffness_matrix, mesh.laplacian_matrix):

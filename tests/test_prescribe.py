@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from curvlab import (DiagonalInvariantMetric, Diffeo1D, MetricPerturbation,
                      PreconditionError, PrescribeConfig, SolverError,
                      WarpedProductMetric, approximate_by_diffeo, circle_mesh,
-                     full_prescribe, get_preset, kernel_min_singular, linearize_scal,
+                     full_prescribe, get_preset, kernel_min_singular,
                      linearize_scal_adjoint, linearize_scal_matrix,
                      newton_prescribe, pinching_check, pullback_metric,
                      ricci_warped, scal_warped, tensor_inner)
-from curvlab.prescribe import _greedy_walk, _monotone_runs
+from curvlab.mesh import INTERVAL, build_mesh
+from curvlab.prescribe import _greedy_walk, _monotone_runs, _pinching_window
 
 from oracles import (adjoint_formula, dense_scal_jacobian, fine_circle_norm,
-                     greedy_walk_loop, monotone_runs_loop, scal_operator)
+                     greedy_walk_loop, linearize_scal, monotone_runs_loop,
+                     perturbed_scal, scal_operator, sparse_product_jacobian)
 
 
 def bumpy(amplitude=0.2, n=64):
@@ -101,13 +103,44 @@ def test_sparse_jacobian_matches_dense_chain_rule(n):
             assert np.max(np.diff(block.tocsr().indptr)) <= 5
 
 
+def jacobian_arguments(n, topology):
+    """Arguments of `linearize_scal_matrix` whose chain-rule terms vanish in
+    different places: a warped base, a constant warping, random A and B, and
+    diagonal metrics on circle and interval meshes."""
+    rng = np.random.default_rng(n)
+    A = 1.0 + 0.2 * rng.uniform(size=n)
+    B = 0.5 + rng.uniform(size=n)
+    if topology == "interval":
+        mesh = build_mesh(INTERVAL, n, np.pi, np.sin)
+        return [(DiagonalInvariantMetric(mesh, 3, 6.0, radial=A, fiber=B),),
+                (DiagonalInvariantMetric(mesh, 2, -2.0, radial=np.ones(n), fiber=np.full(n, 2.0)),)]
+    metric = bumpy(n=n)
+    return [(metric,), (get_preset("round-fiber", n=n),), (get_preset("flat-torus", n=n),),
+            (metric, A, metric.warping**2 * B),
+            (DiagonalInvariantMetric(metric.mesh, 3, 6.0, radial=A, fiber=B),)]
+
+
+@pytest.mark.parametrize("topology", ["circle", "interval"])
+@pytest.mark.parametrize("n", [16, 17, 64])
+def test_pattern_jacobian_matches_dense_chain_rule(n, topology):
+    layouts = set()
+    for args in jacobian_arguments(n, topology):
+        J = linearize_scal_matrix(*args)
+        ref = dense_scal_jacobian(*args)
+        assert isinstance(J, sp.csr_array) and J.shape == (n, 2 * n)
+        assert J.has_sorted_indices
+        assert np.max(np.abs(J.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(J.toarray(), sparse_product_jacobian(*args).toarray())
+        layouts.add((J.indices.tobytes(), J.indptr.tobytes()))
+    assert len(layouts) == 1  # the index arrays do not depend on A and B
+
+
 def test_huge_perturbation_rejected():
     metric = bumpy()
     n = metric.mesh.node_count
     bad = MetricPerturbation(np.full(n, -1e12), np.zeros(n))
     with pytest.raises(PreconditionError):
-        from curvlab.prescribe import _perturbed_scal
-        _perturbed_scal(metric, bad, 1.0)
+        perturbed_scal(metric, bad, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +282,27 @@ def test_pinching_negative_target_fails():
     target = -1.0 - 0.1 * np.sin(np.linspace(0, 2 * np.pi, 64, endpoint=False))
     for c in np.logspace(-3, 3, 61):
         assert not pinching_check(target, scal, float(c))
+
+
+window_samples = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_samples, window_samples)
+def test_pinching_window_matches_pinching_check(target, scal):
+    grid = np.logspace(-3.0, 3.0, 61)
+    expected = [float(c) for c in grid if pinching_check(target, scal, c)]
+    assert _pinching_window(target, scal) == expected
+
+
+def test_pinching_window_on_sign_changing_targets():
+    r = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    grid = np.logspace(-3.0, 3.0, 61)
+    for target, scal in ((0.05 * np.sin(r), np.zeros(64)), (np.sin(r), 0.3 * np.cos(r)),
+                         (np.sin(r) - 0.5, np.full(64, 0.2)), (6.0 + np.sin(r), np.full(64, 6.0))):
+        window = _pinching_window(target, scal)
+        assert window == [float(c) for c in grid if pinching_check(target, scal, c)]
+        assert window
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +586,40 @@ def test_full_prescribe_escapes_flat_kernel():
     result = full_prescribe(flat, target)
     assert result.path == "identity"
     assert result.residuals["sup_error"] < 1e-3
+
+
+def count_kernel_tests(monkeypatch):
+    """Record the metric of every `kernel_min_singular` call in the module."""
+    import curvlab.prescribe as prescribe
+    kernel, metrics = prescribe.kernel_min_singular, []
+    monkeypatch.setattr(prescribe, "kernel_min_singular",
+                        lambda metric: metrics.append(metric) or kernel(metric))
+    return metrics
+
+
+def test_full_prescribe_tests_the_kernel_once_per_metric(monkeypatch):
+    metrics = count_kernel_tests(monkeypatch)
+    for background, k in (("round-fiber", 1), ("hyperbolic-fiber", 2)):
+        metric = get_preset(background, n=64)
+        target = scal_warped(metric) * (1.0 + 0.05 * np.sin(k * metric.mesh.nodes + 0.3))
+        metrics.clear()
+        result = full_prescribe(metric, target)
+        assert result.path == "identity"
+        assert len(metrics) == 1 and metrics[0] is metric
+
+
+def test_full_prescribe_flat_background_tests_original_and_bumped(monkeypatch):
+    metrics = count_kernel_tests(monkeypatch)
+    flat = get_preset("flat-torus", n=128)
+    target = 0.05 * np.sin(flat.mesh.nodes)
+    for force in (False, True):
+        metrics.clear()
+        result = full_prescribe(flat, target, PrescribeConfig(force_reparametrization=force))
+        assert result.path == ("reparametrized" if force else "identity")
+        assert len(metrics) == 2 and metrics[0] is flat
+        bump = metrics[1].warping / flat.warping - 1.0
+        assert np.allclose(bump, 1e-3 * np.sin(flat.mesh.nodes), rtol=0, atol=1e-15)
+        assert result.residuals["sup_error"] < 1e-3
 
 
 def test_full_prescribe_without_escape_rejects_flat():
