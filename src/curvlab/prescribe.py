@@ -17,8 +17,14 @@ zero on generic backgrounds).  `newton_prescribe` tests that once per metric,
 then solves F(g + adjoint(u)) = K by Newton iterations whose linear systems
 use the composition jacobian . adjoint, and `full_prescribe` chains the
 pinching window search, the escape from a kernel background, an optional
-measure-concentrating reparametrization, the Newton solve, and the final
-rescaling/pull-back.
+measure-concentrating reparametrization phi, and the Newton solve.
+
+The result is a statement in the Newton chart, as in the Kazdan-Warner route
+through an approximation lemma and local surjectivity: the returned metric
+realizes target o phi on the uniform mesh, so ``target`` is the curvature of
+(phi^{-1})^* metric_out.  Every reported error is the stencil curvature of the
+returned metric against target o phi, and an error above ``sup_tol`` is a
+`SolverError`.
 """
 
 from __future__ import annotations
@@ -205,7 +211,9 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
     The linear solves use the composition of the current-point Jacobian with
     the base-point adjoint, a sparse product made dense for the SVD and the
     solve; a Tikhonov shift is applied only when the system is numerically
-    singular, and that event is reported on the result.
+    singular, and that event is reported on the result.  The backtracking
+    line search accepts only a step that lowers the residual; when none does,
+    the stall is a `SolverError`.
     """
     cfg = cfg or PrescribeConfig()
     mesh = metric.mesh
@@ -254,18 +262,21 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
             JQ = JQ + cfg.tikhonov_floor * np.eye(n)
             regularized = True
         delta = np.linalg.solve(JQ, -r)
-        tau = 1.0
+        tau, positive = 1.0, False
         while tau >= 1e-10:
             trial = u + tau * delta
             r_new, A_new, B_new = residual(trial)
             if r_new is not None:
+                positive = True
                 new_norm = mesh.lp_norm(r_new, 2)
-                if new_norm < res_norm or tau < 1e-8:
+                if new_norm < res_norm:
                     u, r, A, B, res_norm = trial, r_new, A_new, B_new, new_norm
                     history.append(res_norm)
                     break
             tau *= 0.5
         else:
+            if positive:
+                raise SolverError(f"Newton line search stalled at residual {res_norm:.3e}")
             raise SolverError("Newton step could not keep the metric positive definite")
     else:
         raise SolverError(f"curvature prescription did not converge "
@@ -600,37 +611,21 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
                                requested_eps=eps, p=p, cells=best[2])
 
 
-def pullback_metric(metric, phi_values, phi_derivatives) -> DiagonalInvariantMetric:
-    """Pull a diagonal metric back along a smooth circle map given nodewise.
-
-    Components transform as A -> phi'^2 A(phi), B -> B(phi); the old
-    components are resampled at phi(r_j) through periodic splines (linear
-    interpolation would poison the second differences of the result).
-    """
-    import scipy.interpolate
-
-    diag = metric if isinstance(metric, DiagonalInvariantMetric) else as_diagonal(metric)
-    mesh = diag.mesh
-    phi_values = np.mod(np.asarray(phi_values, dtype=float), mesh.length)
-    phi_derivatives = np.asarray(phi_derivatives, dtype=float)
-    nodes = np.append(mesh.nodes, mesh.length)
-    spline_a = scipy.interpolate.CubicSpline(nodes, np.append(diag.radial, diag.radial[0]),
-                                             bc_type="periodic")
-    spline_b = scipy.interpolate.CubicSpline(nodes, np.append(diag.fiber, diag.fiber[0]),
-                                             bc_type="periodic")
-    return DiagonalInvariantMetric(mesh=mesh, fiber_dim=diag.fiber_dim,
-                                   fiber_scal=diag.fiber_scal,
-                                   radial=phi_derivatives**2 * spline_a(phi_values),
-                                   fiber=spline_b(phi_values))
-
-
 # ---------------------------------------------------------------------------
-# the full pipeline: scale, approximate, solve, pull back
+# the full pipeline: scale, approximate, solve, verify
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PrescriptionResult:
+    """A metric realizing target o phi in the Newton chart.
+
+    ``scal_out`` is the stencil curvature of ``metric_out`` on the uniform
+    mesh and equals target o phi there up to ``residuals["sup_error"]``, so
+    ``target`` itself is the curvature of (phi^{-1})^* metric_out.  On the
+    identity and trivial paths phi is the identity.
+    """
+
     metric_out: DiagonalInvariantMetric
     phi: Diffeo1D
     c: float
@@ -638,7 +633,6 @@ class PrescriptionResult:
     scal_out: np.ndarray
     residuals: dict
     path: str          # "identity" | "reparametrized" | "trivial"
-    scal_eval: str     # "stencil" | "transport"
 
 
 def _pinching_window(target, scal) -> list[float]:
@@ -661,18 +655,20 @@ def _window_constant(target, scal) -> float:
 
 def full_prescribe(metric: WarpedProductMetric, target,
                    cfg: PrescribeConfig | None = None) -> PrescriptionResult:
-    """Realize the target as the scalar curvature of an invariant metric.
+    """Realize the target as the scalar curvature of an invariant metric, up to a map.
 
-    Search the window constant over a logarithmic grid, solve
-    F(g + adjoint(u)) = c * target (directly when the scaled target lies in
-    the Newton basin, through a measure-concentrating reparametrization
-    otherwise), and undo the scaling.  When the kernel test that
-    `newton_prescribe` makes first finds an exceptional background, the solve
-    starts over on a small invariant bump of the warping.  On the direct path
-    the reported curvature is recomputed from the output metric by the
-    difference stencils; on the reparametrized path the constructed map is not
-    stencil-smooth and the curvature is transported through the
-    diffeomorphism identity scal(phi*g) = scal(g) o phi instead.
+    Search the window constant c over a logarithmic grid and solve
+    F(g + adjoint(u)) = c * target o phi: directly with phi the identity when
+    the scaled target lies in the Newton basin, otherwise with phi a
+    measure-concentrating reparametrization from `approximate_by_diffeo`.
+    When the kernel test that `newton_prescribe` makes first finds an
+    exceptional background, the solve starts over on a small invariant bump
+    of the warping.  The returned ``metric_out`` is the Newton metric scaled
+    by c, in the Newton chart: it realizes target o phi, so ``target`` is the
+    curvature of (phi^{-1})^* metric_out.  ``scal_out`` is its stencil
+    curvature and ``sup_error`` its sup distance from target o phi.  An error
+    above ``cfg.sup_tol`` sends the direct path to the reparametrized one and
+    makes the reparametrized path raise `SolverError`.
     """
     cfg = cfg or PrescribeConfig()
     mesh = metric.mesh
@@ -684,7 +680,7 @@ def full_prescribe(metric: WarpedProductMetric, target,
         return PrescriptionResult(
             metric_out=as_diagonal(metric), phi=Diffeo1D.identity(mesh), c=1.0,
             u=np.zeros(mesh.node_count), scal_out=scal0,
-            residuals={"sup_error": 0.0}, path="trivial", scal_eval="stencil")
+            residuals={"sup_error": float(np.max(np.abs(scal0 - target)))}, path="trivial")
 
     try:
         return _prescribe_on(metric, scal0, target, cfg, mesh)
@@ -704,33 +700,29 @@ def _prescribe_on(metric: WarpedProductMetric, scal0, target, cfg: PrescribeConf
     c = _window_constant(target, scal0)
     if not cfg.force_reparametrization:
         try:
-            newton = newton_prescribe(metric, c * target, cfg)
-            metric_out = newton.metric_out.scaled(c)
-            scal_out = metric_out.scal()
-            sup_err = float(np.max(np.abs(scal_out - target)))
-            return PrescriptionResult(
-                metric_out=metric_out, phi=Diffeo1D.identity(mesh), c=c, u=newton.u,
-                scal_out=scal_out,
-                residuals={"newton": newton.residuals[-1], "sup_error": sup_err,
-                           "newton_history": newton.residuals},
-                path="identity", scal_eval="stencil")
+            return _verified_solve(metric, c, target, Diffeo1D.identity(mesh), "identity", cfg)
         except SolverError:
             pass
-
     approx = approximate_by_diffeo(mesh, target, scal0 / c, p=cfg.p, eps=cfg.eps)
-    phi = approx.phi
-    K = c * _periodic_interp(np.mod(phi.node_values, mesh.length), mesh.nodes, target, mesh.length)
-    newton = newton_prescribe(metric, K, cfg)
-    gt = newton.metric_out.scaled(c)
-    psi = phi.inverse(mesh.nodes)
-    psi_deriv = 1.0 / np.maximum(
-        _periodic_interp(np.mod(psi, mesh.length), mesh.nodes, phi.node_derivatives, mesh.length),
-        1e-300)
-    metric_out = pullback_metric(gt, np.mod(psi, mesh.length), psi_deriv)
-    scal_out = _periodic_interp(np.mod(phi(psi), mesh.length), mesh.nodes, target, mesh.length)
-    sup_err = float(np.max(np.abs(scal_out - target)))
+    expected = _periodic_interp(np.mod(approx.phi.node_values, mesh.length), mesh.nodes,
+                                target, mesh.length)
+    return _verified_solve(metric, c, expected, approx.phi, "reparametrized", cfg,
+                           approximation=approx.achieved_error)
+
+
+def _verified_solve(metric: WarpedProductMetric, c: float, expected, phi: Diffeo1D, path: str,
+                    cfg: PrescribeConfig, **extra) -> PrescriptionResult:
+    """Solve F = c * expected, expected = target o phi at the nodes, and verify
+    the scaled Newton metric by its own stencil curvature."""
+    newton = newton_prescribe(metric, c * expected, cfg)
+    metric_out = newton.metric_out.scaled(c)
+    scal_out = metric_out.scal()
+    sup_err = float(np.max(np.abs(scal_out - expected)))
+    if not sup_err <= cfg.sup_tol:
+        raise SolverError(f"{path} prescription misses target o phi by {sup_err:.3e} "
+                          f"(sup_tol {cfg.sup_tol:.1e})")
     return PrescriptionResult(
         metric_out=metric_out, phi=phi, c=c, u=newton.u, scal_out=scal_out,
-        residuals={"newton": newton.residuals[-1], "approximation": approx.achieved_error,
-                   "sup_error": sup_err, "newton_history": newton.residuals},
-        path="reparametrized", scal_eval="transport")
+        residuals={"newton": newton.residuals[-1], **extra, "sup_error": sup_err,
+                   "newton_history": newton.residuals},
+        path=path)

@@ -350,7 +350,7 @@ def _run_prescribe(cfg, outdir):
     emit_csv(outdir / "prescription.csv", ["r", "phi", "u", "scal_out"],
              zip(model.mesh.nodes, result.phi.node_values, result.u, result.scal_out))
     emit_plotdata(outdir / "plotdata" / "scal_out.dat", model.mesh.nodes, result.scal_out)
-    summary = {"c": result.c, "path": result.path, "scal_eval": result.scal_eval}
+    summary = {"c": result.c, "path": result.path}
     residuals = {k: v for k, v in result.residuals.items() if not isinstance(v, tuple)}
     return summary, residuals
 

@@ -11,10 +11,11 @@ from curvlab import (DiagonalInvariantMetric, Diffeo1D, MetricPerturbation,
                      WarpedProductMetric, approximate_by_diffeo, circle_mesh,
                      full_prescribe, get_preset, kernel_min_singular,
                      linearize_scal_adjoint, linearize_scal_matrix,
-                     newton_prescribe, pinching_check, pullback_metric,
-                     ricci_warped, scal_warped, tensor_inner)
+                     newton_prescribe, pinching_check, ricci_warped,
+                     scal_warped, tensor_inner)
 from curvlab.mesh import INTERVAL, build_mesh
-from curvlab.prescribe import _greedy_walk, _monotone_runs, _pinching_window
+from curvlab.prescribe import (_greedy_walk, _monotone_runs, _pinching_window,
+                               _window_constant)
 
 from oracles import (adjoint_formula, dense_scal_jacobian, fine_circle_norm,
                      greedy_walk_loop, linearize_scal, monotone_runs_loop,
@@ -506,30 +507,6 @@ def test_monotone_runs_matches_per_sample_loop(values):
     assert _monotone_runs(values) == monotone_runs_loop(values)
 
 
-def test_pullback_law_for_smooth_maps():
-    # scal(phi* g) = scal(g) o phi to second order for smooth phi
-    errs = []
-    for n in (64, 128, 256):
-        metric = bumpy(amplitude=0.15, n=n)
-        mesh = metric.mesh
-        r = mesh.nodes
-        phi_vals = r + 0.2 * np.sin(r)
-        phi_derivs = 1.0 + 0.2 * np.cos(r)
-        pulled = pullback_metric(metric, np.mod(phi_vals, mesh.length), phi_derivs)
-        scal_pulled = pulled.scal()
-        scal_at_phi = np.interp(np.mod(phi_vals, mesh.length),
-                                np.append(r, mesh.length),
-                                np.append(scal_warped(metric), scal_warped(metric)[0]))
-        # compare against exact evaluation rather than linear interpolation
-        f_exact = 1.0 + 0.15 * np.sin(phi_vals)
-        df = 0.15 * np.cos(phi_vals)
-        d2f = -0.15 * np.sin(phi_vals)
-        scal_exact = 6.0 / f_exact**2 - 6.0 * d2f / f_exact - 6.0 * (df / f_exact) ** 2
-        errs.append(np.max(np.abs(scal_pulled - scal_exact)))
-    assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.2)
-    assert errs[1] / errs[2] == pytest.approx(4.0, abs=1.2)
-
-
 # ---------------------------------------------------------------------------
 # full pipeline
 # ---------------------------------------------------------------------------
@@ -551,7 +528,7 @@ def test_full_prescribe_round_product_sine_target():
     result = full_prescribe(metric, target)
     assert result.c == pytest.approx(1.0)
     assert result.path == "identity"
-    assert result.scal_eval == "stencil"
+    assert np.array_equal(result.scal_out, result.metric_out.scal())
     assert result.residuals["sup_error"] < 1e-3
     hist = [x for x in result.residuals["newton_history"] if x > 1e-13]
     assert any(b / a < 0.3 for a, b in zip(hist, hist[1:]))
@@ -564,17 +541,50 @@ def test_full_prescribe_negative_target_rejected():
     assert info.value.condition == "pinching-window"
 
 
-def test_full_prescribe_reparametrized_path():
-    metric = bumpy(amplitude=0.2, n=128)
+@pytest.mark.parametrize("n", [128, 256])
+def test_full_prescribe_reparametrized_path(n):
+    # the returned metric realizes target o phi in the Newton chart, checked
+    # by its own stencil curvature
+    metric = bumpy(amplitude=0.2, n=n)
+    mesh = metric.mesh
     scal0 = scal_warped(metric)
-    r = metric.mesh.nodes
+    r = mesh.nodes
     target = np.mean(scal0) + 2.0 * np.sin(r) + 0.8 * np.sin(2 * r + 0.3)
     cfg = PrescribeConfig(force_reparametrization=True, eps=5e-2)
     result = full_prescribe(metric, target, cfg)
     assert result.path == "reparametrized"
-    assert result.scal_eval == "transport"
+    target_at_phi = np.interp(np.mod(result.phi.node_values, mesh.length),
+                              np.append(r, mesh.length), np.append(target, target[0]))
+    assert np.max(np.abs(result.metric_out.scal() - target_at_phi)) < 1e-6
     assert result.residuals["sup_error"] < 1e-6
     assert result.residuals["approximation"] < 5e-2
+
+
+def test_full_prescribe_raises_above_sup_tol():
+    # the verified error is never zero: the direct path falls back, and the
+    # reparametrized path raises
+    metric = get_preset("round-fiber", n=64)
+    target = 6.0 * (1.0 + 0.1 * np.sin(metric.mesh.nodes))
+    with pytest.raises(SolverError, match="reparametrized .*sup_tol"):
+        full_prescribe(metric, target, PrescribeConfig(sup_tol=1e-300))
+
+
+def test_newton_prescribe_reports_stalled_line_search(monkeypatch):
+    # escape-bumped flat torus, first harmonic at amplitude 0.08: the Newton
+    # residual floors near 1.5e-8, above newton_tol, and no step lowers it
+    flat = get_preset("flat-torus", n=256)
+    mesh = flat.mesh
+    bumped = WarpedProductMetric.from_profile(
+        mesh.node_count, mesh.length, flat.fiber_dim, flat.fiber_scal,
+        flat.warping * (1.0 + 1e-3 * np.sin(2 * np.pi * mesh.nodes / mesh.length)))
+    target = 0.08 * np.sin(mesh.nodes)
+    c = _window_constant(target, scal_warped(bumped))
+    svd, steps = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: steps.append(a) or svd(*a, **k))
+    cfg = PrescribeConfig()
+    with pytest.raises(SolverError, match="line search stalled"):
+        newton_prescribe(bumped, c * target, cfg)
+    assert len(steps) < cfg.newton_max_iter
 
 
 def test_full_prescribe_escapes_flat_kernel():

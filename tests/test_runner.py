@@ -149,16 +149,38 @@ def test_yamabe_negative_run(tmp_path):
     assert report.summary["achieved_constant"] == pytest.approx(2.0, rel=1e-8)
 
 
-def test_prescribe_run(tmp_path):
+def test_prescribe_run(tmp_path, monkeypatch):
+    import curvlab.runner as runner
+    from curvlab.runner import _fmt
+    results, full_prescribe = [], runner.full_prescribe
+    monkeypatch.setattr(runner, "full_prescribe",
+                        lambda *args: results.append(full_prescribe(*args)) or results[-1])
     cfg = ScenarioConfig(command="prescribe",
                          options={"model.preset": "round-fiber", "model.N": "128",
                                   "prescribe.target": "6*(1 + 0.1*sin(r))",
                                   "run.outdir": str(tmp_path / "out")})
     report = run_scenario(cfg)
+    assert set(report.summary) == {"c", "path"}
     assert report.summary["c"] == pytest.approx(1.0)
     assert report.residuals["sup_error"] < 1e-3
-    header = (tmp_path / "out" / "prescription.csv").read_text().splitlines()[0]
+    header, *lines = (tmp_path / "out" / "prescription.csv").read_text().splitlines()
     assert header == "r,phi,u,scal_out"
+    # the scal_out column is the stencil curvature of the returned metric
+    assert [line.split(",")[3] for line in lines] == [
+        _fmt(x) for x in results[0].metric_out.scal()]
+
+
+def test_main_prescribe_above_sup_tol_exits_solver(tmp_path, monkeypatch, capsys):
+    import functools
+
+    import curvlab.runner as runner
+    from curvlab.runner import EXIT_SOLVER
+    monkeypatch.setattr(runner, "PrescribeConfig",
+                        functools.partial(runner.PrescribeConfig, sup_tol=1e-300))
+    code = main(["prescribe", "--model", "round-fiber", "--target", "6*(1 + 0.1*sin(r))",
+                 "--outdir", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER
+    assert "sup_tol" in capsys.readouterr().err
 
 
 def test_cheeger_sweep(tmp_path):
