@@ -10,10 +10,18 @@ Every other module integrates with the single quadrature defined here, so
 that summation-by-parts and adjointness checks are statements about matrices
 rather than about mismatched quadrature rules.
 
-The operator matrices (first and second derivative, stiffness, Laplacian)
-are banded, with at most five nonzeros per row.  Each mesh builds them once
-as `scipy.sparse` CSR arrays, and next to them the union pattern of I, D1
-and D2 (`StencilPattern`); every caller shares them, read-only.
+Each stencil is defined once.  A mesh builds its difference operators once,
+as `scipy.sparse` CSR arrays with integer coefficients (at most five nonzeros
+per row), and every stencil method applies one of them and scales the result
+afterwards: `derivative` is diff1 u / 2h, and `laplacian` divides the
+face-weighted differences grad u by h, takes their divergence and divides
+by the cell volumes.  Differencing first keeps the exact zero on constants:
+the differences of a constant are exactly 0.0, while a matrix scaled by 1/h
+and the weights leaves rounding of order 1e-13 there, which raises the
+residual floor of the Newton solvers.  The scaled matrices (first and second
+derivative, stiffness, Laplacian) are built from the same operators, next to
+the union pattern of I, D1 and D2 (`StencilPattern`); every caller shares
+them, read-only.
 
 Meshes are uniform.  On interval topology the weight may vanish at the two
 endpoint nodes only (singular orbits); the Laplacian closes the stencil there
@@ -136,34 +144,19 @@ class QuotientMesh:
 
     def derivative(self, u) -> np.ndarray:
         """Second-order first derivative; one-sided at interval endpoints."""
-        u = _as_values(u, self.node_count)
-        h = self.h
-        if self.topology == CIRCLE:
-            return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * h)
-        du = np.empty_like(u)
-        du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-        du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-        du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-        return du
+        return self._operators["diff1"] @ _as_values(u, self.node_count) / (2.0 * self.h)
 
     def second_derivative(self, u) -> np.ndarray:
         """Compact second-order second derivative; one-sided at endpoints."""
-        u = _as_values(u, self.node_count)
-        h2 = self.h * self.h
-        if self.topology == CIRCLE:
-            return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / h2
-        d2 = np.empty_like(u)
-        d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2
-        d2[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / h2
-        d2[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / h2
-        return d2
+        return self._operators["diff2"] @ _as_values(u, self.node_count) / (self.h * self.h)
 
+    @cached_property
     def _face_weights(self) -> np.ndarray:
         """Weight at face j+1/2 (between node j and j+1); circular on circles."""
         w = self.weights
-        if self.topology == CIRCLE:
-            return 0.5 * (w + np.roll(w, -1))
-        return 0.5 * (w[:-1] + w[1:])
+        wf = 0.5 * (w + np.roll(w, -1)) if self.topology == CIRCLE else 0.5 * (w[:-1] + w[1:])
+        wf.setflags(write=False)
+        return wf
 
     @cached_property
     def _cell_volumes(self) -> np.ndarray:
@@ -173,7 +166,7 @@ class QuotientMesh:
         if self.topology == INTERVAL:
             ends = [0, -1]
             vol[ends] = np.where(self.weights[ends] > 0, vol[ends],
-                                 0.25 * self.h * self._face_weights()[ends])
+                                 0.25 * self.h * self._face_weights[ends])
         vol.setflags(write=False)
         return vol
 
@@ -186,14 +179,9 @@ class QuotientMesh:
         volume uses the trapezoid face average, which reproduces the limit
         (1+k) u'' of u'' + k u'/r for linearly vanishing weight.
         """
-        u = _as_values(u, self.node_count)
-        if self.topology == CIRCLE:
-            flux = self._face_weights() * (np.roll(u, -1) - u) / self.h
-            div = flux - np.roll(flux, 1)
-        else:
-            flux = self._face_weights() * np.diff(u) / self.h
-            div = np.diff(flux, prepend=0.0, append=0.0)
-        return div / self._cell_volumes
+        ops = self._operators
+        flux = self._face_weights * (ops["grad"] @ _as_values(u, self.node_count)) / self.h
+        return -(ops["div"] @ flux) / self._cell_volumes
 
     # -- bilinear forms and matrices -------------------------------------
 
@@ -204,36 +192,39 @@ class QuotientMesh:
         quadrature, i.e. <-lap(u), v>_w == dirichlet_form(u, v) up to the
         degenerate endpoint masses of an interval.
         """
-        u = _as_values(u, self.node_count)
-        v = _as_values(v, self.node_count)
-        wf = self._face_weights()
-        if self.topology == CIRCLE:
-            du = np.roll(u, -1) - u
-            dv = np.roll(v, -1) - v
-        else:
-            du = u[1:] - u[:-1]
-            dv = v[1:] - v[:-1]
-        return float(np.sum(wf * du * dv) / self.h)
+        grad = self._operators["grad"]
+        du = grad @ _as_values(u, self.node_count)
+        dv = grad @ _as_values(v, self.node_count)
+        return float(np.sum(self._face_weights * du * dv) / self.h)
 
     @cached_property
     def _operators(self) -> dict:
+        """The difference operators with integer coefficients, and the
+        matrices scaled from them; every entry a read-only CSR array.
+
+        ``diff1`` and ``diff2`` are 2h D1 and h^2 D2; ``grad`` takes the face
+        differences u_{j+1} - u_j and ``div`` is its transpose.
+        """
         n, h = self.node_count, self.h
         if self.topology == CIRCLE:
             # the corner offsets +-(n-1) close the periodic stencils
-            d1 = sp.diags_array([-1.0, 1.0, 1.0, -1.0], offsets=[-1, 1, 1 - n, n - 1], shape=(n, n))
-            d2 = sp.diags_array([1.0, -2.0, 1.0, 1.0, 1.0], offsets=[-1, 0, 1, 1 - n, n - 1],
-                                shape=(n, n))
+            diff1 = sp.diags_array([-1.0, 1.0, 1.0, -1.0], offsets=[-1, 1, 1 - n, n - 1],
+                                   shape=(n, n))
+            diff2 = sp.diags_array([1.0, -2.0, 1.0, 1.0, 1.0], offsets=[-1, 0, 1, 1 - n, n - 1],
+                                   shape=(n, n))
             grad = sp.diags_array([-1.0, 1.0, 1.0], offsets=[0, 1, 1 - n], shape=(n, n))
         else:
             # second-order one-sided closures in the first and last rows
-            d1 = sp.diags_array([-1.0, 1.0], offsets=[-1, 1], shape=(n, n), format="lil")
-            d1[0, :3], d1[n - 1, n - 3:] = [-3.0, 4.0, -1.0], [1.0, -4.0, 3.0]
-            d2 = sp.diags_array([1.0, -2.0, 1.0], offsets=[-1, 0, 1], shape=(n, n), format="lil")
-            d2[0, :4], d2[n - 1, n - 4:] = [2.0, -5.0, 4.0, -1.0], [-1.0, 4.0, -5.0, 2.0]
+            diff1 = sp.diags_array([-1.0, 1.0], offsets=[-1, 1], shape=(n, n), format="lil")
+            diff1[0, :3], diff1[n - 1, n - 3:] = [-3.0, 4.0, -1.0], [1.0, -4.0, 3.0]
+            diff2 = sp.diags_array([1.0, -2.0, 1.0], offsets=[-1, 0, 1], shape=(n, n),
+                                   format="lil")
+            diff2[0, :4], diff2[n - 1, n - 4:] = [2.0, -5.0, 4.0, -1.0], [-1.0, 4.0, -5.0, 2.0]
             grad = sp.diags_array([-1.0, 1.0], offsets=[0, 1], shape=(n - 1, n))
-        # grad takes face differences u_{j+1} - u_j: S = grad^T diag(w_face) grad / h
-        stiffness = grad.T @ sp.diags_array(self._face_weights()) @ grad / h
-        ops = {"d1": d1 / (2.0 * h), "d2": d2 / (h * h), "stiffness": stiffness,
+        # S = grad^T diag(w_face) grad / h
+        stiffness = grad.T @ sp.diags_array(self._face_weights) @ grad / h
+        ops = {"diff1": diff1, "diff2": diff2, "grad": grad, "div": grad.T,
+               "d1": diff1 / (2.0 * h), "d2": diff2 / (h * h), "stiffness": stiffness,
                "laplacian": -sp.diags_array(1.0 / self._cell_volumes) @ stiffness}
         ops = {name: sp.csr_array(op) for name, op in ops.items()}
         for op in ops.values():

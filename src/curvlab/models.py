@@ -26,7 +26,9 @@ Two desk-scale testbeds:
   the Koszul formula and serves as an independent route to the same numbers.
 
 The generalized diagonal family A(r) dr^2 + B(r) g_F (needed once metrics are
-perturbed away from warped form) is covered by `scal_diagonal`.
+perturbed away from warped form) is covered by `scal_diagonal`.  The warped
+case is `scal_diagonal` at A = 1, B = f^2, and `scal_warped` evaluates it
+that way, so both families share one discrete curvature formula.
 """
 
 from __future__ import annotations
@@ -127,12 +129,9 @@ class WarpedProductMetric:
 
 
 def scal_warped(metric: WarpedProductMetric) -> np.ndarray:
-    """Nodewise scalar curvature of a warped product."""
-    f = metric.warping
-    k = metric.fiber_dim
-    df = metric.mesh.derivative(f)
-    d2f = metric.mesh.second_derivative(f)
-    return metric.fiber_scal / f**2 - 2.0 * k * d2f / f - k * (k - 1) * (df / f) ** 2
+    """Nodewise scalar curvature of a warped product: `scal_diagonal` at A = 1."""
+    return scal_diagonal(metric.mesh, np.ones(metric.mesh.node_count), metric.warping**2,
+                         metric.fiber_dim, metric.fiber_scal)
 
 
 def ricci_warped(metric: WarpedProductMetric):
@@ -192,8 +191,9 @@ def scal_diagonal(mesh: QuotientMesh, A, B, fiber_dim: int, fiber_scal: float) -
     """Scalar curvature of A dr^2 + B g_F.
 
     Written through the effective warping F = sqrt(B) and the arclength
-    substitution d/ds = A^{-1/2} d/dr, so that at A == 1 the stencils agree
-    with scal_warped to rounding (the difference operators hit F, not B).
+    substitution d/ds = A^{-1/2} d/dr, so that the difference operators hit F,
+    not B.  At A == 1 it is the warped formula on F; `scal_warped` is this
+    function there.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)

@@ -334,10 +334,6 @@ class Diffeo1D:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def winding(self) -> int:
-        return 1
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         L = self.mesh.length
@@ -345,14 +341,6 @@ class Diffeo1D:
         wraps = np.floor((x - x0) / L)
         base = x - wraps * L
         return np.interp(base, self.break_x, self.break_y) + wraps * L
-
-    def inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        L = self.mesh.length
-        y0 = self.break_y[0]
-        wraps = np.floor((y - y0) / L)
-        base = y - wraps * L
-        return np.interp(base, self.break_y, self.break_x) + wraps * L
 
     @classmethod
     def identity(cls, mesh: QuotientMesh) -> "Diffeo1D":
@@ -566,7 +554,7 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
         gaps = np.diff(Xc)
         eps1 = eps * V ** (-1.0 / p) / 6.0
         f_slope = np.abs(np.gradient(f_fine, hf))
-        slope_at = _periodic_interp(np.mod(X, L), xf, f_slope, L) + 1e-12
+        slope_at = _periodic_interp(X, xf, f_slope, L) + 1e-12
         eta = np.minimum.reduce([
             np.full(m_cells, ell / 8.0),
             eps1 / slope_at,
@@ -704,8 +692,7 @@ def _prescribe_on(metric: WarpedProductMetric, scal0, target, cfg: PrescribeConf
         except SolverError:
             pass
     approx = approximate_by_diffeo(mesh, target, scal0 / c, p=cfg.p, eps=cfg.eps)
-    expected = _periodic_interp(np.mod(approx.phi.node_values, mesh.length), mesh.nodes,
-                                target, mesh.length)
+    expected = _periodic_interp(approx.phi.node_values, mesh.nodes, target, mesh.length)
     return _verified_solve(metric, c, expected, approx.phi, "reparametrized", cfg,
                            approximation=approx.achieved_error)
 

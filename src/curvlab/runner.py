@@ -122,18 +122,13 @@ class _ExprParser:
                 raise ConfigError("unbalanced parenthesis in profile expression")
             self.pos += 1
             return node
-        if self.text.startswith("sin", self.pos):
-            self.pos += 3
-            if self._peek() != "(":
-                raise ConfigError("sin needs parentheses")
-            inner = self._atom()
-            return lambda r: np.sin(inner(r))
-        if self.text.startswith("cos", self.pos):
-            self.pos += 3
-            if self._peek() != "(":
-                raise ConfigError("cos needs parentheses")
-            inner = self._atom()
-            return lambda r: np.cos(inner(r))
+        for name, ufunc in (("sin", np.sin), ("cos", np.cos)):
+            if self.text.startswith(name, self.pos):
+                self.pos += len(name)
+                if self._peek() != "(":
+                    raise ConfigError(f"{name} needs parentheses")
+                inner = self._atom()
+                return lambda r: ufunc(inner(r))
         if ch == "r":
             self.pos += 1
             return lambda r: np.asarray(r, dtype=float)
@@ -443,8 +438,7 @@ _RUNNERS = {
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute one scenario, writing report.txt, CSVs and plotdata files."""
-    n = cfg.get_int("model.N", 64)
-    if n is not None and n < 16:
+    if cfg.get_int("model.N", 64) < 16:
         raise ConfigError("model.N must be at least 16")
     outdir = Path(cfg.get("run.outdir", "curvlab-out"))
     try:
@@ -457,8 +451,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     wall = time.perf_counter() - start
 
     report = RunReport(command=cfg.command, summary=summary, residuals=residuals,
-                       input_echo=dict(sorted(cfg.options.items())),
-                       files=sorted(str(p) for p in outdir.rglob("*") if p.is_file()),
+                       input_echo=dict(sorted(cfg.options.items())), files=[],
                        wall_time=wall)
     _write_report(outdir, report)
     report.files = sorted(str(p) for p in outdir.rglob("*") if p.is_file())

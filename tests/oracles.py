@@ -8,8 +8,11 @@ column-by-column assembly of the discrete curvature Jacobian, the
 sparse-product assembly `linearize_scal_matrix` once ran, a Richardson-
 extrapolated difference quotient of the curvature, the continuum formula of
 the Jacobian's adjoint, the per-cell loops that `approximate_by_diffeo` once
-ran for its greedy walk and its monotone-run split, and the hand-written
-Newton loop `solve_negative_constant` once ran.
+ran for its greedy walk and its monotone-run split, the hand-written
+Newton loop `solve_negative_constant` once ran, the roll-and-slice stencils
+`QuotientMesh` once evaluated its derivatives, Laplacian and Dirichlet form
+with, and the closed-form warped-product curvature `scal_warped` once
+evaluated.
 Two small functions that only tests read live here too: the coercive energy
 of the negative regime and the representation-independent curvature
 operator.
@@ -20,6 +23,7 @@ import scipy.sparse as sp
 
 from curvlab.cheeger import _twist_vector
 from curvlab.errors import ObstructionError, PreconditionError, SolverError
+from curvlab.mesh import CIRCLE
 from curvlab.models import (DiagonalInvariantMetric, WarpedProductMetric,
                             YamabeConstants, ricci_warped, scal_diagonal, scal_warped)
 from curvlab.prescribe import MetricPerturbation, _scal_jacobian_components
@@ -386,3 +390,89 @@ def negative_newton_loop(metric: WarpedProductMetric, cfg: SolverConfig | None =
     solution = ConformalSolution(u=u, lagrange=lam, achieved_constant=cprime,
                                  residual_norm=pde_norm, iterations=newton_iterations)
     return solution, float(c)
+
+
+# ---------------------------------------------------------------------------
+# mesh stencils, written out with np.roll and slices
+# ---------------------------------------------------------------------------
+
+
+def derivative_stencil(mesh, u) -> np.ndarray:
+    """Second-order first derivative; one-sided at interval endpoints.
+
+    The closures sum their terms in column order, as a CSR row does.
+    """
+    u = np.asarray(u, dtype=float)
+    h = mesh.h
+    if mesh.topology == CIRCLE:
+        return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * h)
+    du = np.empty_like(u)
+    du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+    du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
+    du[-1] = (u[-3] - 4.0 * u[-2] + 3.0 * u[-1]) / (2.0 * h)
+    return du
+
+
+def second_derivative_stencil(mesh, u) -> np.ndarray:
+    """Compact second-order second derivative; one-sided at endpoints."""
+    u = np.asarray(u, dtype=float)
+    h2 = mesh.h * mesh.h
+    if mesh.topology == CIRCLE:
+        return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / h2
+    d2 = np.empty_like(u)
+    d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2
+    d2[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / h2
+    d2[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / h2
+    return d2
+
+
+def _face_differences(mesh, u) -> np.ndarray:
+    """u_{j+1} - u_j at each face, circularly on circles."""
+    u = np.asarray(u, dtype=float)
+    return np.roll(u, -1) - u if mesh.topology == CIRCLE else u[1:] - u[:-1]
+
+
+def face_weights(mesh) -> np.ndarray:
+    """Weight at face j+1/2, the average of its two nodes."""
+    w = mesh.weights
+    if mesh.topology == CIRCLE:
+        return 0.5 * (w + np.roll(w, -1))
+    return 0.5 * (w[:-1] + w[1:])
+
+
+def cell_volumes(mesh) -> np.ndarray:
+    """Quadrature masses, with the face-average half cell at a vanishing
+    interval endpoint weight."""
+    vol = mesh.mass_vector()
+    if mesh.topology != CIRCLE:
+        face = face_weights(mesh)
+        for j in (0, -1):
+            if mesh.weights[j] == 0:
+                vol[j] = 0.25 * mesh.h * face[j]
+    return vol
+
+
+def laplacian_flux(mesh, u) -> np.ndarray:
+    """(1/w)(w u')' as the difference of face fluxes, zero flux past an
+    interval's ends."""
+    flux = face_weights(mesh) * _face_differences(mesh, u) / mesh.h
+    if mesh.topology == CIRCLE:
+        div = flux - np.roll(flux, 1)
+    else:
+        div = np.diff(flux, prepend=0.0, append=0.0)
+    return div / cell_volumes(mesh)
+
+
+def dirichlet_form_sum(mesh, u, v) -> float:
+    """sum over faces of w_face (du)(dv) / h."""
+    du, dv = _face_differences(mesh, u), _face_differences(mesh, v)
+    return float(np.sum(face_weights(mesh) * du * dv) / mesh.h)
+
+
+def scal_warped_formula(metric: WarpedProductMetric) -> np.ndarray:
+    """c_F/f^2 - 2k f''/f - k(k-1)(f'/f)^2 on the mesh stencils."""
+    f = metric.warping
+    k = metric.fiber_dim
+    df = metric.mesh.derivative(f)
+    d2f = metric.mesh.second_derivative(f)
+    return metric.fiber_scal / f**2 - 2.0 * k * d2f / f - k * (k - 1) * (df / f) ** 2

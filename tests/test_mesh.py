@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from curvlab import CIRCLE, INTERVAL, build_mesh, circle_mesh
 from curvlab.models import YamabeConstants
 
@@ -213,19 +216,63 @@ OPERATOR_MESHES = {
 }
 
 
-@pytest.mark.parametrize("make", OPERATOR_MESHES.values(), ids=OPERATOR_MESHES.keys())
-def test_sparse_operators_match_stencils(make):
-    mesh = make()
-    rng = np.random.default_rng(23)
-    pairs = ((mesh.d1_matrix(), mesh.derivative), (mesh.d2_matrix(), mesh.second_derivative),
-             (mesh.laplacian_matrix(), mesh.laplacian))
-    for matrix, stencil in pairs:
+def _assert_matches_stencils(mesh, rng):
+    """The stencil methods against the roll-and-slice oracles: exactly, except
+    second_derivative, whose three-term sum is added in another order; the
+    matrices to rounding."""
+    n = mesh.node_count
+    d1, d2, laplacian, stiffness = matrices = (mesh.d1_matrix(), mesh.d2_matrix(),
+                                               mesh.laplacian_matrix(), mesh.stiffness_matrix())
+    for matrix in matrices:
         assert isinstance(matrix, sp.csr_array)
         assert np.max(np.diff(matrix.indptr)) <= 5
-        for _ in range(3):
-            u = rng.normal(size=mesh.node_count)
-            ref = stencil(u)
+    for _ in range(3):
+        u, v = rng.normal(size=n), rng.normal(size=n)
+        du = oracles.derivative_stencil(mesh, u)
+        d2u = oracles.second_derivative_stencil(mesh, u)
+        lap = oracles.laplacian_flux(mesh, u)
+        form = oracles.dirichlet_form_sum(mesh, u, v)
+        assert np.array_equal(mesh.derivative(u), du)
+        assert np.max(np.abs(mesh.second_derivative(u) - d2u)) <= 1e-12 * np.max(np.abs(d2u))
+        assert np.array_equal(mesh.laplacian(u), lap)
+        assert mesh.dirichlet_form(u, v) == form
+        for matrix, ref in ((d1, du), (d2, d2u), (laplacian, lap)):
             assert np.max(np.abs(matrix @ u - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # Cauchy-Schwarz bounds the pairing by the two energies
+        energies = oracles.dirichlet_form_sum(mesh, u, u) * oracles.dirichlet_form_sum(mesh, v, v)
+        assert abs(v @ stiffness @ u - form) <= 1e-12 * np.sqrt(energies)
+
+
+@pytest.mark.parametrize("make", OPERATOR_MESHES.values(), ids=OPERATOR_MESHES.keys())
+def test_sparse_operators_match_stencils(make):
+    _assert_matches_stencils(make(), np.random.default_rng(23))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(16, 300), kind=st.sampled_from(["circle", "interval", "interval-sin"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sparse_operators_match_stencils_property(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "interval-sin":
+        mesh = build_mesh(INTERVAL, n, np.pi, np.sin)
+    else:
+        topology = CIRCLE if kind == "circle" else INTERVAL
+        mesh = build_mesh(topology, n, rng.uniform(0.5, 10.0), rng.uniform(0.05, 20.0, size=n))
+    _assert_matches_stencils(mesh, rng)
+
+
+def test_stencils_difference_before_scaling():
+    # Applying the scaled matrix L @ c leaves rounding of order 1e-13 on a
+    # constant c; differencing first gives exact zeros.
+    rng = np.random.default_rng(29)
+    meshes = ((circle_mesh(64, 2 * np.pi, lambda r: 1.0 + 0.5 * np.sin(r) ** 2), 2.2),
+              (build_mesh(INTERVAL, 33, np.pi, np.sin), -1.3))
+    for mesh, c in meshes:
+        const = np.full(mesh.node_count, c)
+        v = rng.normal(size=mesh.node_count)
+        assert np.all(mesh.laplacian(const) == 0.0)
+        assert mesh.dirichlet_form(const, v) == 0.0
+        assert mesh.dirichlet_form(v, const) == 0.0
 
 
 @pytest.mark.parametrize("make", OPERATOR_MESHES.values(), ids=OPERATOR_MESHES.keys())

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvlab import (LeftInvariantMetric, WarpedProductMetric, YamabeConstants,
                      abelian_metric, get_preset, ricci_warped,
                      scal_left_invariant, scal_warped, sectional_left_invariant,
                      su2_metric, su2_structure)
+from curvlab.models import WARPED_PRESETS
 
-from oracles import curvature_tensor_scal
+from oracles import curvature_tensor_scal, scal_warped_formula
 
 
 def bumpy(amplitude=0.1, n=64):
@@ -62,6 +65,32 @@ def test_warped_scal_matches_analytic_derivative_oracle():
         errs.append(np.max(np.abs(scal_warped(metric) - exact)))
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.5)
     assert errs[1] / errs[2] == pytest.approx(4.0, abs=0.5)
+
+
+def _assert_warped_formula(metric):
+    formula = scal_warped_formula(metric)
+    assert np.max(np.abs(scal_warped(metric) - formula)) <= 1e-12 * np.max(np.abs(formula))
+
+
+@pytest.mark.parametrize("name", WARPED_PRESETS)
+@pytest.mark.parametrize("n", [64, 257])
+def test_scal_warped_is_the_warped_formula_on_presets(name, n):
+    _assert_warped_formula(get_preset(name, n=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(16, 300), fiber_dim=st.integers(2, 5),
+       fiber_scal=st.sampled_from([-2.0, 0.0, 6.0]), seed=st.integers(0, 2**32 - 1))
+def test_scal_warped_is_the_warped_formula_on_random_warpings(n, fiber_dim, fiber_scal, seed):
+    # a positive trigonometric polynomial of degree 3, periodic on [0, length)
+    rng = np.random.default_rng(seed)
+    coef = rng.uniform(-0.15, 0.15, size=(2, 3))
+    scale, length = rng.uniform(0.3, 3.0), rng.uniform(1.0, 10.0)
+    freq = 2 * np.pi / length * np.arange(1, 4)[:, None]
+    metric = WarpedProductMetric.from_profile(
+        n, length, fiber_dim, fiber_scal,
+        lambda r: scale * (1.0 + coef[0] @ np.sin(freq * r) + coef[1] @ np.cos(freq * r)))
+    _assert_warped_formula(metric)
 
 
 def test_ricci_round_product_values():

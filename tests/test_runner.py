@@ -1,5 +1,7 @@
 """Scenario runner: config parsing, outputs, determinism, exit codes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,10 @@ def test_expr_arithmetic():
 def test_expr_rejects_garbage():
     with pytest.raises(ConfigError):
         parse_profile_expr("import os")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^sin needs parentheses$"):
         parse_profile_expr("sin r")
+    with pytest.raises(ConfigError, match="^cos needs parentheses$"):
+        parse_profile_expr("2*cos r")
     with pytest.raises(ConfigError):
         parse_profile_expr("1 +")
 
@@ -117,9 +121,10 @@ def test_classify_flat_torus(tmp_path):
     report = run_scenario(cfg)
     assert report.summary["verdict"] == "Z_G"
     assert abs(report.summary["lambda1"]) < 1e-8
-    assert (tmp_path / "out" / "report.txt").exists()
-    assert (tmp_path / "out" / "scal.csv").exists()
-    assert (tmp_path / "out" / "plotdata" / "scal.dat").exists()
+    names = ("plotdata/scal.dat", "report.txt", "scal.csv")
+    assert report.files == [str(tmp_path / "out" / name) for name in names]
+    for name in report.files:
+        assert Path(name).exists()
 
 
 def test_classify_round_fiber(tmp_path):
