@@ -20,10 +20,11 @@ metric = su2_metric(np.diag([5.0, 1.0, 1.0]))
 orbit = OrbitData(algebra=metric)
 print("undeformed scal    :", scal_cheeger(orbit, None, 0.0))
 
+# One call evaluates the whole sweep: scal_cheeger takes an array of times.
 print("\nsweep: deformed curvature vs the group-metric oracle")
 print(f"{'t':>10s} {'scal_t':>12s} {'oracle':>12s} {'scal_t / t':>12s}")
-for t in (0.0, 0.1, 1.0, 10.0, 100.0, 1e4):
-    value = scal_cheeger(orbit, None, t)
+ts = np.array([0.0, 0.1, 1.0, 10.0, 100.0, 1e4])
+for t, value in zip(ts, scal_cheeger(orbit, None, ts)):
     oracle = scal_left_invariant(deformed_group_metric(metric, t))
     over_t = value / t if t else float("nan")
     print(f"{t:10.4g} {value:12.6f} {oracle:12.6f} {over_t:12.6f}")

@@ -18,7 +18,9 @@ The twist term is the exact constrained maximum
 of a rank-one quadratic over an affine-in-t positive form; on the unit sphere
 the denominator equals Z.(I + tS).Z with S the orbit block of P, so the max
 is the generalized eigenvalue l.(I + tS)^{-1}.l of the coefficient vector l.
-No search is needed; the dense-sampling route survives as a test oracle.
+It is evaluated in the eigenbasis of P, where I + tS is diagonal, with no
+search or solve; the dense-sampling route survives as a test oracle.  t may
+be a 1-D array of times: the t-independent work is done once per call.
 
 The exterior-derivative data dw_Z feeding the numerator:
 
@@ -39,6 +41,7 @@ The exterior-derivative data dw_Z feeding the numerator:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -164,12 +167,21 @@ def shrink_map_apply(orbit: OrbitData, t: float, vec: TangentSplit) -> TangentSp
     return TangentSplit(vec.normal.copy(), np.linalg.solve(M, vec.orbit))
 
 
-def _twist_vector(orbit: OrbitData, t: float, x: TangentSplit, y: TangentSplit,
+def _times(t: float | np.ndarray) -> np.ndarray:
+    """Deformation times as a 0-d or 1-d float array, checked nonnegative."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError("deformation times must be a float or a 1-D array")
+    if not np.all(ts >= 0):
+        raise ValueError("deformation time must be nonnegative")
+    return ts
+
+
+def _twist_vector(orbit: OrbitData, x: TangentSplit, y: TangentSplit,
                   iso: IsotropyData | None):
-    """Coefficient vector l of the twist numerator and the denominator block."""
+    """Parts of the twist numerator l(t) = (a_orbit + (t/2) br, a_iso)."""
     alg = orbit.algebra
     P = alg.tensor
-    k = alg.dim
     m = orbit.normal_dim
     U, V = x.orbit, y.orbit
     Xn, Yn = x.normal, y.normal
@@ -178,42 +190,43 @@ def _twist_vector(orbit: OrbitData, t: float, x: TangentSplit, y: TangentSplit,
     if orbit.dw_normal is not None and m:
         a_orbit = a_orbit + np.einsum('aij,i,j->a', orbit.dw_normal, Xn, Yn)
     br = alg.bracket(P @ U, P @ V)
-    lvec = a_orbit + 0.5 * t * br
 
     if iso is not None and iso.isotropy_dim and m:
         # dw_Z(X, Y) = g(X, rho_Y(Z)) componentwise over the isotropy basis
         a_iso = np.einsum('a,jab,j->b', Xn, iso.rho_maps, Yn)
-        lvec = np.concatenate([lvec, a_iso])
-        d_iso = iso.isotropy_dim
     else:
-        d_iso = 0
-    return lvec, d_iso
+        a_iso = np.zeros(0)
+    return a_orbit, br, a_iso
 
 
-def twist_term(orbit: OrbitData, t: float, x: TangentSplit, y: TangentSplit,
-               iso: IsotropyData | None = None) -> float:
+def twist_term(orbit: OrbitData, t: float | np.ndarray, x: TangentSplit, y: TangentSplit,
+               iso: IsotropyData | None = None) -> float | np.ndarray:
     """Exact constrained maximum of the deformation correction term.
 
     The numerator (l . Z)^2 is a rank-one quadratic form and the denominator
     equals Z.(I + tS).Z on the unit sphere, so the maximum over the sphere is
     l . (I + tS)^{-1} . l, attained at Z proportional to (I + tS)^{-1} l.
+    In P's eigenbasis (lam, O) that is 3t (sum_c (O^T l)_c^2 / (1 + t lam_c)
+    + |a_iso|^2).  ``t``: a float, or a 1-D array of times for an array out.
     Nonnegative for every input; exactly zero at t = 0.
     """
-    if t < 0:
-        raise ValueError("deformation time must be nonnegative")
-    if t == 0:
-        return 0.0
-    lvec, d_iso = _twist_vector(orbit, t, x, y, iso)
-    k = orbit.orbit_dim
-    M = np.eye(k + d_iso)
-    M[:k, :k] += t * orbit.algebra.tensor
-    return 3.0 * t * float(lvec @ np.linalg.solve(M, lvec))
+    ts = _times(t)
+    a_orbit, br, a_iso = _twist_vector(orbit, x, y, iso)
+    lam, O = orbit_tensor_eig(orbit)
+    tc = ts[..., None]
+    coef = O.T @ a_orbit + 0.5 * tc * (O.T @ br)
+    value = 3.0 * ts * (np.sum(coef**2 / (1.0 + tc * lam), axis=-1) + a_iso @ a_iso)
+    return value if ts.ndim else float(value)
 
 
-def scal_cheeger(orbit: OrbitData, iso: IsotropyData | None, t: float) -> float:
-    """Exact deformed scalar curvature at the point; the undeformed value at t=0."""
-    if t < 0:
-        raise ValueError("deformation time must be nonnegative")
+def scal_cheeger(orbit: OrbitData, iso: IsotropyData | None,
+                 t: float | np.ndarray) -> float | np.ndarray:
+    """Exact deformed scalar curvature at the point; the undeformed value at t=0.
+
+    ``t``: a float, or a 1-D array of times for an array out.  The sums are
+    taken in P's eigenbasis, where twist_term evaluates its maximum.
+    """
+    ts = _times(t)
     alg = orbit.algebra
     k = alg.dim
     m = orbit.normal_dim
@@ -221,46 +234,32 @@ def scal_cheeger(orbit: OrbitData, iso: IsotropyData | None, t: float) -> float:
         raise ValueError("isotropy data normal dimension mismatch")
     lam, O = orbit_tensor_eig(orbit)
     ch = np.einsum('ijl,ia,jb,lc->abc', alg.structure, O, O, O)
-    shrink = 1.0 + t * lam
+    shrink = 1.0 + ts[..., None] * lam
 
-    total = 0.0
+    total = np.zeros(ts.shape)
 
     # normal-normal block
     if m and orbit.normal_sectionals is not None:
         total += float(np.sum(orbit.normal_sectionals))
-    if m:
-        zeros_k = np.zeros(k)
-        eye_m = np.eye(m)
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                total += twist_term(orbit, t,
-                                    TangentSplit(eye_m[i], zeros_k),
-                                    TangentSplit(eye_m[j], zeros_k), iso)
+    eye_m, zeros_m, zeros_k = np.eye(m), np.zeros(m), np.zeros(k)
+    for i, j in permutations(range(m), 2):
+        total += twist_term(orbit, ts, TangentSplit(eye_m[i], zeros_k),
+                            TangentSplit(eye_m[j], zeros_k), iso)
 
     # mixed block (tables indexed against the eigenbasis of P)
     if m and orbit.mixed_sectionals is not None:
-        mixed = orbit.mixed_sectionals
-        total += 2.0 * float(np.sum(mixed / (lam * shrink)[None, :]))
+        mixed = np.sum(orbit.mixed_sectionals, axis=0)
+        total += 2.0 * np.sum(mixed / (lam * shrink), axis=-1)
 
     # orbit-orbit block
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            scale = 1.0 / (shrink[i] * shrink[j])
-            sec = sectional_left_invariant(alg, O[:, i], O[:, j])
-            total += sec / (lam[i] * lam[j]) * scale
-            if t > 0:
-                Ui = O[:, i] / np.sqrt(lam[i])
-                Uj = O[:, j] / np.sqrt(lam[j])
-                total += twist_term(orbit, t,
-                                    TangentSplit(np.zeros(m), Ui),
-                                    TangentSplit(np.zeros(m), Uj), iso) * scale
-            nb2 = float(np.sum(ch[i, j, :] ** 2))
-            total += lam[i] * lam[j] * t**3 * scale * 0.25 * nb2
-    return total
+    for i, j in permutations(range(k), 2):
+        sec = sectional_left_invariant(alg, O[:, i], O[:, j])
+        twist = twist_term(orbit, ts, TangentSplit(zeros_m, O[:, i] / np.sqrt(lam[i])),
+                           TangentSplit(zeros_m, O[:, j] / np.sqrt(lam[j])), iso)
+        nb2 = float(np.sum(ch[i, j, :] ** 2))
+        total += (sec / (lam[i] * lam[j]) + twist
+                  + lam[i] * lam[j] * ts**3 * 0.25 * nb2) / (shrink[..., i] * shrink[..., j])
+    return total if ts.ndim else float(total)
 
 
 def homogeneous_scal(orbit: OrbitData) -> float:

@@ -354,18 +354,17 @@ def _run_cheeger(cfg, outdir):
     model = _require_group(_resolve_model(cfg), "cheeger")
     orbit = OrbitData(algebra=model)
     t_max = cfg.get_float("cheeger.t_max", 1e4)
-    if t_max <= 0:
-        raise ConfigError("cheeger.t_max must be positive")
+    if not 1e-2 < t_max <= 1e100:  # the sweep starts at 0.01; t^3 must stay a finite float
+        raise ConfigError("cheeger.t_max must lie in (0.01, 1e100]")
     predicted = homogeneous_scal(orbit) + 3.0 * isotropy_term(None)
     ts = np.logspace(-2, np.log10(t_max), 60)
-    rows = []
-    for t in ts:
-        value = scal_cheeger(orbit, None, float(t))
-        over_t = value / t
-        rows.append((t, value, over_t, predicted, over_t / predicted))
-    emit_csv(outdir / "sweep.csv", ["t", "scal", "scal_over_t", "predicted_limit", "ratio"], rows)
-    emit_plotdata(outdir / "plotdata" / "scal_over_t.dat", ts, [r[2] for r in rows])
-    return {"predicted_limit": predicted, "final_ratio": rows[-1][4]}, {}
+    scal = scal_cheeger(orbit, None, ts)
+    over_t = scal / ts
+    ratio = over_t / predicted
+    emit_csv(outdir / "sweep.csv", ["t", "scal", "scal_over_t", "predicted_limit", "ratio"],
+             zip(ts, scal, over_t, np.full(ts.size, predicted), ratio))
+    emit_plotdata(outdir / "plotdata" / "scal_over_t.dat", ts, over_t)
+    return {"predicted_limit": predicted, "final_ratio": ratio[-1]}, {}
 
 
 def _run_canonical(cfg, outdir):
@@ -389,8 +388,8 @@ def _run_canonical(cfg, outdir):
         lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError as exc:
         raise ConfigError(f"canonical.sweep must be s_min:s_max:steps, got {sweep!r}") from exc
-    if lo <= 0 or hi <= lo or steps < 2:
-        raise ConfigError("canonical.sweep needs 0 < s_min < s_max and steps >= 2")
+    if not (np.isfinite(hi) and 0 < lo < hi) or steps < 2:
+        raise ConfigError("canonical.sweep needs finite 0 < s_min < s_max and steps >= 2")
     fiber_pair = preset["fiber_scal"] / (k * (k - 1)) if k > 1 else preset["fiber_scal"]
     rows = []
     for s in np.linspace(lo, hi, steps):

@@ -21,7 +21,6 @@ operator.
 import numpy as np
 import scipy.sparse as sp
 
-from curvlab.cheeger import _twist_vector
 from curvlab.errors import ObstructionError, PreconditionError, SolverError
 from curvlab.mesh import CIRCLE
 from curvlab.models import (DiagonalInvariantMetric, WarpedProductMetric,
@@ -68,14 +67,29 @@ def twist_term_sampled(orbit, t, x, y, iso=None, samples=100_000, rng=None) -> f
     """Dense-sampling lower bound for `curvlab.cheeger.twist_term`.
 
     Evaluates the twist ratio 3t (l.Z)^2 / (t Z.S.Z + 1) at random unit
-    vectors Z instead of the library's closed-form maximum.
+    vectors Z instead of the library's closed-form maximum.  The coefficient
+    vector l is built here from the definitions of dw_Z: the bracket formula
+    on the orbit parts, the ``dw_normal`` tables on the normal parts, and
+    g(X, rho_Y(z)) against the isotropy basis.
     """
     if t < 0:
         raise ValueError("deformation time must be nonnegative")
     if t == 0:
         return 0.0
     rng = np.random.default_rng(rng)
-    lvec, d_iso = _twist_vector(orbit, t, x, y, iso)
+    alg = orbit.algebra
+    P = alg.tensor
+    U, V, Xn, Yn = x.orbit, y.orbit, x.normal, y.normal
+    # dw_Z(U*, V*) + (t/2) <[PU, PV], Z> on the orbit algebra
+    lvec = 0.5 * (alg.bracket(P @ U, V) + alg.bracket(U, P @ V) - P @ alg.bracket(U, V)
+                  + t * alg.bracket(P @ U, P @ V))
+    if orbit.dw_normal is not None:
+        lvec += np.array([Xn @ table @ Yn for table in orbit.dw_normal])
+    d_iso = 0
+    if iso is not None and iso.isotropy_dim and orbit.normal_dim:
+        rho_y = np.tensordot(Yn, iso.rho_maps, axes=1)  # column b is rho_Y(z_b)
+        lvec = np.concatenate([lvec, Xn @ rho_y])
+        d_iso = iso.isotropy_dim
     k = orbit.orbit_dim
     Z = rng.normal(size=(samples, k + d_iso))
     Z /= np.linalg.norm(Z, axis=1, keepdims=True)

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvlab import (IsotropyData, OrbitData, PreconditionError, TangentSplit,
                      deformed_group_metric, homogeneous_scal, isotropy_term,
                      orbit_tensor_eig, pinching_limit, scal_cheeger,
                      scal_left_invariant, shrink_map_apply, su2_metric,
-                     su2_plus_line_structure, twist_term)
+                     su2_plus_line_structure, su2_structure, twist_term)
 from curvlab.models import LeftInvariantMetric, abelian_metric
 
 from oracles import ratio_max_sampled_refined, twist_term_sampled
@@ -133,6 +135,25 @@ def test_twist_dominates_dense_sampling():
         assert det >= sampled * (1.0 - 1e-12)
 
 
+def test_twist_dominates_dense_sampling_at_singular_point():
+    # normal and mixed arguments reach the dw tables and the isotropy pairing,
+    # which the oracle builds from their definitions
+    rng = np.random.default_rng(60)
+    dw = np.zeros((3, 2, 2))
+    dw[0, 0, 1], dw[0, 1, 0] = 0.7, -0.7
+    dw[2, 0, 1], dw[2, 1, 0] = -0.4, 0.4
+    for _ in range(10):
+        base, iso = singular_point(alpha=float(rng.uniform(0.3, 1.5)), lam=rng.uniform(0.6, 1.8, 3))
+        orbit = OrbitData(algebra=base.algebra, normal_dim=2, dw_normal=dw)
+        x = TangentSplit(rng.normal(size=2), rng.normal(size=3))
+        y = TangentSplit(rng.normal(size=2), rng.normal(size=3))
+        t = float(rng.uniform(0.05, 20.0))
+        det = twist_term(orbit, t, x, y, iso)
+        sampled = twist_term_sampled(orbit, t, x, y, iso, samples=20_000, rng=rng)
+        assert det >= sampled * (1.0 - 1e-12)
+        assert sampled >= 0.9 * det
+
+
 def test_twist_ratio_bounded_for_commuting_tensor_arguments():
     # with [PU, PV] = 0 the numerator is t-independent and z_t / t is bounded
     # by 3 max_Z (dw_Z)^2 (the t -> infinity limit form of the numerator)
@@ -207,6 +228,68 @@ def test_scal_cheeger_positive_after_finite_time():
     t0 = ts[positive[0]]
     assert np.all(values[positive[0]:] > 0)
     assert t0 < 1e4
+
+
+def _random_tensor(rng, d):
+    O = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    return O @ np.diag(rng.uniform(0.3, 3.0, d)) @ O.T
+
+
+def _random_point(kind, rng):
+    """(orbit, iso, undeformed scal) on su(2), su(2) + line, or demo 03's
+    singular point with isotropy and random normal, mixed and dw tables."""
+    if kind == "su2+line":
+        orbit = OrbitData(algebra=LeftInvariantMetric(su2_plus_line_structure(),
+                                                      _random_tensor(rng, 4)))
+        return orbit, None, scal_left_invariant(orbit.algebra)
+    algebra = LeftInvariantMetric(su2_structure(), _random_tensor(rng, 3))
+    if kind == "su2":
+        return OrbitData(algebra=algebra), None, scal_left_invariant(algebra)
+    _, iso = singular_point(alpha=float(rng.uniform(0.1, 2.0)))
+    normal = np.zeros((2, 2))
+    normal[0, 1] = normal[1, 0] = rng.normal()
+    mixed = rng.normal(size=(2, 3))
+    dw = np.zeros((3, 2, 2))
+    dw[:, 0, 1] = rng.normal(size=3)
+    dw[:, 1, 0] = -dw[:, 0, 1]
+    orbit = OrbitData(algebra=algebra, normal_dim=2, normal_sectionals=normal,
+                      mixed_sectionals=mixed, dw_normal=dw)
+    lam, _ = orbit_tensor_eig(orbit)
+    # at t = 0 the shrink map is the identity: the three sectional sums only
+    undeformed = np.sum(normal) + 2.0 * np.sum(mixed / lam) + scal_left_invariant(algebra)
+    return orbit, iso, undeformed
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["su2", "su2+line", "singular"]), seed=st.integers(0, 2**32 - 1),
+       times=st.lists(st.floats(0.0, 1e4), min_size=0, max_size=12),
+       zero_at=st.integers(0, 12), negative=st.floats(1e-300, 1e4))
+def test_array_times_match_float_times(kind, seed, times, zero_at, negative):
+    rng = np.random.default_rng(seed)
+    orbit, iso, undeformed = _random_point(kind, rng)
+    times.insert(min(zero_at, len(times)), 0.0)
+    ts = np.array(times)
+    m, k = orbit.normal_dim, orbit.orbit_dim
+    x = TangentSplit(rng.normal(size=m), rng.normal(size=k))
+    y = TangentSplit(rng.normal(size=m), rng.normal(size=k))
+
+    scal = scal_cheeger(orbit, iso, ts)
+    twist = twist_term(orbit, ts, x, y, iso)
+    singles = [scal_cheeger(orbit, iso, float(t)) for t in ts]
+    assert isinstance(singles[0], float) and scal.shape == twist.shape == ts.shape
+    np.testing.assert_allclose(scal, singles, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(twist, [twist_term(orbit, float(t), x, y, iso) for t in ts],
+                               rtol=1e-14, atol=0.0)
+    zero = ts == 0.0
+    assert scal[zero] == pytest.approx(undeformed, rel=1e-10, abs=1e-12)
+    assert np.all(twist[zero] == 0.0)
+
+    bad = ts.copy()
+    bad[int(rng.integers(ts.size))] = -negative
+    with pytest.raises(ValueError):
+        scal_cheeger(orbit, iso, bad)
+    with pytest.raises(ValueError):
+        twist_term(orbit, bad, x, y, iso)
 
 
 def test_third_sum_limit_is_homogeneous_scal():

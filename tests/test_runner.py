@@ -318,3 +318,30 @@ def test_main_rejects_unknown_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.strip() == "configuration error: unknown configuration key(s): model.n"
     assert not (outdir / "scal.csv").exists()
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf", "-inf", "1e-3", "0.01", "1e103", "1e300"])
+def test_main_rejects_cheeger_t_max_outside_the_sweep(tmp_path, capsys, t_max):
+    # nan and inf used to exit 0 with final_ratio = nan, 1e-3 ran the logspace
+    # sweep backwards from 1e-2 (final_ratio = 834.4), and t^3 overflows a
+    # float beyond t = 5.6e102
+    outdir = tmp_path / "o"
+    code = main(["cheeger", "--model", "su2-berger(1.5)", "--set", f"cheeger.t_max={t_max}",
+                 "--outdir", str(outdir)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cheeger.t_max")
+    assert len(err.strip().splitlines()) == 1
+    assert not (outdir / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("sweep", ["nan:2:50", "0.01:inf:50", "0.01:nan:5", "inf:inf:5"])
+def test_main_rejects_nonfinite_canonical_sweep(tmp_path, capsys, sweep):
+    # non-finite bounds slipped past `lo <= 0 or hi <= lo` and wrote NaN rows
+    outdir = tmp_path / "o"
+    code = main(["canonical", "--set", f"canonical.sweep={sweep}", "--outdir", str(outdir)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: canonical.sweep")
+    assert len(err.strip().splitlines()) == 1
+    assert not (outdir / "sweep.csv").exists()
