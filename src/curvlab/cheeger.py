@@ -177,6 +177,12 @@ def _times(t: float | np.ndarray) -> np.ndarray:
     return ts
 
 
+def _check_isotropy(iso: IsotropyData | None, normal_dim: int | None) -> None:
+    """Isotropy data must act on a normal space of the point's dimension."""
+    if iso is not None and normal_dim and iso.normal_dim != normal_dim:
+        raise ValueError("isotropy data normal dimension mismatch")
+
+
 def _twist_vector(orbit: OrbitData, x: TangentSplit, y: TangentSplit,
                   iso: IsotropyData | None):
     """Parts of the twist numerator l(t) = (a_orbit + (t/2) br, a_iso)."""
@@ -230,8 +236,7 @@ def scal_cheeger(orbit: OrbitData, iso: IsotropyData | None,
     alg = orbit.algebra
     k = alg.dim
     m = orbit.normal_dim
-    if iso is not None and m and iso.normal_dim != m:
-        raise ValueError("isotropy data normal dimension mismatch")
+    _check_isotropy(iso, m)
     lam, O = orbit_tensor_eig(orbit)
     ch = np.einsum('ijl,ia,jb,lc->abc', alg.structure, O, O, O)
     shrink = 1.0 + ts[..., None] * lam
@@ -276,8 +281,10 @@ def isotropy_term(iso: IsotropyData | None, normal_dim: int | None = None) -> fl
 
     The projection is onto the image of each rho map; the restricted inverse
     is realized by the pseudo-inverse.  Pairs with vanishing projection
-    contribute zero.  Regular points (no isotropy data) give zero.
+    contribute zero.  Regular points (no isotropy data) give zero.  A nonzero
+    ``normal_dim`` other than the isotropy data's raises ValueError.
     """
+    _check_isotropy(iso, normal_dim)
     if iso is None or iso.isotropy_dim == 0:
         return 0.0
     m = iso.normal_dim if normal_dim is None else normal_dim
@@ -304,7 +311,8 @@ def pinching_limit(points) -> float:
 
     Each point is (OrbitData, IsotropyData or None); the value at a point is
     homogeneous_scal + 3 * isotropy_term.  Rejected for abelian algebras
-    (the limit statement needs brackets) and when the minimum vanishes.
+    (the limit statement needs brackets) and when the minimum vanishes;
+    isotropy data on a normal space of another dimension raises ValueError.
     """
     points = list(points)
     if not points:

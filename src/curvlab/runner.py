@@ -14,6 +14,8 @@ approx.target, approx.p, approx.eps.  Any other key is a configuration error.
 
 Outputs per run: report.txt (key = value lines), CSV data files at full
 double precision, and gnuplot-compatible two-column files under plotdata/.
+Directories are created with the first file written into them, so a run
+rejected before it writes leaves no output directory behind.
 Identical configuration reproduces every output byte for byte; wall time is
 therefore reported on stderr only.
 
@@ -276,12 +278,21 @@ def emit_csv(path, header, rows) -> None:
             raise ValueError("rows must be rectangular")
     lines = [",".join(header)]
     lines += [",".join(_fmt(x) for x in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def emit_plotdata(path, xs, ys) -> None:
-    lines = [f"{_fmt(x)} {_fmt(y)}" for x, y in zip(xs, ys)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(path, [f"{_fmt(x)} {_fmt(y)}" for x, y in zip(xs, ys)])
+
+
+def _write_lines(path, lines) -> None:
+    """Write newline-terminated lines, creating the file's directory first."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path.parent}: {exc}") from exc
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _write_report(outdir: Path, report: RunReport) -> None:
@@ -292,7 +303,7 @@ def _write_report(outdir: Path, report: RunReport) -> None:
         lines.append(f"{key} = {_fmt(value)}")
     for key, value in report.residuals.items():
         lines.append(f"residual.{key} = {_fmt(value)}")
-    (outdir / "report.txt").write_text("\n".join(lines) + "\n")
+    _write_lines(outdir / "report.txt", lines)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +451,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     if cfg.get_int("model.N", 64) < 16:
         raise ConfigError("model.N must be at least 16")
     outdir = Path(cfg.get("run.outdir", "curvlab-out"))
-    try:
-        (outdir / "plotdata").mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {outdir}: {exc}") from exc
-
     start = time.perf_counter()
     summary, residuals = _RUNNERS[cfg.command](cfg, outdir)
     wall = time.perf_counter() - start

@@ -34,6 +34,14 @@ The sign of the smallest eigenvalue of the conformal Laplacian
 u -> -4 b_n lap(u) + scal u classifies the conformal class (P_G / Z_G / N_G):
 which basic functions are realizable as scalar curvatures is decided by this
 trichotomy.
+
+This module imports numpy and `scipy.sparse` only, so `import curvlab` loads
+nothing heavier.  Each other scipy subpackage is imported inside the one
+function that uses it: `scipy.sparse.linalg` in `minimize_on_constraint`,
+`scipy.linalg` in `classify_conformal_class`, and `scipy.interpolate` (which
+loads `scipy.optimize`, `scipy.special`, `scipy.fft` and `scipy.spatial`) in
+`conformal_warped_metric`.  Together they cost more to import than the rest
+of curvlab, and most commands never call those functions.
 """
 
 from __future__ import annotations
@@ -44,10 +52,7 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-import scipy.interpolate
-import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .errors import ObstructionError, PreconditionError, SolverError
 from .mesh import QuotientMesh
@@ -232,6 +237,8 @@ def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
     phase, along which the energy never increases).  The reported residual is
     the Euler-Lagrange defect at the recovered constant c' = (1 + lam) c.
     """
+    import scipy.sparse.linalg
+
     cfg = cfg or SolverConfig()
     mesh = p.mesh
     scal = p.scal
@@ -382,6 +389,8 @@ def conformal_warped_metric(metric: WarpedProductMetric, u, n_out: int | None = 
     new arclength is the antiderivative of v and the new warping is v f
     re-sampled on a uniform grid through periodic splines.
     """
+    import scipy.interpolate
+
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise PreconditionError("conformal factor must be strictly positive",
@@ -410,6 +419,8 @@ def classify_conformal_class(metric: WarpedProductMetric, tol: float = 1e-8):
     and quadrature masses M, so the zero mode of a vanishing potential is
     resolved exactly.
     """
+    import scipy.linalg
+
     g = YamabeConstants.for_dimension(metric.dim)
     mesh = metric.mesh
     scal = scal_warped(metric)

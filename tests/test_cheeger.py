@@ -512,5 +512,23 @@ def test_scal_cheeger_rejects_mismatched_isotropy():
     rho[0, :, 0] = [0.0, 1.0]
     rho[1, :, 0] = [-1.0, 0.0]
     iso = IsotropyData(isotropy_dim=1, rho_maps=rho)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="isotropy data normal dimension mismatch"):
         scal_cheeger(orbit, iso, 1.0)
+
+
+@pytest.mark.parametrize("orbit_dim,iso_dim", [(3, 2), (2, 3)])
+def test_isotropy_term_and_pinching_limit_reject_mismatched_isotropy(orbit_dim, iso_dim):
+    # isotropy_term and pinching_limit used to fail inside numpy with a bare
+    # matmul core-dimension ValueError
+    rho = np.zeros((iso_dim, iso_dim, 1))
+    rho[0, 1, 0], rho[1, 0, 0] = 1.0, -1.0
+    iso = IsotropyData(isotropy_dim=1, rho_maps=rho)
+    orbit = OrbitData(algebra=su2_metric(), normal_dim=orbit_dim)
+    with pytest.raises(ValueError, match="isotropy data normal dimension mismatch"):
+        isotropy_term(iso, orbit_dim)
+    with pytest.raises(ValueError, match="isotropy data normal dimension mismatch"):
+        pinching_limit([(OrbitData(algebra=su2_metric()), None), (orbit, iso)])
+    with pytest.raises(ValueError, match="isotropy data normal dimension mismatch"):
+        scal_cheeger(orbit, iso, 1.0)
+    # the matching dimension and the default still evaluate
+    assert isotropy_term(iso, iso_dim) == isotropy_term(iso) > 0.0

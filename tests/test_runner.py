@@ -269,6 +269,17 @@ def test_main_precondition_rejection(tmp_path, capsys):
 def test_main_config_error(tmp_path, capsys):
     code = main(["classify", "--model", "does-not-exist", "--outdir", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_uncreatable_outdir_is_a_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["classify", "--model", "round-fiber", "--outdir", str(blocker / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot create output directory {blocker / 'o'}")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_main_config_file_plus_override(tmp_path, capsys):
@@ -317,7 +328,7 @@ def test_main_rejects_unknown_key(tmp_path, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.strip() == "configuration error: unknown configuration key(s): model.n"
-    assert not (outdir / "scal.csv").exists()
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("t_max", ["nan", "inf", "-inf", "1e-3", "0.01", "1e103", "1e300"])
@@ -332,7 +343,7 @@ def test_main_rejects_cheeger_t_max_outside_the_sweep(tmp_path, capsys, t_max):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: cheeger.t_max")
     assert len(err.strip().splitlines()) == 1
-    assert not (outdir / "sweep.csv").exists()
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("sweep", ["nan:2:50", "0.01:inf:50", "0.01:nan:5", "inf:inf:5"])
@@ -344,4 +355,5 @@ def test_main_rejects_nonfinite_canonical_sweep(tmp_path, capsys, sweep):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: canonical.sweep")
     assert len(err.strip().splitlines()) == 1
-    assert not (outdir / "sweep.csv").exists()
+    # the output directory used to be created before the options were read
+    assert not outdir.exists()
