@@ -272,13 +272,25 @@ class QuotientMesh:
         return pattern
 
 
+def sample_profile(profile, nodes: np.ndarray) -> np.ndarray:
+    """A fresh array of ``profile`` at ``nodes``: per-node values, or a callable
+    r -> w(r) called once on the node array, whose scalar result is broadcast
+    to every node.  Any other shape is a ValueError."""
+    values = np.array(profile(nodes) if callable(profile) else profile, dtype=float)
+    if callable(profile) and values.ndim == 0:
+        values = np.full(nodes.shape, values)
+    if values.shape != nodes.shape:
+        raise ValueError(f"profile has shape {values.shape}, the mesh has {len(nodes)} nodes")
+    return values
+
+
 def build_mesh(topology: str, n: int, length: float, weight) -> QuotientMesh:
     """Build a uniform mesh with weights sampled from ``weight``.
 
-    ``weight`` is a callable r -> w(r) (vectorized or scalar) or an array of
-    per-node values.  Circle meshes omit the duplicate endpoint.  Endpoint
-    weights of interval meshes that vanish analytically are snapped to exact
-    zero when the sample falls below 1e-12 of the maximum.
+    ``weight`` is sampled by `sample_profile`.  Circle meshes omit the
+    duplicate endpoint.  Endpoint weights of interval meshes that vanish
+    analytically are snapped to exact zero when the sample falls below 1e-12
+    of the maximum.
     """
     if n < 16:
         raise ValueError(f"need at least 16 nodes, got {n}")
@@ -294,32 +306,15 @@ def build_mesh(topology: str, n: int, length: float, weight) -> QuotientMesh:
     else:
         raise ValueError(f"unknown topology {topology!r}")
 
-    if callable(weight):
-        w = np.asarray(weight(nodes), dtype=float)
-        if w.shape != nodes.shape:  # scalar-only callable
-            w = np.asarray([float(weight(r)) for r in nodes])
-    else:
-        w = np.asarray(weight, dtype=float).copy()
-        if w.shape != nodes.shape:
-            raise ValueError("weight array length mismatch")
-
+    w = sample_profile(weight, nodes)
     if topology == INTERVAL:
         snap = _ENDPOINT_SNAP * float(np.max(np.abs(w)) or 1.0)
         for j in (0, -1):
             if abs(w[j]) < snap:
                 w[j] = 0.0
-        if np.any(w[1:-1] <= 0):
-            raise ValueError("weight must be positive in the interior")
-    else:
-        if np.any(w <= 0):
-            raise ValueError("weight must be positive on a circle")
-
     return QuotientMesh(topology=topology, nodes=nodes, h=h, weights=w, length=float(length))
 
 
 def circle_mesh(n: int, length: float, weight=1.0) -> QuotientMesh:
-    """Convenience constructor; scalar weight means a constant weight."""
-    if np.isscalar(weight):
-        const = float(weight)
-        return build_mesh(CIRCLE, n, length, lambda r: np.full_like(r, const))
-    return build_mesh(CIRCLE, n, length, weight)
+    """Convenience constructor; a scalar weight means a constant weight."""
+    return build_mesh(CIRCLE, n, length, (lambda r: weight) if np.isscalar(weight) else weight)

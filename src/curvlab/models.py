@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import CIRCLE, QuotientMesh, build_mesh
+from .mesh import CIRCLE, QuotientMesh, build_mesh, sample_profile
 
 _JACOBI_TOL = 1e-10
 
@@ -104,14 +104,9 @@ class WarpedProductMetric:
     @classmethod
     def from_profile(cls, n: int, length: float, fiber_dim: int, fiber_scal: float,
                      profile) -> "WarpedProductMetric":
-        """Sample the warping profile (callable or array) and build the mesh."""
-        if callable(profile):
-            probe = build_mesh(CIRCLE, n, length, lambda r: np.ones_like(r))
-            f = np.asarray(profile(probe.nodes), dtype=float)
-            if f.shape != probe.nodes.shape:
-                f = np.asarray([float(profile(r)) for r in probe.nodes])
-        else:
-            f = np.asarray(profile, dtype=float)
+        """Sample the warping profile on the circle nodes (`sample_profile`)
+        and build the mesh."""
+        f = sample_profile(profile, (length / n) * np.arange(n))
         if np.any(f <= 0):
             raise ValueError("warping must be strictly positive")
         mesh = build_mesh(CIRCLE, n, length, f**fiber_dim)

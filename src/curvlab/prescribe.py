@@ -181,18 +181,26 @@ def kernel_min_singular(metric: WarpedProductMetric) -> float:
 # ---------------------------------------------------------------------------
 
 
+_KERNEL_FLOOR = 1e-8  # smallest adjoint singular value of a non-kernel background
+_TIKHONOV_FLOOR = 1e-12  # Newton systems with a smaller singular value are shifted
+
+
 @dataclass(frozen=True)
 class PrescribeConfig:
+    """Settings of the prescription: ``newton_tol`` and ``newton_max_iter``
+    are the residual and step budget of `newton_prescribe`; ``sup_tol`` bounds
+    the sup distance of the returned curvature from target o phi; ``p`` and
+    ``eps`` set the L^p tolerance that `approximate_by_diffeo` meets;
+    ``force_reparametrization`` skips the direct path; ``escape_bump`` is the
+    relative warping bump that escapes a kernel background (flat or
+    constant-curvature), and 0 makes one a `PreconditionError`."""
+
     newton_tol: float = 1e-8
     newton_max_iter: int = 40
-    kernel_floor: float = 1e-8
-    tikhonov_floor: float = 1e-12
     sup_tol: float = 1e-3
     p: float = 2.0
     eps: float = 1e-2
     force_reparametrization: bool = False
-    # relative warping bump applied to escape backgrounds whose adjoint has a
-    # kernel (flat or constant-curvature exceptional cases)
     escape_bump: float = 1e-3
 
 
@@ -223,7 +231,7 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
         raise ValueError("target length mismatch")
 
     sigma = kernel_min_singular(metric)
-    if sigma < cfg.kernel_floor:
+    if sigma < _KERNEL_FLOOR:
         raise PreconditionError(
             f"adjoint kernel is not trivial (min singular value {sigma:.3e}); "
             "the exceptional backgrounds are flat or positive-constant ones",
@@ -252,14 +260,17 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
         raise PreconditionError("base metric invalid", condition="positive-cone")
     res_norm = mesh.lp_norm(r, 2)
     history = [res_norm]
-    for _ in range(cfg.newton_max_iter):
+    for steps in range(cfg.newton_max_iter + 1):
         if res_norm < cfg.newton_tol:
             break
+        if steps == cfg.newton_max_iter:
+            raise SolverError(f"curvature prescription did not converge "
+                              f"(residual {res_norm:.3e} after {steps} iterations)")
         J_cur = linearize_scal_matrix(metric, A=A, B=B)
         JQ = (J_cur @ Ast).toarray()
         smin = np.linalg.svd(JQ, compute_uv=False)[-1]
-        if smin < cfg.tikhonov_floor:
-            JQ = JQ + cfg.tikhonov_floor * np.eye(n)
+        if smin < _TIKHONOV_FLOOR:
+            JQ = JQ + _TIKHONOV_FLOOR * np.eye(n)
             regularized = True
         delta = np.linalg.solve(JQ, -r)
         tau, positive = 1.0, False
@@ -278,9 +289,6 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
             if positive:
                 raise SolverError(f"Newton line search stalled at residual {res_norm:.3e}")
             raise SolverError("Newton step could not keep the metric positive definite")
-    else:
-        raise SolverError(f"curvature prescription did not converge "
-                          f"(residual {res_norm:.3e} after {cfg.newton_max_iter} iterations)")
 
     out = DiagonalInvariantMetric(mesh=mesh, fiber_dim=metric.fiber_dim,
                                   fiber_scal=metric.fiber_scal, radial=A, fiber=B)
@@ -341,6 +349,10 @@ class Diffeo1D:
         wraps = np.floor((x - x0) / L)
         base = x - wraps * L
         return np.interp(base, self.break_x, self.break_y) + wraps * L
+
+    def compose(self, values) -> np.ndarray:
+        """values o phi at the nodes, ``values`` interpolated periodically between nodes."""
+        return _periodic_interp(self.node_values, self.mesh.nodes, values, self.mesh.length)
 
     @classmethod
     def identity(cls, mesh: QuotientMesh) -> "Diffeo1D":
@@ -429,9 +441,11 @@ def _greedy_walk(table: np.ndarray, L: float, mu: float, starts):
     return None
 
 
+_FINE_FACTOR = 16  # the fine grid has at least this many points per mesh node
+
+
 def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
-                          eps: float = 1e-2, fine_factor: int = 16,
-                          max_cells: int = 4096) -> ApproximationResult:
+                          eps: float = 1e-2, max_cells: int = 4096) -> ApproximationResult:
     """Monotone reparametrization with ||source o phi - target||_p < eps.
 
     Constructive intermediate-value argument on the circle: partition into
@@ -462,8 +476,7 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
         return approximate_by_diffeo(doubled,
                                      np.concatenate([f[:-1], f[:0:-1]]),
                                      np.concatenate([g[:-1], g[:0:-1]]),
-                                     p=p, eps=eps, fine_factor=fine_factor,
-                                     max_cells=max_cells)
+                                     p=p, eps=eps, max_cells=max_cells)
 
     min_f, max_f = float(np.min(f)), float(np.max(f))
     span = max(max_f - min_f, 1e-300)
@@ -485,7 +498,7 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
     fine_state = {}
 
     def ensure_fine(m_cells):
-        m_fine = max(4096, fine_factor * n, 8 * m_cells)
+        m_fine = max(4096, _FINE_FACTOR * n, 8 * m_cells)
         if fine_state.get("m") == m_fine:
             return
         xf = L / m_fine * np.arange(m_fine)
@@ -692,7 +705,7 @@ def _prescribe_on(metric: WarpedProductMetric, scal0, target, cfg: PrescribeConf
         except SolverError:
             pass
     approx = approximate_by_diffeo(mesh, target, scal0 / c, p=cfg.p, eps=cfg.eps)
-    expected = _periodic_interp(approx.phi.node_values, mesh.nodes, target, mesh.length)
+    expected = approx.phi.compose(target)
     return _verified_solve(metric, c, expected, approx.phi, "reparametrized", cfg,
                            approximation=approx.achieved_error)
 

@@ -324,7 +324,7 @@ def _run_classify(cfg, outdir):
 def _run_yamabe(cfg, outdir):
     model = _require_warped(_resolve_model(cfg), "yamabe")
     sol_cfg = SolverConfig(tol_residual=cfg.get_float("solver.tol", 1e-9),
-                           max_iter=cfg.get_int("solver.max_iter", 200_000))
+                           max_iter=cfg.get_int("solver.max_iter", SolverConfig.max_iter))
     if cfg.get_bool("yamabe.negative"):
         solution, c_used = solve_negative_constant(model, sol_cfg,
                                                    c=cfg.get_float("yamabe.c"))
@@ -351,7 +351,8 @@ def _run_prescribe(cfg, outdir):
     pcfg = PrescribeConfig(p=cfg.get_float("prescribe.p", 2.0),
                            eps=cfg.get_float("prescribe.eps", 1e-2),
                            newton_tol=cfg.get_float("solver.tol", 1e-10),
-                           newton_max_iter=cfg.get_int("solver.max_iter", 40))
+                           newton_max_iter=cfg.get_int("solver.max_iter",
+                                                       PrescribeConfig.newton_max_iter))
     result = full_prescribe(model, target, pcfg)
     emit_csv(outdir / "prescription.csv", ["r", "phi", "u", "scal_out"],
              zip(model.mesh.nodes, result.phi.node_values, result.u, result.scal_out))
@@ -426,11 +427,8 @@ def _run_approx(cfg, outdir):
                                    p=cfg.get_float("approx.p", 2.0),
                                    eps=cfg.get_float("approx.eps", 1e-2))
     phi = result.phi
-    composed = np.interp(np.mod(phi.node_values, model.mesh.length),
-                         np.append(model.mesh.nodes, model.mesh.length),
-                         np.append(source, source[0]))
     emit_csv(outdir / "diffeo.csv", ["r", "phi", "f_of_phi", "target"],
-             zip(model.mesh.nodes, phi.node_values, composed, target))
+             zip(model.mesh.nodes, phi.node_values, phi.compose(source), target))
     emit_plotdata(outdir / "plotdata" / "phi.dat", model.mesh.nodes, phi.node_values)
     return {"achieved_error": result.achieved_error, "requested_eps": result.requested_eps,
             "cells": result.cells}, {}

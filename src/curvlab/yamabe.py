@@ -97,24 +97,21 @@ class ConformalProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and budgets of the conformal solvers.
+    """Tolerance and budget of the conformal solvers.
 
-    ``max_iter`` bounds the descent steps of `minimize_on_constraint`; the
-    bordered Newton iteration of both regimes has a fixed budget of
-    40 steps.
+    ``tol_residual`` bounds the weighted-L2 Euler-Lagrange defect (1e-8 when
+    `solve_negative_constant` gets no config).  ``max_iter`` bounds the
+    accepted descent steps of `minimize_on_constraint`; a spent budget
+    reports ``max_iter + 1`` iterations.  The bordered Newton iteration of
+    both regimes keeps its fixed budget of 40 steps.
     """
 
-    step: float = 1.0
     tol_residual: float = 1e-9
-    max_iter: int = 200_000
-    positivity_floor: float = 1e-10
-    tol_gradient: float = 1e-11
+    max_iter: int = 20_000
 
     def __post_init__(self):
-        if min(self.step, self.tol_residual, self.positivity_floor, self.tol_gradient) <= 0:
-            raise ValueError("solver parameters must be positive")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
+        if self.tol_residual <= 0 or self.max_iter <= 0:
+            raise ValueError("tol_residual and max_iter must be positive")
 
 
 @dataclass(frozen=True)
@@ -168,14 +165,16 @@ def el_residual(p: ConformalProblem, u, constant: float) -> np.ndarray:
 
 
 _NEWTON_STEPS = 40
+_POSITIVITY_FLOOR = 1e-10  # min u of the descent result and of every Newton iterate
+_MAX_STEP = 1.0  # first and largest descent step
 
 
-def _bordered_newton(p: ConformalProblem, u, s, border, tol, border_scale, floor):
+def _bordered_newton(p: ConformalProblem, u, s, border, tol, border_scale):
     """Newton's method for el_residual(p, u, s) = 0 in (u, s), bordered by one side condition.
 
     ``border(u)`` returns the side condition's value and its gradient row.
     Each step solves the dense bordered system and halves the step until u
-    stays above ``floor`` and the residual norm falls by the factor
+    stays above `_POSITIVITY_FLOOR` and the residual norm falls by the factor
     1 - tau/4 (Kelley, *Iterative Methods for Linear and Nonlinear
     Equations*, 1995, 8.1).  Stops when the weighted-L2 norm of the defect is
     below ``tol`` and |border| below tol * max(1, border_scale).  Returns
@@ -212,7 +211,7 @@ def _bordered_newton(p: ConformalProblem, u, s, border, tol, border_scale, floor
         while tau >= 1e-8:
             u_new = u + tau * delta[:n]
             s_new = s + tau * delta[n]
-            if np.min(u_new) > floor:
+            if np.min(u_new) > _POSITIVITY_FLOOR:
                 res_new, row_new = residual(u_new, s_new)
                 if np.linalg.norm(res_new) <= (1.0 - 0.25 * tau) * res_norm:
                     break
@@ -259,17 +258,15 @@ def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
     u = project_to_constraint(p, np.ones(mesh.node_count) if u0 is None else np.asarray(u0, float))
     energy = conformal_energy(p, u)
     history = [energy]
-    step = cfg.step
-    iterations = 0
-    descent_budget = min(cfg.max_iter, 20_000)
+    step = _MAX_STEP
     scale = max(1.0, float(np.max(np.abs(scal))))
-    for iterations in range(1, cfg.max_iter + 1):
+    # every exit leaves iterations = accepted steps + 1 (max_iter + 1 when spent)
+    for iterations in range(1, cfg.max_iter + 2):
         grad = energy_gradient(p, u)
         normal = p.c * u ** p.constants.gamma_n
         mult = mesh.inner(grad, normal) / mesh.inner(normal, normal)
         tangent = grad - mult * normal
-        if (np.sqrt(mesh.inner(tangent, tangent)) < max(cfg.tol_gradient, 1e-5 * scale)
-                or iterations > descent_budget):
+        if np.sqrt(mesh.inner(tangent, tangent)) < 1e-5 * scale or iterations > cfg.max_iter:
             break
         grad_h, normal_h = riesz(m * grad), riesz(m * normal)
         # <x, normal_h>_H = <x, normal>_w: the H-projection keeps the step
@@ -285,13 +282,13 @@ def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
                 u, energy = cand, cand_energy
                 history.append(energy)
                 accepted = True
-                step = min(step * 2.0, cfg.step)
+                step = min(step * 2.0, _MAX_STEP)
                 break
             step *= 0.5
         if not accepted:
             break
 
-    if np.min(u) <= cfg.positivity_floor:
+    if np.min(u) <= _POSITIVITY_FLOOR:
         raise SolverError(f"descent profile is not strictly positive (min u = {np.min(u):.3e})")
     grad = energy_gradient(p, u)
     normal = p.c * u ** p.constants.gamma_n
@@ -303,7 +300,7 @@ def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
                 p.c * u_**g.gamma_n * m)
 
     u, achieved, _ = _bordered_newton(p, u, (1.0 + lam) * p.c, constraint,
-                                      0.05 * cfg.tol_residual, p.epsilon, cfg.positivity_floor)
+                                      0.05 * cfg.tol_residual, p.epsilon)
     lam = achieved / p.c - 1.0
     residual = mesh.lp_norm(el_residual(p, u, achieved), 2)
     if residual > cfg.tol_residual:
@@ -355,7 +352,7 @@ def solve_negative_constant(metric: WarpedProductMetric, cfg: SolverConfig | Non
 
     p = ConformalProblem(metric, c)
     u, s, newton_iterations = _bordered_newton(p, u, -float(c), normalization,
-                                               cfg.tol_residual, mass0, cfg.positivity_floor)
+                                               cfg.tol_residual, mass0)
     cprime = -s
     pde_norm = mesh.lp_norm(el_residual(p, u, s), 2)
     if cprime <= 1e-8:

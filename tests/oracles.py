@@ -26,8 +26,8 @@ from curvlab.mesh import CIRCLE
 from curvlab.models import (DiagonalInvariantMetric, WarpedProductMetric,
                             YamabeConstants, ricci_warped, scal_diagonal, scal_warped)
 from curvlab.prescribe import MetricPerturbation, _scal_jacobian_components
-from curvlab.yamabe import (ConformalProblem, ConformalSolution, SolverConfig,
-                            negative_constant_bound)
+from curvlab.yamabe import (_POSITIVITY_FLOOR, ConformalProblem, ConformalSolution,
+                            SolverConfig, negative_constant_bound)
 
 
 def curvature_tensor_scal(m) -> float:
@@ -376,7 +376,7 @@ def negative_newton_loop(metric: WarpedProductMetric, cfg: SolverConfig | None =
         while tau >= 1e-10:
             u_new = u + tau * delta[:n]
             cp_new = cprime + tau * delta[n]
-            if np.min(u_new) > cfg.positivity_floor:
+            if np.min(u_new) > _POSITIVITY_FLOOR:
                 res_new = residual_vec(u_new, cp_new)
                 if np.linalg.norm(res_new) <= (1.0 - 0.25 * tau) * res_norm or tau < 1e-8:
                     break
@@ -384,7 +384,7 @@ def negative_newton_loop(metric: WarpedProductMetric, cfg: SolverConfig | None =
         else:
             raise SolverError("Newton line search stalled")
         u, cprime, res, res_norm = u_new, cp_new, res_new, np.linalg.norm(res_new)
-        if np.max(np.abs(u)) < cfg.positivity_floor:
+        if np.max(np.abs(u)) < _POSITIVITY_FLOOR:
             raise SolverError("profile collapsed toward the trivial solution")
         pde_norm = mesh.lp_norm(res[:n], 2)
         if pde_norm < cfg.tol_residual and abs(res[n]) < cfg.tol_residual * max(1.0, mass0):

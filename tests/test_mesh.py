@@ -30,11 +30,30 @@ def test_build_interval_sine_weight_vanishes_at_endpoints():
 def test_build_rejects_negative_weight():
     with pytest.raises(ValueError):
         build_mesh(CIRCLE, 64, 2 * np.pi, lambda r: -np.ones_like(r))
+    # the mesh validates the sampled weights: an interval may vanish only at its ends
+    with pytest.raises(ValueError, match="interior weights must be strictly positive"):
+        build_mesh(INTERVAL, 33, 2 * np.pi, np.sin)
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
+        build_mesh(INTERVAL, 33, 1.0, lambda r: r - 1e-3)
 
 
 def test_build_rejects_small_meshes():
     with pytest.raises(ValueError):
         build_mesh(CIRCLE, 8, 2 * np.pi, lambda r: np.ones_like(r))
+
+
+def test_build_broadcasts_a_scalar_profile():
+    for topology, n in ((CIRCLE, 32), (INTERVAL, 17)):
+        mesh = build_mesh(topology, n, 2.0, lambda r: 1.5)
+        assert mesh.weights.tobytes() == np.full(n, 1.5).tobytes()
+
+
+@pytest.mark.parametrize("weight", [lambda r: np.ones(len(r) + 1),
+                                    lambda r: np.ones((len(r), 1)), np.ones(31)],
+                         ids=["longer", "column", "array"])
+def test_build_rejects_a_profile_of_another_shape(weight):
+    with pytest.raises(ValueError, match="profile has shape"):
+        build_mesh(CIRCLE, 32, 2.0, weight)
 
 
 def test_integrate_total_measure():

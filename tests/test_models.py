@@ -138,6 +138,34 @@ def test_warping_must_be_positive():
         WarpedProductMetric.from_profile(64, 2 * np.pi, 3, 6.0, lambda r: np.sin(r))
 
 
+def test_from_profile_samples_once_on_the_mesh_nodes():
+    calls = []
+
+    def profile(r):
+        calls.append(r.copy())
+        return 1.0 + 0.1 * np.sin(r)
+
+    metric = WarpedProductMetric.from_profile(64, 2 * np.pi, 3, 6.0, profile)
+    assert len(calls) == 1
+    assert calls[0].tobytes() == metric.mesh.nodes.tobytes()
+    assert metric.warping.tobytes() == profile(metric.mesh.nodes).tobytes()
+
+
+def test_from_profile_broadcasts_a_scalar_profile():
+    metric = WarpedProductMetric.from_profile(64, 2 * np.pi, 3, 6.0, lambda r: 1.2)
+    ref = WarpedProductMetric.from_profile(64, 2 * np.pi, 3, 6.0, lambda r: np.full_like(r, 1.2))
+    assert metric.warping.tobytes() == ref.warping.tobytes()
+    assert metric.mesh.weights.tobytes() == ref.mesh.weights.tobytes()
+
+
+@pytest.mark.parametrize("profile", [lambda r: np.ones(len(r) + 1),
+                                     lambda r: np.ones((len(r), 1)), np.ones(63)],
+                         ids=["longer", "column", "array"])
+def test_from_profile_rejects_a_profile_of_another_shape(profile):
+    with pytest.raises(ValueError, match="profile has shape"):
+        WarpedProductMetric.from_profile(64, 2 * np.pi, 3, 6.0, profile)
+
+
 def test_mesh_weight_consistency_enforced():
     metric = bumpy()
     assert np.allclose(metric.mesh.weights, metric.warping**3)

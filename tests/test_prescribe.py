@@ -245,6 +245,22 @@ def test_newton_small_perturbation_quadratic_decay():
     assert any(rho < 0.3 for rho in ratios[1:] if True)
 
 
+def test_newton_budget_admits_a_converging_last_step():
+    # the budget once raised when the last step it allowed converged
+    metric = get_preset("hyperbolic-fiber", n=64)
+    target = scal_warped(metric) * (1.0 + 0.05 * np.sin(metric.mesh.nodes))
+    free = newton_prescribe(metric, target)
+    steps = len(free.residuals) - 1
+    assert steps == 3
+    exact = newton_prescribe(metric, target, PrescribeConfig(newton_max_iter=steps))
+    assert exact.residuals == free.residuals
+    for got, want in ((exact.u, free.u), (exact.metric_out.radial, free.metric_out.radial),
+                      (exact.metric_out.fiber, free.metric_out.fiber)):
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(SolverError, match=f"after {steps - 1} iterations"):
+        newton_prescribe(metric, target, PrescribeConfig(newton_max_iter=steps - 1))
+
+
 def test_newton_rejects_flat_kernel():
     flat = get_preset("flat-torus")
     with pytest.raises(PreconditionError):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from curvlab import get_preset, scal_warped
 from curvlab.errors import ConfigError
 from curvlab.runner import (EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION,
                             RECOGNIZED_KEYS, ScenarioConfig, emit_csv, main,
@@ -98,9 +99,13 @@ def test_config_rejects_unknown_keys():
 
 
 def test_recognized_keys_match_the_module_docstring():
+    # the same list appears in the runner docstring and in the README
     import curvlab.runner as runner
     listed = runner.__doc__.split("Recognized keys:")[1].split(".  ")[0]
     assert {k.strip() for k in listed.split(",")} == RECOGNIZED_KEYS
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = readme.split("Recognized keys:")[1].split(";")[0]
+    assert {k.strip().strip("`") for k in listed.split(",")} == RECOGNIZED_KEYS
 
 
 def test_config_rejects_bad_number():
@@ -176,12 +181,13 @@ def test_prescribe_run(tmp_path, monkeypatch):
 
 
 def test_main_prescribe_above_sup_tol_exits_solver(tmp_path, monkeypatch, capsys):
-    import functools
+    import dataclasses
 
     import curvlab.runner as runner
     from curvlab.runner import EXIT_SOLVER
-    monkeypatch.setattr(runner, "PrescribeConfig",
-                        functools.partial(runner.PrescribeConfig, sup_tol=1e-300))
+    full_prescribe = runner.full_prescribe
+    monkeypatch.setattr(runner, "full_prescribe", lambda metric, target, cfg: full_prescribe(
+        metric, target, dataclasses.replace(cfg, sup_tol=1e-300)))
     code = main(["prescribe", "--model", "round-fiber", "--target", "6*(1 + 0.1*sin(r))",
                  "--outdir", str(tmp_path / "o")])
     assert code == EXIT_SOLVER
@@ -211,7 +217,13 @@ def test_canonical_sweep(tmp_path):
     assert header == "s,scal,hh_min,hh_max,hv_min,hv_max,vv_avg"
 
 
-def test_approx_run(tmp_path):
+def test_approx_run(tmp_path, monkeypatch):
+    import curvlab.runner as runner
+    from curvlab.runner import _fmt
+    results, approximate_by_diffeo = [], runner.approximate_by_diffeo
+    monkeypatch.setattr(runner, "approximate_by_diffeo",
+                        lambda *a, **kw: results.append(approximate_by_diffeo(*a, **kw))
+                        or results[-1])
     cfg = ScenarioConfig(command="approx",
                          options={"model.preset": "bumpy",
                                   "approx.target": "6 + 0.5*sin(r)",
@@ -219,6 +231,15 @@ def test_approx_run(tmp_path):
                                   "run.outdir": str(tmp_path / "out")})
     report = run_scenario(cfg)
     assert report.summary["achieved_error"] < 0.05
+    header, *lines = (tmp_path / "out" / "diffeo.csv").read_text().splitlines()
+    assert header == "r,phi,f_of_phi,target"
+    # f_of_phi is the source scal interpolated periodically at the phi values
+    phi = results[0].phi
+    nodes, length = phi.mesh.nodes, phi.mesh.length
+    source = scal_warped(get_preset("bumpy"))
+    composed = np.interp(np.mod(phi.node_values, length), np.append(nodes, length),
+                         np.append(source, source[0]))
+    assert [line.split(",")[2] for line in lines] == [_fmt(x) for x in composed]
 
 
 def test_report_excludes_wall_time(tmp_path):

@@ -174,7 +174,7 @@ def test_minimize_rescaled_constant():
 
 def test_minimize_bumpy_start_descends_to_critical_point():
     p = round_problem(c=6.0, n=64)
-    cfg = SolverConfig(tol_residual=1e-7, max_iter=400_000, tol_gradient=1e-10)
+    cfg = SolverConfig(tol_residual=1e-7, max_iter=400_000)
     sol = minimize_on_constraint(p, cfg, u0=1.0 + 0.2 * np.sin(p.mesh.nodes))
     assert sol.residual_norm < 1e-7
     assert np.all(sol.u > 0)
@@ -208,8 +208,7 @@ def test_bordered_newton_raises_on_singular_border():
         return 1.0, np.zeros_like(u)
 
     with pytest.raises(SolverError, match="singular"):
-        _bordered_newton(p, 1.0 + 0.2 * np.sin(p.mesh.nodes), 6.0, flat_border,
-                         1e-10, 1.0, 1e-10)
+        _bordered_newton(p, 1.0 + 0.2 * np.sin(p.mesh.nodes), 6.0, flat_border, 1e-10, 1.0)
 
 
 @pytest.mark.parametrize("n", [64, 512])
@@ -221,6 +220,19 @@ def test_minimize_step_count_does_not_grow_with_n(n):
     assert sol.iterations <= 50
     assert p.mesh.lp_norm(el_residual(p, sol.u, sol.achieved_constant), 2) <= 1e-9
     assert np.all(np.diff(sol.energy_history) <= 0)
+
+
+def test_descent_budget_is_honoured():
+    # the budget was once min(max_iter, 20000), and a spent budget reported
+    # max_iter; iterations is accepted steps + 1 on both exits
+    p = ConformalProblem(get_preset("bumpy", n=64), c=6.0)
+    free = minimize_on_constraint(p, SolverConfig())
+    assert (len(free.energy_history) - 1, free.iterations) == (15, 16)
+    cfg = SolverConfig(max_iter=3)
+    sol = minimize_on_constraint(p, cfg)
+    assert len(sol.energy_history) - 1 == 3
+    assert sol.iterations == 4
+    assert sol.residual_norm <= cfg.tol_residual
 
 
 def test_problem_caches_background_scal():
