@@ -10,18 +10,20 @@ Every other module integrates with the single quadrature defined here, so
 that summation-by-parts and adjointness checks are statements about matrices
 rather than about mismatched quadrature rules.
 
-Each stencil is defined once.  A mesh builds its difference operators once,
-as `scipy.sparse` CSR arrays with integer coefficients (at most five nonzeros
-per row), and every stencil method applies one of them and scales the result
-afterwards: `derivative` is diff1 u / 2h, and `laplacian` divides the
-face-weighted differences grad u by h, takes their divergence and divides
-by the cell volumes.  Differencing first keeps the exact zero on constants:
-the differences of a constant are exactly 0.0, while a matrix scaled by 1/h
-and the weights leaves rounding of order 1e-13 there, which raises the
-residual floor of the Newton solvers.  The scaled matrices (first and second
-derivative, stiffness, Laplacian) are built from the same operators, next to
-the union pattern of I, D1 and D2 (`StencilPattern`); every caller shares
-them, read-only.
+Each stencil is defined once.  A mesh builds its difference operators on its
+first stencil or matrix call, as `scipy.sparse` CSR arrays with integer
+coefficients (at most five nonzeros per row).  That build is where
+`scipy.sparse` is imported, so a mesh, its quadrature and its weighted norms
+need numpy only.  Every stencil method applies one of the operators and
+scales the result afterwards: `derivative` is diff1 u / 2h, and `laplacian`
+divides the face-weighted differences grad u by h, takes their divergence and
+divides by the cell volumes.  Differencing first keeps the exact zero on
+constants: the differences of a constant are exactly 0.0, while a matrix
+scaled by 1/h and the weights leaves rounding of order 1e-13 there, which
+raises the residual floor of the Newton solvers.  The scaled matrices (first
+and second derivative, stiffness, Laplacian) are built from the same
+operators, next to the union pattern of I, D1 and D2 (`StencilPattern`);
+every caller shares them, read-only.
 
 Meshes are uniform.  On interval topology the weight may vanish at the two
 endpoint nodes only (singular orbits); the Laplacian closes the stencil there
@@ -34,9 +36,12 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 CIRCLE = "circle"
 INTERVAL = "interval"
@@ -205,6 +210,8 @@ class QuotientMesh:
         ``diff1`` and ``diff2`` are 2h D1 and h^2 D2; ``grad`` takes the face
         differences u_{j+1} - u_j and ``div`` is its transpose.
         """
+        import scipy.sparse as sp
+
         n, h = self.node_count, self.h
         if self.topology == CIRCLE:
             # the corner offsets +-(n-1) close the periodic stencils

@@ -30,14 +30,17 @@ returned metric against target o phi, and an error above ``sup_tol`` is a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import PreconditionError, SolverError
 from .mesh import CIRCLE, INTERVAL, QuotientMesh, build_mesh
 from .models import (DiagonalInvariantMetric, WarpedProductMetric, as_diagonal,
                      scal_diagonal, scal_warped)
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,8 @@ def linearize_scal_matrix(metric, A=None, B=None) -> sp.csr_array:
     work on one data array.  The indices are sorted and depend on the mesh
     alone; pattern entries a block does not reach hold exact zeros.
     """
+    import scipy.sparse as sp
+
     mesh, k, c_f = metric.mesh, metric.fiber_dim, metric.fiber_scal
     if isinstance(metric, WarpedProductMetric):
         base_fiber = metric.warping**2
@@ -139,6 +144,8 @@ def linearize_scal_matrix(metric, A=None, B=None) -> sp.csr_array:
 
 def _scaled_transpose(J: sp.csr_array, left, right) -> sp.csc_array:
     """diag(left) J^T diag(right), a CSC array on J's own index arrays."""
+    import scipy.sparse as sp
+
     rows = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
     return sp.csc_array((left[J.indices] * J.data * right[rows], J.indices, J.indptr),
                         shape=J.shape[::-1])
@@ -371,9 +378,21 @@ class ApproximationResult:
     cells: int
 
 
+def _wrap(x, length) -> np.ndarray:
+    """x reduced into [0, length) by np.mod, applied only to the entries outside
+    that interval: np.mod returns the others unchanged, up to the sign of a
+    zero, which np.interp does not see."""
+    x = np.asarray(x, dtype=float)
+    outside = (x < 0) | (x >= length)
+    if outside.any():
+        x = x.copy()
+        x[outside] = np.mod(x[outside], length)
+    return x
+
+
 def _periodic_interp(x, nodes, values, length):
-    xs = np.mod(x, length)
-    return np.interp(xs, np.append(nodes, length), np.append(values, values[0]))
+    """``values`` at ``nodes`` interpolated at x with period ``length``."""
+    return np.interp(_wrap(x, length), np.append(nodes, length), np.append(values, values[0]))
 
 
 def _monotone_runs(values: np.ndarray):
@@ -508,6 +527,9 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
             g=_periodic_interp(xf, mesh.nodes, g, L),
             w=_periodic_interp(xf, mesh.nodes, mesh.weights, L),
         )
+        # |f'| on the fine grid, closed at L for periodic lookups
+        f_slope = np.abs(np.gradient(fine_state["f"], fine_state["hf"]))
+        fine_state["slope"] = (np.append(xf, L), np.append(f_slope, f_slope[0]))
         runs = []
         for start, stop in _monotone_runs(fine_state["f"]):
             if stop < m_fine:
@@ -545,7 +567,7 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
     while m_cells <= max_cells:
         ensure_fine(m_cells)
         xf, hf = fine_state["xf"], fine_state["hf"]
-        f_fine, g_fine, w_fine = fine_state["f"], fine_state["g"], fine_state["w"]
+        g_fine, w_fine = fine_state["g"], fine_state["w"]
         ell = L / m_cells
         centers = ell * (np.arange(m_cells) + 0.5)
         gbar = _periodic_interp(centers, mesh.nodes, g, L)
@@ -566,8 +588,7 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
         Xc = np.append(X, X[0] + L)
         gaps = np.diff(Xc)
         eps1 = eps * V ** (-1.0 / p) / 6.0
-        f_slope = np.abs(np.gradient(f_fine, hf))
-        slope_at = _periodic_interp(X, xf, f_slope, L) + 1e-12
+        slope_at = np.interp(_wrap(X, L), *fine_state["slope"]) + 1e-12
         eta = np.minimum.reduce([
             np.full(m_cells, ell / 8.0),
             eps1 / slope_at,

@@ -322,10 +322,14 @@ def _run_classify(cfg, outdir):
 
 
 def _run_yamabe(cfg, outdir):
+    negative = cfg.get_bool("yamabe.negative")
+    if negative and cfg.get("solver.max_iter") is not None:
+        raise ConfigError("solver.max_iter bounds the positive regime's descent only; "
+                          "yamabe.negative has a fixed Newton budget")
     model = _require_warped(_resolve_model(cfg), "yamabe")
-    sol_cfg = SolverConfig(tol_residual=cfg.get_float("solver.tol", 1e-9),
+    sol_cfg = SolverConfig(tol_residual=cfg.get_float("solver.tol", SolverConfig.tol_residual),
                            max_iter=cfg.get_int("solver.max_iter", SolverConfig.max_iter))
-    if cfg.get_bool("yamabe.negative"):
+    if negative:
         solution, c_used = solve_negative_constant(model, sol_cfg,
                                                    c=cfg.get_float("yamabe.c"))
     else:
@@ -350,7 +354,7 @@ def _run_prescribe(cfg, outdir):
     target = parse_profile_expr(target_text)(model.mesh.nodes)
     pcfg = PrescribeConfig(p=cfg.get_float("prescribe.p", 2.0),
                            eps=cfg.get_float("prescribe.eps", 1e-2),
-                           newton_tol=cfg.get_float("solver.tol", 1e-10),
+                           newton_tol=cfg.get_float("solver.tol", PrescribeConfig.newton_tol),
                            newton_max_iter=cfg.get_int("solver.max_iter",
                                                        PrescribeConfig.newton_max_iter))
     result = full_prescribe(model, target, pcfg)

@@ -35,11 +35,13 @@ u -> -4 b_n lap(u) + scal u classifies the conformal class (P_G / Z_G / N_G):
 which basic functions are realizable as scalar curvatures is decided by this
 trichotomy.
 
-This module imports numpy and `scipy.sparse` only, so `import curvlab` loads
-nothing heavier.  Each other scipy subpackage is imported inside the one
-function that uses it: `scipy.sparse.linalg` in `minimize_on_constraint`,
-`scipy.linalg` in `classify_conformal_class`, and `scipy.interpolate` (which
-loads `scipy.optimize`, `scipy.special`, `scipy.fft` and `scipy.spatial`) in
+This module imports numpy only, so `import curvlab` loads no scipy at all.
+Each scipy subpackage is imported inside the functions that use it:
+`scipy.sparse` in `_bordered_newton`, `minimize_on_constraint` and
+`classify_conformal_class` (the mesh imports it on its first operator build);
+`scipy.sparse.linalg` in `minimize_on_constraint`; `scipy.linalg` in
+`classify_conformal_class`; and `scipy.interpolate` (which loads
+`scipy.optimize`, `scipy.special`, `scipy.fft` and `scipy.spatial`) in
 `conformal_warped_metric`.  Together they cost more to import than the rest
 of curvlab, and most commands never call those functions.
 """
@@ -52,7 +54,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ObstructionError, PreconditionError, SolverError
 from .mesh import QuotientMesh
@@ -181,6 +182,8 @@ def _bordered_newton(p: ConformalProblem, u, s, border, tol, border_scale):
     (u, s, steps); raises SolverError on a singular system, a stalled line
     search or a spent budget.
     """
+    import scipy.sparse as sp
+
     mesh = p.mesh
     g = p.constants
     n = mesh.node_count
@@ -236,6 +239,7 @@ def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
     phase, along which the energy never increases).  The reported residual is
     the Euler-Lagrange defect at the recovered constant c' = (1 + lam) c.
     """
+    import scipy.sparse as sp
     import scipy.sparse.linalg
 
     cfg = cfg or SolverConfig()
@@ -417,6 +421,7 @@ def classify_conformal_class(metric: WarpedProductMetric, tol: float = 1e-8):
     resolved exactly.
     """
     import scipy.linalg
+    import scipy.sparse as sp
 
     g = YamabeConstants.for_dimension(metric.dim)
     mesh = metric.mesh

@@ -8,7 +8,8 @@ column-by-column assembly of the discrete curvature Jacobian, the
 sparse-product assembly `linearize_scal_matrix` once ran, a Richardson-
 extrapolated difference quotient of the curvature, the continuum formula of
 the Jacobian's adjoint, the per-cell loops that `approximate_by_diffeo` once
-ran for its greedy walk and its monotone-run split, the hand-written
+ran for its greedy walk and its monotone-run split, the whole-array wrap
+`_periodic_interp` once took, the hand-written
 Newton loop `solve_negative_constant` once ran, the roll-and-slice stencils
 `QuotientMesh` once evaluated its derivatives, Laplacian and Dirichlet form
 with, and the closed-form warped-product curvature `scal_warped` once
@@ -303,6 +304,12 @@ def monotone_runs_loop(values):
         stop = turns[idx + 1] if idx + 1 < len(turns) else n
         runs.append((start, stop))
     return runs
+
+
+def periodic_interp_mod(x, nodes, values, length):
+    """Periodic interpolation with every argument wrapped by np.mod into
+    [0, length), on the nodes and values closed at ``length``."""
+    return np.interp(np.mod(x, length), np.append(nodes, length), np.append(values, values[0]))
 
 
 def scal_operator(metric) -> np.ndarray:

@@ -1,8 +1,10 @@
-"""`import curvlab` loads numpy and scipy.sparse only.
+"""`import curvlab` loads numpy only.
 
-Each heavier scipy subpackage is imported inside the one function that uses
-it, so a command pays for it only when it runs that function.  Each check
-starts a fresh interpreter, because this test process has long since
+Each scipy subpackage is imported inside the functions that use it, so a
+command pays for it only when it runs one of them: `scipy.sparse` arrives
+with a mesh's first operator build, and the approximation lemma and the
+Cheeger and canonical sweeps, which build none, load no scipy at all.  Each
+check starts a fresh interpreter, because this test process has long since
 imported them all.
 """
 
@@ -15,8 +17,11 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-DEFERRED = ("scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.linalg",
-            "scipy.sparse.linalg")
+IMPORTS = ("import numpy as np\n"
+           "from curvlab import (ConformalProblem, approximate_by_diffeo, circle_mesh,\n"
+           "    classify_conformal_class, conformal_warped_metric, get_preset,\n"
+           "    minimize_on_constraint, scal_warped)\n"
+           "from curvlab.runner import ScenarioConfig, run_scenario\n")
 
 
 def _fresh_modules(code: str) -> set:
@@ -30,12 +35,13 @@ def _fresh_modules(code: str) -> set:
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
-    loaded = _fresh_modules("import curvlab, curvlab.runner")
-    assert "scipy.sparse" in loaded
-    assert loaded.isdisjoint(DEFERRED)
+    # no scipy subpackage at all: scipy.sparse waits for the first operator build
+    assert _fresh_modules("import curvlab, curvlab.runner") == set()
 
 
 @pytest.mark.parametrize("call,loads", [
+    ("assert scal_warped(get_preset('round-fiber', n=32)).shape == (32,)",
+     "scipy.sparse"),
     ("m = get_preset('round-fiber', n=32)\n"
      "assert conformal_warped_metric(m, 1 + 0.1 * np.sin(m.mesh.nodes)).mesh.node_count == 32",
      "scipy.interpolate"),
@@ -44,10 +50,20 @@ def test_import_loads_no_heavy_scipy_subpackage():
     ("s = minimize_on_constraint(ConformalProblem(get_preset('round-fiber', n=32), c=1.0))\n"
      "assert s.residual_norm < 1e-6",
      "scipy.sparse.linalg"),
-], ids=["conformal_warped_metric", "classify_conformal_class", "minimize_on_constraint"])
+], ids=["first_stencil_call", "conformal_warped_metric", "classify_conformal_class",
+        "minimize_on_constraint"])
 def test_deferred_imports_load_in_their_function(call, loads):
-    loaded = _fresh_modules("import numpy as np\n"
-                            "from curvlab import (ConformalProblem, classify_conformal_class,\n"
-                            "    conformal_warped_metric, get_preset, minimize_on_constraint)\n"
-                            + call)
-    assert loads in loaded
+    assert loads in _fresh_modules(IMPORTS + call)
+
+
+@pytest.mark.parametrize("call", [
+    "m = circle_mesh(64, 2 * np.pi)\n"
+    "r = approximate_by_diffeo(m, np.sin(2 * m.nodes), 0.9 * np.sin(m.nodes))\n"
+    "assert r.achieved_error < r.requested_eps",
+    "run_scenario(ScenarioConfig('cheeger', {'model.preset': 'su2-berger(1.7)',\n"
+    "                                        'run.outdir': OUT}))",
+    "run_scenario(ScenarioConfig('canonical', {'model.preset': 'negative-base-product',\n"
+    "                                          'run.outdir': OUT}))",
+], ids=["approximate_by_diffeo", "cheeger_scenario", "canonical_scenario"])
+def test_routes_without_operators_load_no_scipy(call, tmp_path):
+    assert _fresh_modules(IMPORTS + f"OUT = {str(tmp_path / 'out')!r}\n" + call) == set()

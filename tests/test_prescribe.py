@@ -14,12 +14,13 @@ from curvlab import (DiagonalInvariantMetric, Diffeo1D, MetricPerturbation,
                      newton_prescribe, pinching_check, ricci_warped,
                      scal_warped, tensor_inner)
 from curvlab.mesh import INTERVAL, build_mesh
-from curvlab.prescribe import (_greedy_walk, _monotone_runs, _pinching_window,
-                               _window_constant)
+from curvlab.prescribe import (_greedy_walk, _monotone_runs, _periodic_interp,
+                               _pinching_window, _window_constant)
 
 from oracles import (adjoint_formula, dense_scal_jacobian, fine_circle_norm,
                      greedy_walk_loop, linearize_scal, monotone_runs_loop,
-                     perturbed_scal, scal_operator, sparse_product_jacobian)
+                     periodic_interp_mod, perturbed_scal, scal_operator,
+                     sparse_product_jacobian)
 
 
 def bumpy(amplitude=0.2, n=64):
@@ -521,6 +522,26 @@ periodic_samples = st.one_of(
 def test_monotone_runs_matches_per_sample_loop(values):
     values = np.array(values)
     assert _monotone_runs(values) == monotone_runs_loop(values)
+
+
+@st.composite
+def periodic_lookups(draw):
+    """A periodic table on a uniform grid and arguments in [-3L, 3L], with the
+    exact points 0, -0, L and -L and the neighbours of 0 and L among them."""
+    L = draw(st.sampled_from([1.0, 2 * np.pi, 37.5, 0.1])) * draw(st.floats(0.5, 2.0))
+    n = draw(st.integers(2, 64))
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    special = [0.0, -0.0, L, -L, np.nextafter(L, 0.0), np.nextafter(0.0, -1.0), 3 * L, -3 * L]
+    x = draw(st.lists(st.one_of(st.floats(-3 * L, 3 * L), st.sampled_from(special)),
+                      min_size=1, max_size=60))
+    return np.array(x), L / n * np.arange(n), np.array(values), L
+
+
+@settings(max_examples=300, deadline=None)
+@given(periodic_lookups())
+def test_periodic_interp_matches_whole_array_mod_bit_for_bit(case):
+    got, want = _periodic_interp(*case), periodic_interp_mod(*case)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,15 @@ def test_main_prescribe_above_sup_tol_exits_solver(tmp_path, monkeypatch, capsys
     assert "sup_tol" in capsys.readouterr().err
 
 
+def test_main_prescribe_defaults_to_the_library_tolerance(tmp_path, capsys):
+    # solver.tol defaults to PrescribeConfig.newton_tol, so the CLI solves this
+    # input directly, as full_prescribe does with its default config
+    code = main(["prescribe", "--model", "round-fiber", "--N", "256",
+                 "--target", "6*(1+0.1*sin(r))", "--outdir", str(tmp_path / "o")])
+    assert code == EXIT_OK
+    assert "path = identity" in capsys.readouterr().out.splitlines()
+
+
 def test_cheeger_sweep(tmp_path):
     cfg = ScenarioConfig(command="cheeger",
                          options={"model.preset": "su2-biinvariant",
@@ -319,6 +328,16 @@ def test_main_solver_failure_exit_code(tmp_path, capsys):
                  "--tol", "1e-30", "--outdir", str(tmp_path / "o")])
     assert code == EXIT_SOLVER
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_main_yamabe_negative_rejects_max_iter(tmp_path, capsys):
+    # the negative regime reads no solver.max_iter, so setting one is an error
+    outdir = tmp_path / "o"
+    code = main(["yamabe", "--model", "bumpy", "--set", "model.cF=-2", "--negative",
+                 "--max-iter", "1", "--outdir", str(outdir)])
+    assert code == EXIT_CONFIG
+    assert "solver.max_iter" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_main_approx_flags_reach_the_approx_keys(tmp_path, capsys):
