@@ -327,7 +327,12 @@ def scal_left_invariant(m: LeftInvariantMetric) -> float:
 
 _BERGER_RE = re.compile(r"^su2-berger\(([^)]+)\)$")
 
-WARPED_PRESETS = ("round-fiber", "flat-torus", "hyperbolic-fiber", "bumpy")
+# name: (fiber scalar curvature as a function of the fiber dimension, default warping)
+_WARPED_TABLE = {"round-fiber": (lambda dim: dim * (dim - 1) * 1.0, np.ones_like),
+                 "flat-torus": (lambda dim: 0.0, np.ones_like),
+                 "hyperbolic-fiber": (lambda dim: -2.0, np.ones_like),
+                 "bumpy": (lambda dim: dim * (dim - 1) * 1.0, lambda r: 1.0 + 0.2 * np.sin(r))}
+WARPED_PRESETS = tuple(_WARPED_TABLE)
 GROUP_PRESETS = ("su2-biinvariant", "su2-berger(L)")
 
 
@@ -338,21 +343,10 @@ def get_preset(name: str, n: int = 64, length: float = 2 * np.pi,
     Warped presets return a WarpedProductMetric; the su2 presets return a
     LeftInvariantMetric.  ``profile`` overrides the warping profile.
     """
-    if name == "round-fiber":
-        c_f = fiber_dim * (fiber_dim - 1) * 1.0
-        return WarpedProductMetric.from_profile(
-            n, length, fiber_dim, c_f, profile if profile is not None else (lambda r: np.ones_like(r)))
-    if name == "flat-torus":
-        return WarpedProductMetric.from_profile(
-            n, length, fiber_dim, 0.0, profile if profile is not None else (lambda r: np.ones_like(r)))
-    if name == "hyperbolic-fiber":
-        return WarpedProductMetric.from_profile(
-            n, length, fiber_dim, -2.0, profile if profile is not None else (lambda r: np.ones_like(r)))
-    if name == "bumpy":
-        c_f = fiber_dim * (fiber_dim - 1) * 1.0
-        return WarpedProductMetric.from_profile(
-            n, length, fiber_dim, c_f,
-            profile if profile is not None else (lambda r: 1.0 + 0.2 * np.sin(r)))
+    if name in _WARPED_TABLE:
+        fiber_scal, default = _WARPED_TABLE[name]
+        return WarpedProductMetric.from_profile(n, length, fiber_dim, fiber_scal(fiber_dim),
+                                                default if profile is None else profile)
     if name == "su2-biinvariant":
         return su2_metric()
     match = _BERGER_RE.match(name)

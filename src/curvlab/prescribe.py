@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _newton
 from .errors import PreconditionError, SolverError
 from .mesh import CIRCLE, INTERVAL, QuotientMesh, build_mesh
 from .models import (DiagonalInvariantMetric, WarpedProductMetric, as_diagonal,
@@ -221,14 +222,12 @@ class NewtonResult:
 
 def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None = None
                      ) -> NewtonResult:
-    """Solve F(g + adjoint(u)) = K for the potential u.
+    """Solve F(g + adjoint(u)) = K for the potential u by damped Newton.
 
-    The linear solves use the composition of the current-point Jacobian with
-    the base-point adjoint, a sparse product made dense for the SVD and the
-    solve; a Tikhonov shift is applied only when the system is numerically
-    singular, and that event is reported on the result.  The backtracking
-    line search accepts only a step that lowers the residual; when none does,
-    the stall is a `SolverError`.
+    The merit is the weighted-L2 residual; an iterate is admissible while the
+    metric is positive definite.  Each system, the current Jacobian composed
+    with the base-point adjoint, is made dense for the SVD and the solve, and
+    gets a Tikhonov shift (``regularized``) only when numerically singular.
     """
     cfg = cfg or PrescribeConfig()
     mesh = metric.mesh
@@ -246,57 +245,29 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
 
     base_fiber = metric.warping**2
     Ast = _adjoint_matrix(metric).tocsr()
-    u = np.zeros(n)
     regularized = False
 
-    def components(u_):
-        pert = Ast @ u_
+    def evaluate(u):
+        pert = Ast @ u
         A = 1.0 + pert[:n]
         B = base_fiber * (1.0 + pert[n:])
-        return A, B
-
-    def residual(u_):
-        A, B = components(u_)
         if np.any(A <= 0) or np.any(B <= 0):
-            return None, None, None
+            return None
         r = scal_diagonal(mesh, A, B, metric.fiber_dim, metric.fiber_scal) - K
-        return r, A, B
+        return (r, A, B), mesh.lp_norm(r, 2)
 
-    r, A, B = residual(u)
-    if r is None:
-        raise PreconditionError("base metric invalid", condition="positive-cone")
-    res_norm = mesh.lp_norm(r, 2)
-    history = [res_norm]
-    for steps in range(cfg.newton_max_iter + 1):
-        if res_norm < cfg.newton_tol:
-            break
-        if steps == cfg.newton_max_iter:
-            raise SolverError(f"curvature prescription did not converge "
-                              f"(residual {res_norm:.3e} after {steps} iterations)")
-        J_cur = linearize_scal_matrix(metric, A=A, B=B)
-        JQ = (J_cur @ Ast).toarray()
-        smin = np.linalg.svd(JQ, compute_uv=False)[-1]
-        if smin < _TIKHONOV_FLOOR:
+    def solve(u, state):
+        nonlocal regularized
+        r, A, B = state
+        JQ = (linearize_scal_matrix(metric, A=A, B=B) @ Ast).toarray()
+        if np.linalg.svd(JQ, compute_uv=False)[-1] < _TIKHONOV_FLOOR:
             JQ = JQ + _TIKHONOV_FLOOR * np.eye(n)
             regularized = True
-        delta = np.linalg.solve(JQ, -r)
-        tau, positive = 1.0, False
-        while tau >= 1e-10:
-            trial = u + tau * delta
-            r_new, A_new, B_new = residual(trial)
-            if r_new is not None:
-                positive = True
-                new_norm = mesh.lp_norm(r_new, 2)
-                if new_norm < res_norm:
-                    u, r, A, B, res_norm = trial, r_new, A_new, B_new, new_norm
-                    history.append(res_norm)
-                    break
-            tau *= 0.5
-        else:
-            if positive:
-                raise SolverError(f"Newton line search stalled at residual {res_norm:.3e}")
-            raise SolverError("Newton step could not keep the metric positive definite")
+        return np.linalg.solve(JQ, -r)
 
+    u, (_, A, B), history = _newton.damped_newton(
+        np.zeros(n), evaluate, solve, lambda state, merit: merit < cfg.newton_tol,
+        cfg.newton_max_iter, "prescription Newton")
     out = DiagonalInvariantMetric(mesh=mesh, fiber_dim=metric.fiber_dim,
                                   fiber_scal=metric.fiber_scal, radial=A, fiber=B)
     return NewtonResult(metric_out=out, u=u, residuals=tuple(history), regularized=regularized)

@@ -55,6 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _newton
 from .errors import ObstructionError, PreconditionError, SolverError
 from .mesh import QuotientMesh
 from .models import WarpedProductMetric, YamabeConstants, scal_warped
@@ -166,62 +167,47 @@ def el_residual(p: ConformalProblem, u, constant: float) -> np.ndarray:
 
 
 _NEWTON_STEPS = 40
-_POSITIVITY_FLOOR = 1e-10  # min u of the descent result and of every Newton iterate
+_POSITIVITY_FLOOR = 1e-10  # min u of every Newton iterate, the start included
 _MAX_STEP = 1.0  # first and largest descent step
 
 
 def _bordered_newton(p: ConformalProblem, u, s, border, tol, border_scale):
-    """Newton's method for el_residual(p, u, s) = 0 in (u, s), bordered by one side condition.
+    """Solve el_residual(p, u, s) = 0 in (u, s), bordered by one side condition.
 
     ``border(u)`` returns the side condition's value and its gradient row.
-    Each step solves the dense bordered system and halves the step until u
-    stays above `_POSITIVITY_FLOOR` and the residual norm falls by the factor
-    1 - tau/4 (Kelley, *Iterative Methods for Linear and Nonlinear
-    Equations*, 1995, 8.1).  Stops when the weighted-L2 norm of the defect is
-    below ``tol`` and |border| below tol * max(1, border_scale).  Returns
-    (u, s, steps); raises SolverError on a singular system, a stalled line
-    search or a spent budget.
+    Damped Newton on x = (u, s) with the Euclidean norm of the bordered
+    residual as merit, u above `_POSITIVITY_FLOOR` and a dense bordered solve
+    per step; converged when the weighted-L2 defect is below ``tol`` and
+    |border| below tol * max(1, border_scale).  Returns (u, s, steps).
     """
     import scipy.sparse as sp
 
-    mesh = p.mesh
-    g = p.constants
-    n = mesh.node_count
+    mesh, g, n = p.mesh, p.constants, p.mesh.node_count
     scaled_lap = 4.0 * g.b_n * mesh.laplacian_matrix()
 
-    def residual(u_, s_):
-        value, row = border(u_)
-        return np.append(el_residual(p, u_, s_), value), row
+    def evaluate(x):
+        if np.min(x[:n]) <= _POSITIVITY_FLOOR:
+            return None
+        value, row = border(x[:n])
+        res = np.append(el_residual(p, x[:n], x[n]), value)
+        return (res, row), np.linalg.norm(res)
 
-    res, row = residual(u, s)
-    res_norm = np.linalg.norm(res)
-    for steps in range(_NEWTON_STEPS + 1):
-        if mesh.lp_norm(res[:n], 2) < tol and abs(res[n]) < tol * max(1.0, border_scale):
-            return u, s, steps
-        if steps == _NEWTON_STEPS:
-            raise SolverError(f"bordered Newton spent its {_NEWTON_STEPS} steps "
-                              f"(residual {res_norm:.3e})")
+    def solve(x, state):
+        (res, row), u_ = state, x[:n]
         J = np.zeros((n + 1, n + 1))
         J[:n, :n] = (scaled_lap
-                     - sp.diags_array(p.scal - s * g.gamma_n * u**(g.gamma_n - 1))).toarray()
-        J[:n, n] = u**g.gamma_n
+                     - sp.diags_array(p.scal - x[n] * g.gamma_n * u_**(g.gamma_n - 1))).toarray()
+        J[:n, n] = u_**g.gamma_n
         J[n, :n] = row
-        try:
-            delta = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular bordered Newton system: {exc}") from exc
-        tau = 1.0
-        while tau >= 1e-8:
-            u_new = u + tau * delta[:n]
-            s_new = s + tau * delta[n]
-            if np.min(u_new) > _POSITIVITY_FLOOR:
-                res_new, row_new = residual(u_new, s_new)
-                if np.linalg.norm(res_new) <= (1.0 - 0.25 * tau) * res_norm:
-                    break
-            tau *= 0.5
-        else:
-            raise SolverError(f"bordered Newton line search stalled (residual {res_norm:.3e})")
-        u, s, res, row, res_norm = u_new, s_new, res_new, row_new, np.linalg.norm(res_new)
+        return np.linalg.solve(J, -res)
+
+    def converged(state, merit):
+        res = state[0]
+        return mesh.lp_norm(res[:n], 2) < tol and abs(res[n]) < tol * max(1.0, border_scale)
+
+    x, _, history = _newton.damped_newton(np.append(u, s), evaluate, solve, converged,
+                                          _NEWTON_STEPS, "bordered Newton")
+    return x[:n], float(x[n]), len(history) - 1
 
 
 def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
@@ -347,8 +333,9 @@ def solve_negative_constant(metric: WarpedProductMetric, cfg: SolverConfig | Non
 
     m = mesh.mass_vector()
     u = np.ones(mesh.node_count) if u0 is None else np.asarray(u0, dtype=float).copy()
-    if np.any(u <= 0):
-        raise PreconditionError("start profile must be positive", condition="positive-start")
+    if np.min(u) <= _POSITIVITY_FLOOR:
+        raise PreconditionError(f"start profile must stay above {_POSITIVITY_FLOOR:.0e}",
+                                condition="positive-start")
     mass0 = float(np.dot(u * u, m))
 
     def normalization(u_):

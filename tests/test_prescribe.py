@@ -606,14 +606,20 @@ def test_full_prescribe_raises_above_sup_tol():
         full_prescribe(metric, target, PrescribeConfig(sup_tol=1e-300))
 
 
+def escape_bumped(flat):
+    """The background `full_prescribe` solves on after the escape bump."""
+    mesh = flat.mesh
+    return WarpedProductMetric.from_profile(
+        mesh.node_count, mesh.length, flat.fiber_dim, flat.fiber_scal,
+        flat.warping * (1.0 + 1e-3 * np.sin(2 * np.pi * mesh.nodes / mesh.length)))
+
+
 def test_newton_prescribe_reports_stalled_line_search(monkeypatch):
     # escape-bumped flat torus, first harmonic at amplitude 0.08: the Newton
     # residual floors near 1.5e-8, above newton_tol, and no step lowers it
     flat = get_preset("flat-torus", n=256)
     mesh = flat.mesh
-    bumped = WarpedProductMetric.from_profile(
-        mesh.node_count, mesh.length, flat.fiber_dim, flat.fiber_scal,
-        flat.warping * (1.0 + 1e-3 * np.sin(2 * np.pi * mesh.nodes / mesh.length)))
+    bumped = escape_bumped(flat)
     target = 0.08 * np.sin(mesh.nodes)
     c = _window_constant(target, scal_warped(bumped))
     svd, steps = np.linalg.svd, []
@@ -622,6 +628,33 @@ def test_newton_prescribe_reports_stalled_line_search(monkeypatch):
     with pytest.raises(SolverError, match="line search stalled"):
         newton_prescribe(bumped, c * target, cfg)
     assert len(steps) < cfg.newton_max_iter
+
+
+def singular_solve(*args, **kwargs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def test_newton_prescribe_singular_system_is_a_solver_error(monkeypatch):
+    metric = get_preset("hyperbolic-fiber", n=64)
+    target = scal_warped(metric) * (1.0 + 0.05 * np.sin(metric.mesh.nodes))
+    monkeypatch.setattr(np.linalg, "solve", singular_solve)
+    with pytest.raises(SolverError, match="^singular .*: Singular matrix$"):
+        newton_prescribe(metric, target)
+
+
+def test_full_prescribe_falls_back_from_a_singular_direct_system():
+    # escape-bumped flat torus, second harmonic at amplitude 0.2: the direct
+    # Newton reaches a J.Q that LU finds exactly singular (smallest singular
+    # value 5e-11 at norm 8e6, above the Tikhonov floor), and the
+    # reparametrized path realizes the target
+    flat = get_preset("flat-torus", n=128)
+    target = 0.2 * np.sin(2 * flat.mesh.nodes + 0.3)
+    bumped = escape_bumped(flat)
+    with pytest.raises(SolverError, match="singular"):
+        newton_prescribe(bumped, _window_constant(target, scal_warped(bumped)) * target)
+    result = full_prescribe(flat, target)
+    assert result.path == "reparametrized"
+    assert result.residuals["sup_error"] <= PrescribeConfig().sup_tol
 
 
 def test_full_prescribe_escapes_flat_kernel():

@@ -203,6 +203,20 @@ def test_main_prescribe_defaults_to_the_library_tolerance(tmp_path, capsys):
     assert "path = identity" in capsys.readouterr().out.splitlines()
 
 
+def test_main_prescribe_singular_newton_system_exits_solver(tmp_path, monkeypatch, capsys):
+    from curvlab.runner import EXIT_SOLVER
+
+    def singular_solve(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular_solve)
+    code = main(["prescribe", "--model", "round-fiber", "--target", "6*(1 + 0.1*sin(r))",
+                 "--outdir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_SOLVER
+    assert "solver failure: singular" in err and "Traceback" not in err
+
+
 def test_cheeger_sweep(tmp_path):
     cfg = ScenarioConfig(command="cheeger",
                          options={"model.preset": "su2-biinvariant",

@@ -318,6 +318,16 @@ def test_negative_constant_flat_obstruction():
     assert abs(info.value.constant) < 1e-8
 
 
+def test_negative_solve_rejects_a_start_at_the_positivity_floor():
+    # min u0 = 1e-12 is positive but below the floor every Newton iterate keeps
+    metric = hyperbolic_bumpy()
+    u0 = np.ones(metric.mesh.node_count)
+    u0[7] = 1e-12
+    with pytest.raises(PreconditionError) as info:
+        solve_negative_constant(metric, u0=u0)
+    assert info.value.condition == "positive-start"
+
+
 def test_negative_constant_bound_reported():
     metric = get_preset("hyperbolic-fiber")
     bound = negative_constant_bound(metric)
