@@ -10,20 +10,26 @@ Every other module integrates with the single quadrature defined here, so
 that summation-by-parts and adjointness checks are statements about matrices
 rather than about mismatched quadrature rules.
 
-Each stencil is defined once.  A mesh builds its difference operators on its
-first stencil or matrix call, as `scipy.sparse` CSR arrays with integer
-coefficients (at most five nonzeros per row).  That build is where
-`scipy.sparse` is imported, so a mesh, its quadrature and its weighted norms
-need numpy only.  Every stencil method applies one of the operators and
-scales the result afterwards: `derivative` is diff1 u / 2h, and `laplacian`
-divides the face-weighted differences grad u by h, takes their divergence and
-divides by the cell volumes.  Differencing first keeps the exact zero on
-constants: the differences of a constant are exactly 0.0, while a matrix
-scaled by 1/h and the weights leaves rounding of order 1e-13 there, which
-raises the residual floor of the Newton solvers.  The scaled matrices (first
-and second derivative, stiffness, Laplacian) are built from the same
-operators, next to the union pattern of I, D1 and D2 (`StencilPattern`);
-every caller shares them, read-only.
+Each stencil is defined once, by its integer coefficients (at most five per
+row), and depends on the topology and N only.  A private, bounded cache builds
+the four stencils -- diff1 = 2h D1, diff2 = h^2 D2, the face differences grad
+and their transpose div -- once per (topology, N) with numpy, read-only, and
+every mesh of that size shares them.  Every stencil method applies one of
+them as a fixed-width gather-and-add, each row's terms added in column order
+from +0.0 exactly as a CSR row sum does, and scales the result afterwards:
+`derivative` is diff1 u / 2h, and `laplacian` divides the face-weighted
+differences grad u by h, takes their divergence and divides by the cell
+volumes.  Differencing first keeps the exact zero on constants: the
+differences of a constant are exactly 0.0, while a matrix scaled by 1/h and
+the weights leaves rounding of order 1e-13 there, which raises the residual
+floor of the Newton solvers.  Curvature evaluation therefore needs numpy
+only.
+
+The scaled matrices (first and second derivative, stiffness, Laplacian) are
+`scipy.sparse` CSR arrays.  Each mesh builds each of them from the shared
+stencils on its first request, next to the union pattern of I, D1 and D2
+(`StencilPattern`); every caller shares them, read-only.  A mesh's first
+matrix is where `scipy.sparse` is imported.
 
 Meshes are uniform.  On interval topology the weight may vanish at the two
 endpoint nodes only (singular orbits); the Laplacian closes the stencil there
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -64,6 +70,85 @@ def _as_values(u, n: int) -> np.ndarray:
 StencilPattern = namedtuple("StencilPattern", "indptr row col d1 d2 diagonal")
 
 
+# A stencil as a fixed-width row table: term t of row i is
+# coefs[t, i] * u[cols[t, i]], each row's terms in column order.  Where rows
+# have fewer terms than the widest (``padded``), the short rows are filled up
+# with coefficient 0 at column ``shape[1]``, which `_apply` points at an
+# appended 0.0.
+_Stencil = namedtuple("_Stencil", "cols coefs shape padded")
+_Stencils = namedtuple("_Stencils", "diff1 diff2 grad div")
+
+
+def _pack(entries, shape) -> _Stencil:
+    """The read-only stencil table of the operator of ``shape`` whose nonzeros
+    are the (rows, cols, coefs) triples in ``entries``; each triple broadcasts."""
+    row, col, coef = (np.concatenate(parts) for parts in
+                      zip(*(np.broadcast_arrays(*entry) for entry in entries)))
+    order = np.lexsort((col, row))
+    row, col, coef = row[order], col[order], coef[order]
+    counts = np.bincount(row, minlength=shape[0])
+    slot = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
+    cols = np.full((counts.max(), shape[0]), shape[1])
+    coefs = np.zeros(cols.shape)
+    cols[slot, row], coefs[slot, row] = col, coef
+    cols.setflags(write=False)
+    coefs.setflags(write=False)
+    return _Stencil(cols, coefs, shape, bool(np.any(counts < len(cols))))
+
+
+@lru_cache(maxsize=32)
+def _stencils(topology: str, n: int) -> _Stencils:
+    """diff1 = 2h D1, diff2 = h^2 D2, the face differences grad (u_{j+1} - u_j)
+    and div = grad^T on ``n`` nodes, built once per (topology, n)."""
+    j = np.arange(n)
+    rows, faces = (j, j) if topology == CIRCLE else (j[1:-1], j[:-1])
+
+    def band(at, *terms):
+        """Entry (i, i + k mod n) holds c, for each row i in ``at`` and each (k, c)."""
+        return [(at, (at + k) % n, c) for k, c in terms]
+
+    diff1 = band(rows, (-1, -1.0), (1, 1.0))
+    diff2 = band(rows, (-1, 1.0), (0, -2.0), (1, 1.0))
+    if topology == INTERVAL:
+        # second-order one-sided closures; the last row mirrors the first,
+        # with the sign of diff1 flipped
+        k = np.arange(4)
+        diff1 += [(0, k[:3], [-3.0, 4.0, -1.0]), (n - 1, n - 1 - k[:3], [3.0, -4.0, 1.0])]
+        diff2 += [(row, col, [2.0, -5.0, 4.0, -1.0]) for row, col in ((0, k), (n - 1, n - 1 - k))]
+    grad = band(faces, (0, -1.0), (1, 1.0))
+    return _Stencils(_pack(diff1, (n, n)), _pack(diff2, (n, n)), _pack(grad, (len(faces), n)),
+                    _pack([(col, row, c) for row, col, c in grad], (n, len(faces))))
+
+
+def _apply(stencil: _Stencil, u: np.ndarray) -> np.ndarray:
+    """The stencil times ``u``: each row summed from +0.0 in column order,
+    which gives the bits of a CSR matrix-vector product."""
+    if stencil.padded:
+        u = np.append(u, 0.0)
+    return np.add.reduce(stencil.coefs * u[stencil.cols], axis=0, initial=0.0)
+
+
+def _csr(stencil: _Stencil, divisor: float = 1.0) -> sp.csr_array:
+    """The stencil divided by ``divisor``, as a CSR array without its padding."""
+    import scipy.sparse as sp
+
+    real = stencil.cols.T < stencil.shape[1]
+    indptr = np.concatenate(([0], np.cumsum(np.sum(real, axis=1)))).astype(np.int32)
+    data, indices = stencil.coefs.T[real] / divisor, stencil.cols.T[real].astype(np.int32)
+    return sp.csr_array((data, indices, indptr), shape=stencil.shape)
+
+
+def _read_only(matrix) -> sp.csr_array:
+    """``matrix`` as a read-only CSR array with sorted indices."""
+    import scipy.sparse as sp
+
+    matrix = sp.csr_array(matrix)
+    matrix.sort_indices()
+    for arr in (matrix.data, matrix.indices, matrix.indptr):
+        arr.setflags(write=False)
+    return matrix
+
+
 @dataclass(frozen=True)
 class QuotientMesh:
     """Uniform discretization of a 1-D orbit space with orbit-volume weights.
@@ -74,8 +159,8 @@ class QuotientMesh:
     nodes    : node coordinates, arc-length units; circle meshes omit the
                duplicate endpoint
     h        : uniform spacing
-    weights  : orbit volume per node; positive, except possibly zero at the
-               two endpoints of an interval
+    weights  : orbit volume per node; finite and positive, except possibly
+               zero at the two endpoints of an interval
     length   : total coordinate length L
     """
 
@@ -92,6 +177,8 @@ class QuotientMesh:
         if self.weights.shape != (n,):
             raise ValueError("weights/nodes length mismatch")
         w = self.weights
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if self.topology == CIRCLE:
             if np.any(w <= 0):
                 raise ValueError("circle meshes require strictly positive weights")
@@ -149,11 +236,11 @@ class QuotientMesh:
 
     def derivative(self, u) -> np.ndarray:
         """Second-order first derivative; one-sided at interval endpoints."""
-        return self._operators["diff1"] @ _as_values(u, self.node_count) / (2.0 * self.h)
+        return _apply(self._stencils.diff1, _as_values(u, self.node_count)) / (2.0 * self.h)
 
     def second_derivative(self, u) -> np.ndarray:
         """Compact second-order second derivative; one-sided at endpoints."""
-        return self._operators["diff2"] @ _as_values(u, self.node_count) / (self.h * self.h)
+        return _apply(self._stencils.diff2, _as_values(u, self.node_count)) / (self.h * self.h)
 
     @cached_property
     def _face_weights(self) -> np.ndarray:
@@ -184,9 +271,9 @@ class QuotientMesh:
         volume uses the trapezoid face average, which reproduces the limit
         (1+k) u'' of u'' + k u'/r for linearly vanishing weight.
         """
-        ops = self._operators
-        flux = self._face_weights * (ops["grad"] @ _as_values(u, self.node_count)) / self.h
-        return -(ops["div"] @ flux) / self._cell_volumes
+        stencils = self._stencils
+        flux = self._face_weights * _apply(stencils.grad, _as_values(u, self.node_count)) / self.h
+        return -_apply(stencils.div, flux) / self._cell_volumes
 
     # -- bilinear forms and matrices -------------------------------------
 
@@ -197,59 +284,49 @@ class QuotientMesh:
         quadrature, i.e. <-lap(u), v>_w == dirichlet_form(u, v) up to the
         degenerate endpoint masses of an interval.
         """
-        grad = self._operators["grad"]
-        du = grad @ _as_values(u, self.node_count)
-        dv = grad @ _as_values(v, self.node_count)
+        grad = self._stencils.grad
+        du = _apply(grad, _as_values(u, self.node_count))
+        dv = _apply(grad, _as_values(v, self.node_count))
         return float(np.sum(self._face_weights * du * dv) / self.h)
 
     @cached_property
-    def _operators(self) -> dict:
-        """The difference operators with integer coefficients, and the
-        matrices scaled from them; every entry a read-only CSR array.
+    def _stencils(self) -> _Stencils:
+        """The integer stencils shared by every mesh of this topology and N."""
+        return _stencils(self.topology, self.node_count)
 
-        ``diff1`` and ``diff2`` are 2h D1 and h^2 D2; ``grad`` takes the face
-        differences u_{j+1} - u_j and ``div`` is its transpose.
-        """
+    @cached_property
+    def _d1(self) -> sp.csr_array:
+        return _read_only(_csr(self._stencils.diff1, 2.0 * self.h))
+
+    @cached_property
+    def _d2(self) -> sp.csr_array:
+        return _read_only(_csr(self._stencils.diff2, self.h * self.h))
+
+    @cached_property
+    def _stiffness(self) -> sp.csr_array:
         import scipy.sparse as sp
 
-        n, h = self.node_count, self.h
-        if self.topology == CIRCLE:
-            # the corner offsets +-(n-1) close the periodic stencils
-            diff1 = sp.diags_array([-1.0, 1.0, 1.0, -1.0], offsets=[-1, 1, 1 - n, n - 1],
-                                   shape=(n, n))
-            diff2 = sp.diags_array([1.0, -2.0, 1.0, 1.0, 1.0], offsets=[-1, 0, 1, 1 - n, n - 1],
-                                   shape=(n, n))
-            grad = sp.diags_array([-1.0, 1.0, 1.0], offsets=[0, 1, 1 - n], shape=(n, n))
-        else:
-            # second-order one-sided closures in the first and last rows
-            diff1 = sp.diags_array([-1.0, 1.0], offsets=[-1, 1], shape=(n, n), format="lil")
-            diff1[0, :3], diff1[n - 1, n - 3:] = [-3.0, 4.0, -1.0], [1.0, -4.0, 3.0]
-            diff2 = sp.diags_array([1.0, -2.0, 1.0], offsets=[-1, 0, 1], shape=(n, n),
-                                   format="lil")
-            diff2[0, :4], diff2[n - 1, n - 4:] = [2.0, -5.0, 4.0, -1.0], [-1.0, 4.0, -5.0, 2.0]
-            grad = sp.diags_array([-1.0, 1.0], offsets=[0, 1], shape=(n - 1, n))
         # S = grad^T diag(w_face) grad / h
-        stiffness = grad.T @ sp.diags_array(self._face_weights) @ grad / h
-        ops = {"diff1": diff1, "diff2": diff2, "grad": grad, "div": grad.T,
-               "d1": diff1 / (2.0 * h), "d2": diff2 / (h * h), "stiffness": stiffness,
-               "laplacian": -sp.diags_array(1.0 / self._cell_volumes) @ stiffness}
-        ops = {name: sp.csr_array(op) for name, op in ops.items()}
-        for op in ops.values():
-            for arr in (op.data, op.indices, op.indptr):
-                arr.setflags(write=False)
-        return ops
+        grad = _csr(self._stencils.grad)
+        return _read_only(grad.T @ sp.diags_array(self._face_weights) @ grad / self.h)
+
+    @cached_property
+    def _laplacian(self) -> sp.csr_array:
+        import scipy.sparse as sp
+
+        return _read_only(-sp.diags_array(1.0 / self._cell_volumes) @ self._stiffness)
 
     def d1_matrix(self) -> sp.csr_array:
         """Matrix of `derivative`, an (N, N) CSR array."""
-        return self._operators["d1"]
+        return self._d1
 
     def d2_matrix(self) -> sp.csr_array:
         """Matrix of `second_derivative`, an (N, N) CSR array."""
-        return self._operators["d2"]
+        return self._d2
 
     def stiffness_matrix(self) -> sp.csr_array:
         """Stiffness S, an (N, N) CSR array with u.S.v == dirichlet_form(u, v)."""
-        return self._operators["stiffness"]
+        return self._stiffness
 
     def laplacian_matrix(self) -> sp.csr_array:
         """Matrix of `laplacian`, an (N, N) CSR array: L = -diag(1/vol) S.
@@ -257,7 +334,7 @@ class QuotientMesh:
         ``vol`` are the Laplacian's cell volumes: the quadrature masses, with
         the half-cell rule at vanishing interval endpoints.
         """
-        return self._operators["laplacian"]
+        return self._laplacian
 
     @cached_property
     def stencil_pattern(self) -> StencilPattern:
@@ -282,8 +359,10 @@ class QuotientMesh:
 def sample_profile(profile, nodes: np.ndarray) -> np.ndarray:
     """A fresh array of ``profile`` at ``nodes``: per-node values, or a callable
     r -> w(r) called once on the node array, whose scalar result is broadcast
-    to every node.  Any other shape is a ValueError."""
-    values = np.array(profile(nodes) if callable(profile) else profile, dtype=float)
+    to every node.  Any other shape is a ValueError.  Floating-point warnings
+    are silenced: the mesh and the warped metric reject non-finite samples."""
+    with np.errstate(all="ignore"):
+        values = np.array(profile(nodes) if callable(profile) else profile, dtype=float)
     if callable(profile) and values.ndim == 0:
         values = np.full(nodes.shape, values)
     if values.shape != nodes.shape:
@@ -291,18 +370,13 @@ def sample_profile(profile, nodes: np.ndarray) -> np.ndarray:
     return values
 
 
-def build_mesh(topology: str, n: int, length: float, weight) -> QuotientMesh:
-    """Build a uniform mesh with weights sampled from ``weight``.
-
-    ``weight`` is sampled by `sample_profile`.  Circle meshes omit the
-    duplicate endpoint.  Endpoint weights of interval meshes that vanish
-    analytically are snapped to exact zero when the sample falls below 1e-12
-    of the maximum.
-    """
+def uniform_nodes(topology: str, n: int, length: float):
+    """Spacing h and the ``n`` nodes of a uniform mesh of ``length``; circle
+    meshes omit the duplicate endpoint.  The length must be finite and positive."""
     if n < 16:
         raise ValueError(f"need at least 16 nodes, got {n}")
-    if length <= 0:
-        raise ValueError("length must be positive")
+    if not (np.isfinite(length) and length > 0):
+        raise ValueError("length must be finite and positive")
     if topology == CIRCLE:
         h = length / n
         nodes = h * np.arange(n)
@@ -312,7 +386,17 @@ def build_mesh(topology: str, n: int, length: float, weight) -> QuotientMesh:
         nodes[-1] = length
     else:
         raise ValueError(f"unknown topology {topology!r}")
+    return h, nodes
 
+
+def build_mesh(topology: str, n: int, length: float, weight) -> QuotientMesh:
+    """Build a uniform mesh (`uniform_nodes`) with weights sampled from ``weight``.
+
+    ``weight`` is sampled by `sample_profile`.  Endpoint weights of interval
+    meshes that vanish analytically are snapped to exact zero when the sample
+    falls below 1e-12 of the maximum.
+    """
+    h, nodes = uniform_nodes(topology, n, length)
     w = sample_profile(weight, nodes)
     if topology == INTERVAL:
         snap = _ENDPOINT_SNAP * float(np.max(np.abs(w)) or 1.0)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import CIRCLE, QuotientMesh, build_mesh, sample_profile
+from .mesh import CIRCLE, QuotientMesh, build_mesh, sample_profile, uniform_nodes
 
 _JACOBI_TOL = 1e-10
 
@@ -69,6 +69,13 @@ class YamabeConstants:
 # ---------------------------------------------------------------------------
 
 
+def _check_warping(f: np.ndarray) -> None:
+    if not np.all(np.isfinite(f)):
+        raise ValueError("warping must be finite")
+    if np.any(f <= 0):
+        raise ValueError("warping must be strictly positive")
+
+
 @dataclass(frozen=True)
 class WarpedProductMetric:
     """g = dr^2 + f(r)^2 g_F over a circle; mesh weight is kept equal to f^k.
@@ -91,8 +98,7 @@ class WarpedProductMetric:
         f = np.asarray(self.warping, dtype=float)
         if f.shape != (self.mesh.node_count,):
             raise ValueError("warping length mismatch")
-        if np.any(f <= 0):
-            raise ValueError("warping must be strictly positive")
+        _check_warping(f)
         if not np.allclose(self.mesh.weights, f**self.fiber_dim, rtol=1e-12, atol=0):
             raise ValueError("mesh weights must equal warping^fiber_dim")
         f.setflags(write=False)
@@ -106,9 +112,8 @@ class WarpedProductMetric:
                      profile) -> "WarpedProductMetric":
         """Sample the warping profile on the circle nodes (`sample_profile`)
         and build the mesh."""
-        f = sample_profile(profile, (length / n) * np.arange(n))
-        if np.any(f <= 0):
-            raise ValueError("warping must be strictly positive")
+        f = sample_profile(profile, uniform_nodes(CIRCLE, n, length)[1])
+        _check_warping(f)
         mesh = build_mesh(CIRCLE, n, length, f**fiber_dim)
         return cls(mesh=mesh, fiber_dim=fiber_dim, fiber_scal=fiber_scal, warping=f)
 

@@ -38,7 +38,8 @@ trichotomy.
 This module imports numpy only, so `import curvlab` loads no scipy at all.
 Each scipy subpackage is imported inside the functions that use it:
 `scipy.sparse` in `_bordered_newton`, `minimize_on_constraint` and
-`classify_conformal_class` (the mesh imports it on its first operator build);
+`classify_conformal_class` (a mesh imports it with its first sparse matrix;
+its stencils, and so `conformal_scal` and `el_residual`, need numpy only);
 `scipy.sparse.linalg` in `minimize_on_constraint`; `scipy.linalg` in
 `classify_conformal_class`; and `scipy.interpolate` (which loads
 `scipy.optimize`, `scipy.special`, `scipy.fft` and `scipy.spatial`) in

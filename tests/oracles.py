@@ -435,16 +435,22 @@ def derivative_stencil(mesh, u) -> np.ndarray:
 
 
 def second_derivative_stencil(mesh, u) -> np.ndarray:
-    """Compact second-order second derivative; one-sided at endpoints."""
+    """Compact second-order second derivative; one-sided at endpoints.
+
+    Every row sums its terms in column order, as a CSR row does: on the
+    circle the wrapped neighbor comes last in the first row and first in the
+    last row.
+    """
     u = np.asarray(u, dtype=float)
-    h2 = mesh.h * mesh.h
-    if mesh.topology == CIRCLE:
-        return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / h2
     d2 = np.empty_like(u)
-    d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2
-    d2[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / h2
-    d2[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / h2
-    return d2
+    d2[1:-1] = u[:-2] - 2.0 * u[1:-1] + u[2:]
+    if mesh.topology == CIRCLE:
+        d2[0] = -2.0 * u[0] + u[1] + u[-1]
+        d2[-1] = u[0] + u[-2] - 2.0 * u[-1]
+    else:
+        d2[0] = 2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]
+        d2[-1] = -u[-4] + 4.0 * u[-3] - 5.0 * u[-2] + 2.0 * u[-1]
+    return d2 / (mesh.h * mesh.h)
 
 
 def _face_differences(mesh, u) -> np.ndarray:

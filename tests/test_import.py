@@ -2,10 +2,10 @@
 
 Each scipy subpackage is imported inside the functions that use it, so a
 command pays for it only when it runs one of them: `scipy.sparse` arrives
-with a mesh's first operator build, and the approximation lemma and the
-Cheeger and canonical sweeps, which build none, load no scipy at all.  Each
-check starts a fresh interpreter, because this test process has long since
-imported them all.
+with a mesh's first sparse matrix.  The mesh stencils, and with them every
+curvature evaluation, the approximation lemma and the Cheeger and canonical
+sweeps, load no scipy at all.  Each check starts a fresh interpreter, because
+this test process has long since imported them all.
 """
 
 import json
@@ -19,8 +19,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 IMPORTS = ("import numpy as np\n"
            "from curvlab import (ConformalProblem, approximate_by_diffeo, circle_mesh,\n"
-           "    classify_conformal_class, conformal_warped_metric, get_preset,\n"
-           "    minimize_on_constraint, scal_warped)\n"
+           "    classify_conformal_class, conformal_scal, conformal_warped_metric,\n"
+           "    get_preset, minimize_on_constraint, scal_warped)\n"
            "from curvlab.runner import ScenarioConfig, run_scenario\n")
 
 
@@ -35,12 +35,12 @@ def _fresh_modules(code: str) -> set:
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
-    # no scipy subpackage at all: scipy.sparse waits for the first operator build
+    # no scipy subpackage at all: scipy.sparse waits for the first sparse matrix
     assert _fresh_modules("import curvlab, curvlab.runner") == set()
 
 
 @pytest.mark.parametrize("call,loads", [
-    ("assert scal_warped(get_preset('round-fiber', n=32)).shape == (32,)",
+    ("assert get_preset('round-fiber', n=32).mesh.stiffness_matrix().shape == (32, 32)",
      "scipy.sparse"),
     ("m = get_preset('round-fiber', n=32)\n"
      "assert conformal_warped_metric(m, 1 + 0.1 * np.sin(m.mesh.nodes)).mesh.node_count == 32",
@@ -50,13 +50,18 @@ def test_import_loads_no_heavy_scipy_subpackage():
     ("s = minimize_on_constraint(ConformalProblem(get_preset('round-fiber', n=32), c=1.0))\n"
      "assert s.residual_norm < 1e-6",
      "scipy.sparse.linalg"),
-], ids=["first_stencil_call", "conformal_warped_metric", "classify_conformal_class",
+], ids=["first_matrix_call", "conformal_warped_metric", "classify_conformal_class",
         "minimize_on_constraint"])
 def test_deferred_imports_load_in_their_function(call, loads):
     assert loads in _fresh_modules(IMPORTS + call)
 
 
 @pytest.mark.parametrize("call", [
+    "assert scal_warped(get_preset('round-fiber', n=32)).shape == (32,)",
+    "m = get_preset('round-fiber', n=32)\n"
+    "assert conformal_scal(m, 1 + 0.1 * np.sin(m.mesh.nodes)).shape == (32,)",
+    "m = circle_mesh(32, 2 * np.pi, lambda r: 1 + 0.1 * np.sin(r))\n"
+    "assert m.laplacian(np.cos(m.nodes)).shape == (32,)",
     "m = circle_mesh(64, 2 * np.pi)\n"
     "r = approximate_by_diffeo(m, np.sin(2 * m.nodes), 0.9 * np.sin(m.nodes))\n"
     "assert r.achieved_error < r.requested_eps",
@@ -64,6 +69,7 @@ def test_deferred_imports_load_in_their_function(call, loads):
     "                                        'run.outdir': OUT}))",
     "run_scenario(ScenarioConfig('canonical', {'model.preset': 'negative-base-product',\n"
     "                                          'run.outdir': OUT}))",
-], ids=["approximate_by_diffeo", "cheeger_scenario", "canonical_scenario"])
+], ids=["scal_warped", "conformal_scal", "mesh_laplacian", "approximate_by_diffeo",
+        "cheeger_scenario", "canonical_scenario"])
 def test_routes_without_operators_load_no_scipy(call, tmp_path):
     assert _fresh_modules(IMPORTS + f"OUT = {str(tmp_path / 'out')!r}\n" + call) == set()

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from curvlab import CIRCLE, INTERVAL, build_mesh, circle_mesh
+from curvlab import (CIRCLE, INTERVAL, WarpedProductMetric, build_mesh, circle_mesh, get_preset,
+                     scal_warped)
+from curvlab import mesh as mesh_module
 from curvlab.models import YamabeConstants
 
 
@@ -40,6 +42,24 @@ def test_build_rejects_negative_weight():
 def test_build_rejects_small_meshes():
     with pytest.raises(ValueError):
         build_mesh(CIRCLE, 8, 2 * np.pi, lambda r: np.ones_like(r))
+
+
+@pytest.mark.parametrize("topology", [CIRCLE, INTERVAL])
+@pytest.mark.parametrize("length", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_build_rejects_a_nonfinite_or_nonpositive_length(topology, length):
+    # a NaN or infinite length used to build a mesh of NaN nodes
+    with pytest.raises(ValueError, match="length must be finite and positive"):
+        build_mesh(topology, 32, length, lambda r: 1.0)
+
+
+@pytest.mark.parametrize("topology", [CIRCLE, INTERVAL])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mesh_rejects_nonfinite_weights(topology, bad):
+    for j in (0, 5, -1):
+        w = np.ones(32)
+        w[j] = bad
+        with pytest.raises(ValueError, match="weights must be finite"):
+            build_mesh(topology, 32, 2.0, w)
 
 
 def test_build_broadcasts_a_scalar_profile():
@@ -236,8 +256,7 @@ OPERATOR_MESHES = {
 
 
 def _assert_matches_stencils(mesh, rng):
-    """The stencil methods against the roll-and-slice oracles: exactly, except
-    second_derivative, whose three-term sum is added in another order; the
+    """The stencil methods against the roll-and-slice oracles exactly; the
     matrices to rounding."""
     n = mesh.node_count
     d1, d2, laplacian, stiffness = matrices = (mesh.d1_matrix(), mesh.d2_matrix(),
@@ -252,7 +271,7 @@ def _assert_matches_stencils(mesh, rng):
         lap = oracles.laplacian_flux(mesh, u)
         form = oracles.dirichlet_form_sum(mesh, u, v)
         assert np.array_equal(mesh.derivative(u), du)
-        assert np.max(np.abs(mesh.second_derivative(u) - d2u)) <= 1e-12 * np.max(np.abs(d2u))
+        assert np.array_equal(mesh.second_derivative(u), d2u)
         assert np.array_equal(mesh.laplacian(u), lap)
         assert mesh.dirichlet_form(u, v) == form
         for matrix, ref in ((d1, du), (d2, d2u), (laplacian, lap)):
@@ -348,3 +367,30 @@ def test_operator_matrices_are_cached_and_read_only():
         assert method() is method()
         with pytest.raises(ValueError):
             method().data[0] = 1.0
+
+
+def test_meshes_of_one_topology_and_size_share_read_only_stencils(monkeypatch):
+    # the integer stencils depend on the topology and N only: a metric, its
+    # homothety and its escape-bumped warping differ in length or weights but
+    # share one stencil table, and their curvature builds no sparse matrix
+    metric = get_preset("bumpy", n=64)
+    mesh = metric.mesh
+    bump = 1.0 + 1e-3 * np.sin(2 * np.pi * mesh.nodes / mesh.length)
+    bumped = WarpedProductMetric.from_profile(64, mesh.length, metric.fiber_dim,
+                                              metric.fiber_scal, metric.warping * bump)
+    metrics = (metric, metric.scaled(2.5), bumped)
+    assert metrics[1].mesh.length != mesh.length
+    assert not np.array_equal(bumped.mesh.weights, mesh.weights)
+    built = []
+    monkeypatch.setattr(mesh_module, "_csr", lambda *args: built.append(args))
+    for m in metrics:
+        assert np.all(np.isfinite(scal_warped(m)))
+    assert built == []
+    stencils = mesh._stencils
+    assert all(m.mesh._stencils is stencils for m in metrics)
+    assert circle_mesh(65, mesh.length)._stencils is not stencils
+    assert build_mesh(INTERVAL, 64, mesh.length, mesh.weights)._stencils is not stencils
+    for stencil in stencils:
+        for arr in (stencil.cols, stencil.coefs):
+            with pytest.raises(ValueError):
+                arr[0, 0] = arr[0, 0]

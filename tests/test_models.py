@@ -1,5 +1,7 @@
 """Warped-product and left-invariant curvature against independent oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,26 @@ def test_from_profile_broadcasts_a_scalar_profile():
 def test_from_profile_rejects_a_profile_of_another_shape(profile):
     with pytest.raises(ValueError, match="profile has shape"):
         WarpedProductMetric.from_profile(64, 2 * np.pi, 3, 6.0, profile)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_warped_metric_rejects_nonfinite_warping(bad):
+    f = np.ones(64)
+    f[7] = bad
+    with pytest.raises(ValueError, match="warping must be finite"):
+        WarpedProductMetric.from_profile(64, 2 * np.pi, 3, 6.0, f)
+    mesh = bumpy().mesh
+    with pytest.raises(ValueError, match="warping must be finite"):
+        WarpedProductMetric(mesh=mesh, fiber_dim=3, fiber_scal=6.0, warping=f)
+
+
+def test_from_profile_rejects_a_profile_that_divides_by_zero_without_warning():
+    # 1 + 1/r is infinite at the node r = 0; the runner used to print numpy's
+    # RuntimeWarning above its configuration error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="warping must be finite"):
+            WarpedProductMetric.from_profile(64, 2 * np.pi, 3, 6.0, lambda r: 1.0 + r**-1.0)
 
 
 def test_mesh_weight_consistency_enforced():

@@ -411,3 +411,19 @@ def test_main_rejects_nonfinite_canonical_sweep(tmp_path, capsys, sweep):
     assert len(err.strip().splitlines()) == 1
     # the output directory used to be created before the options were read
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command,override,reason", [
+    ("classify", "model.L=nan", "length must be finite and positive"),
+    ("classify", "model.L=inf", "length must be finite and positive"),
+    ("classify", "model.f=1+r^-1", "warping must be finite"),
+    ("yamabe", "model.L=nan", "length must be finite and positive"),
+])
+def test_main_rejects_nonfinite_model_input(tmp_path, capsys, command, override, reason):
+    # classify used to exit 1 with a traceback from the eigensolver ("array
+    # must not contain infs or NaNs"), yamabe with "Factor is exactly singular"
+    outdir = tmp_path / "o"
+    code = main([command, "--model", "round-fiber", "--set", override, "--outdir", str(outdir)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"configuration error: {reason}"
+    assert not outdir.exists()
