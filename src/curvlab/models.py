@@ -95,6 +95,8 @@ class WarpedProductMetric:
             raise ValueError("warped-product models live over a circle quotient")
         if self.fiber_dim < 2:
             raise ValueError("fiber dimension must be >= 2 (total dimension >= 3)")
+        if not np.isfinite(self.fiber_scal):
+            raise ValueError("fiber scalar curvature must be finite")
         f = np.asarray(self.warping, dtype=float)
         if f.shape != (self.mesh.node_count,):
             raise ValueError("warping length mismatch")

@@ -23,13 +23,14 @@ The result is a statement in the Newton chart, as in the Kazdan-Warner route
 through an approximation lemma and local surjectivity: the returned metric
 realizes target o phi on the uniform mesh, so ``target`` is the curvature of
 (phi^{-1})^* metric_out.  Every reported error is the stencil curvature of the
-returned metric against target o phi, and an error above ``sup_tol`` is a
+returned metric against target o phi, and an error above ``_SUP_TOL`` is a
 `SolverError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -191,25 +192,34 @@ def kernel_min_singular(metric: WarpedProductMetric) -> float:
 
 _KERNEL_FLOOR = 1e-8  # smallest adjoint singular value of a non-kernel background
 _TIKHONOV_FLOOR = 1e-12  # Newton systems with a smaller singular value are shifted
+_SUP_TOL = 1e-3  # largest sup distance of a returned curvature from target o phi
+_ESCAPE_BUMP = 1e-3  # relative warping bump that escapes a kernel background
+
+
+def _check_lp_tolerance(p, eps) -> None:
+    """Reject an L^p tolerance that is out of range or NaN."""
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
+    if not eps > 0:
+        raise ValueError("eps must be positive")
 
 
 @dataclass(frozen=True)
 class PrescribeConfig:
     """Settings of the prescription: ``newton_tol`` and ``newton_max_iter``
-    are the residual and step budget of `newton_prescribe`; ``sup_tol`` bounds
-    the sup distance of the returned curvature from target o phi; ``p`` and
-    ``eps`` set the L^p tolerance that `approximate_by_diffeo` meets;
-    ``force_reparametrization`` skips the direct path; ``escape_bump`` is the
-    relative warping bump that escapes a kernel background (flat or
-    constant-curvature), and 0 makes one a `PreconditionError`."""
+    are the residual and step budget of `newton_prescribe`; ``p`` and ``eps``
+    set the L^p tolerance that `approximate_by_diffeo` meets on the
+    reparametrized path.  A NaN or out-of-range setting is a `ValueError`."""
 
     newton_tol: float = 1e-8
     newton_max_iter: int = 40
-    sup_tol: float = 1e-3
     p: float = 2.0
     eps: float = 1e-2
-    force_reparametrization: bool = False
-    escape_bump: float = 1e-3
+
+    def __post_init__(self):
+        if not (self.newton_tol > 0 and self.newton_max_iter > 0):
+            raise ValueError("newton_tol and newton_max_iter must be positive")
+        _check_lp_tolerance(self.p, self.eps)
 
 
 @dataclass(frozen=True)
@@ -292,14 +302,13 @@ class Diffeo1D:
     """Monotone degree-one circle map, stored as a piecewise-linear lift.
 
     ``break_x`` / ``break_y`` are the lift's breakpoints over one period
-    (break_y[-1] = break_y[0] + length); node_values and node_derivatives are
-    the samples on the owning mesh.  Calling the object evaluates the lift at
-    arbitrary coordinates with the equivariance phi(x + L) = phi(x) + L.
+    (break_y[-1] = break_y[0] + length) and all the map stores; node_values and
+    node_derivatives are its read-only samples on the owning mesh, computed on
+    first use.  Calling the object evaluates the lift at arbitrary coordinates
+    with the equivariance phi(x + L) = phi(x) + L.
     """
 
     mesh: QuotientMesh
-    node_values: np.ndarray
-    node_derivatives: np.ndarray
     break_x: np.ndarray
     break_y: np.ndarray
 
@@ -311,14 +320,25 @@ class Diffeo1D:
         L = self.mesh.length
         if abs((bx[-1] - bx[0]) - L) > 1e-9 * L or abs((by[-1] - by[0]) - L) > 1e-9 * L:
             raise ValueError("lift must advance by exactly one period (winding 1)")
-        nv = np.asarray(self.node_values, dtype=float)
-        if np.any(np.diff(nv) <= 0):
-            raise ValueError("node values must be strictly increasing")
-        if np.any(np.asarray(self.node_derivatives) <= 0):
-            raise ValueError("derivative samples must be positive")
         for name, arr in (("break_x", bx), ("break_y", by)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @cached_property
+    def node_values(self) -> np.ndarray:
+        """phi at the mesh nodes, read from the lift."""
+        values = np.interp(self.mesh.nodes, self.break_x, self.break_y)
+        values.setflags(write=False)
+        return values
+
+    @cached_property
+    def node_derivatives(self) -> np.ndarray:
+        """phi' at the mesh nodes: the slope of the piece each node starts or lies in."""
+        slopes = np.diff(self.break_y) / np.diff(self.break_x)
+        piece = np.searchsorted(self.break_x, self.mesh.nodes, side="right") - 1
+        derivatives = slopes[np.minimum(piece, len(slopes) - 1)]
+        derivatives.setflags(write=False)
+        return derivatives
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -335,9 +355,7 @@ class Diffeo1D:
     @classmethod
     def identity(cls, mesh: QuotientMesh) -> "Diffeo1D":
         bx = np.array([0.0, mesh.length])
-        return cls(mesh=mesh, node_values=mesh.nodes.copy(),
-                   node_derivatives=np.ones(mesh.node_count),
-                   break_x=bx, break_y=bx.copy())
+        return cls(mesh=mesh, break_x=bx, break_y=bx.copy())
 
 
 @dataclass(frozen=True)
@@ -432,10 +450,11 @@ def _greedy_walk(table: np.ndarray, L: float, mu: float, starts):
 
 
 _FINE_FACTOR = 16  # the fine grid has at least this many points per mesh node
+_MAX_CELLS = 4096  # the cell count doubles up to this until the error is below eps
 
 
 def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
-                          eps: float = 1e-2, max_cells: int = 4096) -> ApproximationResult:
+                          eps: float = 1e-2) -> ApproximationResult:
     """Monotone reparametrization with ||source o phi - target||_p < eps.
 
     Constructive intermediate-value argument on the circle: partition into
@@ -450,10 +469,7 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
     Interval quotients are handled on the mirrored double cover and the
     returned map lives there.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_lp_tolerance(p, eps)
     f = np.asarray(source, dtype=float)
     g = np.asarray(target, dtype=float)
     n = mesh.node_count
@@ -466,7 +482,7 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
         return approximate_by_diffeo(doubled,
                                      np.concatenate([f[:-1], f[:0:-1]]),
                                      np.concatenate([g[:-1], g[:0:-1]]),
-                                     p=p, eps=eps, max_cells=max_cells)
+                                     p=p, eps=eps)
 
     min_f, max_f = float(np.min(f)), float(np.max(f))
     span = max(max_f - min_f, 1e-300)
@@ -530,12 +546,12 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
     plateau_budget = eps * V ** (-1.0 / p) / 2.0
     m_cells = 64
     if g_slope > 0:
-        while m_cells < max_cells and g_slope * (L / m_cells) > 1.2 * plateau_budget:
+        while m_cells < _MAX_CELLS and g_slope * (L / m_cells) > 1.2 * plateau_budget:
             m_cells *= 2
 
     mu = 1e-9 * L
-    best = None
-    while m_cells <= max_cells:
+    smallest = float("inf")
+    while m_cells <= _MAX_CELLS:
         ensure_fine(m_cells)
         xf, hf = fine_state["xf"], fine_state["hf"]
         g_fine, w_fine = fine_state["g"], fine_state["w"]
@@ -583,25 +599,16 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
         phi_fine = np.interp(xf, bx, by)
         err_fine = _periodic_interp(phi_fine, mesh.nodes, f, L) - g_fine
         achieved = float(np.sum(np.abs(err_fine) ** p * w_fine * hf) ** (1.0 / p))
-        if best is None or achieved < best[0]:
-            slopes = np.diff(by) / np.diff(bx)
-            idx = np.minimum(np.searchsorted(bx, mesh.nodes, side="right") - 1, len(slopes) - 1)
-            phi = Diffeo1D(mesh=mesh,
-                           node_values=np.interp(mesh.nodes, bx, by),
-                           node_derivatives=slopes[idx],
-                           break_x=bx, break_y=by)
-            best = (achieved, phi, m_cells)
         if achieved < eps:
-            break
+            return ApproximationResult(phi=Diffeo1D(mesh=mesh, break_x=bx, break_y=by),
+                                       achieved_error=achieved, requested_eps=eps, p=p,
+                                       cells=m_cells)
+        smallest = min(smallest, achieved)
         m_cells *= 2
-    if best is None or best[0] >= eps:
-        achieved = best[0] if best else float("inf")
-        raise PreconditionError(
-            f"requested tolerance {eps:.3e} not reachable at this resolution; "
-            f"achievable about {achieved:.3e}",
-            condition="resolution-bound")
-    return ApproximationResult(phi=best[1], achieved_error=best[0],
-                               requested_eps=eps, p=p, cells=best[2])
+    raise PreconditionError(
+        f"requested tolerance {eps:.3e} not reachable at this resolution; "
+        f"achievable about {smallest:.3e}",
+        condition="resolution-bound")
 
 
 # ---------------------------------------------------------------------------
@@ -655,13 +662,13 @@ def full_prescribe(metric: WarpedProductMetric, target,
     the scaled target lies in the Newton basin, otherwise with phi a
     measure-concentrating reparametrization from `approximate_by_diffeo`.
     When the kernel test that `newton_prescribe` makes first finds an
-    exceptional background, the solve starts over on a small invariant bump
-    of the warping.  The returned ``metric_out`` is the Newton metric scaled
-    by c, in the Newton chart: it realizes target o phi, so ``target`` is the
-    curvature of (phi^{-1})^* metric_out.  ``scal_out`` is its stencil
-    curvature and ``sup_error`` its sup distance from target o phi.  An error
-    above ``cfg.sup_tol`` sends the direct path to the reparametrized one and
-    makes the reparametrized path raise `SolverError`.
+    exceptional background, the solve starts over on the warping times
+    1 + ``_ESCAPE_BUMP`` sin(2 pi r / L).  The returned ``metric_out`` is the
+    Newton metric scaled by c, in the Newton chart: it realizes target o phi,
+    so ``target`` is the curvature of (phi^{-1})^* metric_out.  ``scal_out``
+    is its stencil curvature and ``sup_error`` its sup distance from
+    target o phi.  An error above ``_SUP_TOL`` sends the direct path to the
+    reparametrized one and makes the reparametrized path raise `SolverError`.
     """
     cfg = cfg or PrescribeConfig()
     mesh = metric.mesh
@@ -678,11 +685,11 @@ def full_prescribe(metric: WarpedProductMetric, target,
     try:
         return _prescribe_on(metric, scal0, target, cfg, mesh)
     except PreconditionError as err:
-        if err.condition != "kernel-dichotomy" or cfg.escape_bump <= 0:
+        if err.condition != "kernel-dichotomy":
             raise
     bumped = WarpedProductMetric.from_profile(
         mesh.node_count, mesh.length, metric.fiber_dim, metric.fiber_scal,
-        metric.warping * (1.0 + cfg.escape_bump * np.sin(2 * np.pi * mesh.nodes / mesh.length)))
+        metric.warping * (1.0 + _ESCAPE_BUMP * np.sin(2 * np.pi * mesh.nodes / mesh.length)))
     return _prescribe_on(bumped, scal_warped(bumped), target, cfg, mesh)
 
 
@@ -691,11 +698,10 @@ def _prescribe_on(metric: WarpedProductMetric, scal0, target, cfg: PrescribeConf
     """`full_prescribe` on one background; the approximation and the map
     live on the caller's ``mesh`` even when the background is bumped."""
     c = _window_constant(target, scal0)
-    if not cfg.force_reparametrization:
-        try:
-            return _verified_solve(metric, c, target, Diffeo1D.identity(mesh), "identity", cfg)
-        except SolverError:
-            pass
+    try:
+        return _verified_solve(metric, c, target, Diffeo1D.identity(mesh), "identity", cfg)
+    except SolverError:
+        pass
     approx = approximate_by_diffeo(mesh, target, scal0 / c, p=cfg.p, eps=cfg.eps)
     expected = approx.phi.compose(target)
     return _verified_solve(metric, c, expected, approx.phi, "reparametrized", cfg,
@@ -710,9 +716,9 @@ def _verified_solve(metric: WarpedProductMetric, c: float, expected, phi: Diffeo
     metric_out = newton.metric_out.scaled(c)
     scal_out = metric_out.scal()
     sup_err = float(np.max(np.abs(scal_out - expected)))
-    if not sup_err <= cfg.sup_tol:
+    if not sup_err <= _SUP_TOL:
         raise SolverError(f"{path} prescription misses target o phi by {sup_err:.3e} "
-                          f"(sup_tol {cfg.sup_tol:.1e})")
+                          f"(sup_tol {_SUP_TOL:.1e})")
     return PrescriptionResult(
         metric_out=metric_out, phi=phi, c=c, u=newton.u, scal_out=scal_out,
         residuals={"newton": newton.residuals[-1], **extra, "sup_error": sup_err,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -142,7 +143,11 @@ class _ExprParser:
             self.pos += 1
         if start == self.pos:
             raise ConfigError(f"cannot parse profile expression at {self.text[start:]!r}")
-        value = float(self.text[start:self.pos])
+        try:
+            value = float(self.text[start:self.pos])
+        except ValueError:
+            raise ConfigError(f"malformed number {self.text[start:self.pos]!r} "
+                              "in profile expression") from None
         return lambda r: np.full_like(np.asarray(r, dtype=float), value)
 
 
@@ -227,6 +232,16 @@ def parse_config_file(path) -> dict:
     return options
 
 
+@contextmanager
+def _library_checks():
+    """Report a library constructor's rejection of a configured value
+    (KeyError, ValueError) as a ConfigError."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _resolve_model(cfg: ScenarioConfig):
     name = cfg.get("model.preset", "round-fiber")
     n = cfg.get_int("model.N", 64)
@@ -235,14 +250,11 @@ def _resolve_model(cfg: ScenarioConfig):
     profile = None
     if cfg.get("model.f") is not None:
         profile = parse_profile_expr(cfg.get("model.f"))
-    try:
+    with _library_checks():
         model = get_preset(name, n=n, length=length, fiber_dim=k, profile=profile)
         if cfg.get("model.cF") is not None and isinstance(model, WarpedProductMetric):
             model = WarpedProductMetric.from_profile(
                 n, length, k, cfg.get_float("model.cF"), model.warping)
-    except (KeyError, ValueError) as exc:
-        # the model constructors validate the configured values
-        raise ConfigError(str(exc)) from exc
     return model
 
 
@@ -313,8 +325,8 @@ def _write_report(outdir: Path, report: RunReport) -> None:
 
 def _run_classify(cfg, outdir):
     model = _require_warped(_resolve_model(cfg), "classify")
-    tol = cfg.get_float("solver.tol", 1e-8)
-    verdict, lam1 = classify_conformal_class(model, tol=tol)
+    with _library_checks():  # the classifier checks its tolerance before it computes
+        verdict, lam1 = classify_conformal_class(model, tol=cfg.get_float("solver.tol", 1e-8))
     scal = scal_warped(model)
     emit_csv(outdir / "scal.csv", ["r", "scal"], zip(model.mesh.nodes, scal))
     emit_plotdata(outdir / "plotdata" / "scal.dat", model.mesh.nodes, scal)
@@ -327,14 +339,15 @@ def _run_yamabe(cfg, outdir):
         raise ConfigError("solver.max_iter bounds the positive regime's descent only; "
                           "yamabe.negative has a fixed Newton budget")
     model = _require_warped(_resolve_model(cfg), "yamabe")
-    sol_cfg = SolverConfig(tol_residual=cfg.get_float("solver.tol", SolverConfig.tol_residual),
-                           max_iter=cfg.get_int("solver.max_iter", SolverConfig.max_iter))
+    c = cfg.get_float("yamabe.c", None if negative else 1.0)
+    with _library_checks():
+        sol_cfg = SolverConfig(tol_residual=cfg.get_float("solver.tol", SolverConfig.tol_residual),
+                               max_iter=cfg.get_int("solver.max_iter", SolverConfig.max_iter))
+        # built for a given c in both regimes: it rejects a non-finite c
+        problem = None if c is None else ConformalProblem(model, c=c)
     if negative:
-        solution, c_used = solve_negative_constant(model, sol_cfg,
-                                                   c=cfg.get_float("yamabe.c"))
+        solution, c_used = solve_negative_constant(model, sol_cfg, c=c)
     else:
-        c = cfg.get_float("yamabe.c", 1.0)
-        problem = ConformalProblem(model, c=c)
         solution = minimize_on_constraint(problem, sol_cfg)
         c_used = c
     scal_out = conformal_scal(model, solution.u)
@@ -352,11 +365,12 @@ def _run_prescribe(cfg, outdir):
     if target_text is None:
         raise ConfigError("prescribe.target is required")
     target = parse_profile_expr(target_text)(model.mesh.nodes)
-    pcfg = PrescribeConfig(p=cfg.get_float("prescribe.p", 2.0),
-                           eps=cfg.get_float("prescribe.eps", 1e-2),
-                           newton_tol=cfg.get_float("solver.tol", PrescribeConfig.newton_tol),
-                           newton_max_iter=cfg.get_int("solver.max_iter",
-                                                       PrescribeConfig.newton_max_iter))
+    with _library_checks():
+        pcfg = PrescribeConfig(p=cfg.get_float("prescribe.p", PrescribeConfig.p),
+                               eps=cfg.get_float("prescribe.eps", PrescribeConfig.eps),
+                               newton_tol=cfg.get_float("solver.tol", PrescribeConfig.newton_tol),
+                               newton_max_iter=cfg.get_int("solver.max_iter",
+                                                           PrescribeConfig.newton_max_iter))
     result = full_prescribe(model, target, pcfg)
     emit_csv(outdir / "prescription.csv", ["r", "phi", "u", "scal_out"],
              zip(model.mesh.nodes, result.phi.node_values, result.u, result.scal_out))
@@ -427,9 +441,10 @@ def _run_approx(cfg, outdir):
         raise ConfigError("approx.target is required")
     target = parse_profile_expr(target_text)(model.mesh.nodes)
     source = scal_warped(model)
-    result = approximate_by_diffeo(model.mesh, source, target,
-                                   p=cfg.get_float("approx.p", 2.0),
-                                   eps=cfg.get_float("approx.eps", 1e-2))
+    with _library_checks():  # PrescribeConfig checks the L^p tolerance
+        lp = PrescribeConfig(p=cfg.get_float("approx.p", PrescribeConfig.p),
+                             eps=cfg.get_float("approx.eps", PrescribeConfig.eps))
+    result = approximate_by_diffeo(model.mesh, source, target, p=lp.p, eps=lp.eps)
     phi = result.phi
     emit_csv(outdir / "diffeo.csv", ["r", "phi", "f_of_phi", "target"],
              zip(model.mesh.nodes, phi.node_values, phi.compose(source), target))

@@ -79,7 +79,9 @@ class ConformalProblem:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not np.isfinite(self.c):
+            raise ValueError("the functional constant c must be finite")
+        if not self.epsilon > 0:
             raise ValueError("constraint level must be positive")
 
     @property
@@ -113,7 +115,7 @@ class SolverConfig:
     max_iter: int = 20_000
 
     def __post_init__(self):
-        if self.tol_residual <= 0 or self.max_iter <= 0:
+        if not (self.tol_residual > 0 and self.max_iter > 0):
             raise ValueError("tol_residual and max_iter must be positive")
 
 
@@ -406,8 +408,10 @@ def classify_conformal_class(metric: WarpedProductMetric, tol: float = 1e-8):
     Returns (verdict, lambda_1).  The eigenvalue problem is the generalized
     symmetric problem (4 b_n S + M scal) x = lambda M x for the stiffness S
     and quadrature masses M, so the zero mode of a vanishing potential is
-    resolved exactly.
+    resolved exactly.  ``tol`` must be finite and non-negative.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError("tol must be finite and non-negative")
     import scipy.linalg
     import scipy.sparse as sp
 

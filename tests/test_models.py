@@ -179,6 +179,12 @@ def test_warped_metric_rejects_nonfinite_warping(bad):
         WarpedProductMetric(mesh=mesh, fiber_dim=3, fiber_scal=6.0, warping=f)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_warped_metric_rejects_nonfinite_fiber_scal(bad):
+    with pytest.raises(ValueError, match="^fiber scalar curvature must be finite$"):
+        WarpedProductMetric.from_profile(64, 2 * np.pi, 3, bad, np.ones(64))
+
+
 def test_from_profile_rejects_a_profile_that_divides_by_zero_without_warning():
     # 1 + 1/r is infinite at the node r = 0; the runner used to print numpy's
     # RuntimeWarning above its configuration error

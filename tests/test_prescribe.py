@@ -14,8 +14,8 @@ from curvlab import (DiagonalInvariantMetric, Diffeo1D, MetricPerturbation,
                      newton_prescribe, pinching_check, ricci_warped,
                      scal_warped, tensor_inner)
 from curvlab.mesh import INTERVAL, build_mesh
-from curvlab.prescribe import (_greedy_walk, _monotone_runs, _periodic_interp,
-                               _pinching_window, _window_constant)
+from curvlab.prescribe import (_SUP_TOL, _greedy_walk, _monotone_runs,
+                               _periodic_interp, _pinching_window, _window_constant)
 
 from oracles import (adjoint_formula, dense_scal_jacobian, fine_circle_norm,
                      greedy_walk_loop, linearize_scal, monotone_runs_loop,
@@ -262,6 +262,21 @@ def test_newton_budget_admits_a_converging_last_step():
         newton_prescribe(metric, target, PrescribeConfig(newton_max_iter=steps - 1))
 
 
+SETTING_REJECTIONS = {"newton_tol": "newton_tol and newton_max_iter must be positive",
+                      "newton_max_iter": "newton_tol and newton_max_iter must be positive",
+                      "p": "p must be >= 1", "eps": "eps must be positive"}
+
+
+@pytest.mark.parametrize("name,value", [("newton_tol", np.nan), ("newton_tol", 0.0),
+                                        ("newton_max_iter", 0), ("newton_max_iter", -1),
+                                        ("p", np.nan), ("p", 0.5), ("eps", np.nan), ("eps", 0.0)])
+def test_prescribe_config_rejects_nan_and_out_of_range_settings(name, value):
+    # newton_max_iter = -1 used to reach the Newton driver, which returned
+    # None from an empty step loop
+    with pytest.raises(ValueError, match=f"^{SETTING_REJECTIONS[name]}$"):
+        PrescribeConfig(**{name: value})
+
+
 def test_newton_rejects_flat_kernel():
     flat = get_preset("flat-torus")
     with pytest.raises(PreconditionError):
@@ -347,6 +362,16 @@ def test_sine_to_zero_concentrates_at_roots():
     assert np.max(np.abs(composed)) < 0.05
 
 
+@pytest.mark.parametrize("name,value", [("p", np.nan), ("p", 0.5), ("eps", np.nan),
+                                        ("eps", -1.0)])
+def test_approximation_rejects_nan_and_out_of_range_settings(name, value):
+    # a NaN eps or p used to return achieved_error = nan
+    mesh = get_preset("round-fiber").mesh
+    f = np.sin(mesh.nodes)
+    with pytest.raises(ValueError, match=f"^{SETTING_REJECTIONS[name]}$"):
+        approximate_by_diffeo(mesh, f, 0.5 * f, **{name: value})
+
+
 def test_range_hypothesis_rejected():
     mesh = get_preset("round-fiber").mesh
     f = np.sin(mesh.nodes)
@@ -366,6 +391,43 @@ def test_diffeo_monotone_winding_one():
     assert phi(np.array([mesh.length])) - phi(np.array([0.0])) == pytest.approx(mesh.length)
     independent = fine_circle_norm(phi, mesh.nodes, f, g, mesh.weights, mesh.length, 2.0)
     assert independent < 1e-2
+
+
+@st.composite
+def increasing_lifts(draw):
+    """A circle mesh and a strictly increasing lift over one period starting at
+    break_x = 0, as `approximate_by_diffeo` builds them; the inner breakpoints
+    are drawn anywhere or on mesh nodes."""
+    n = draw(st.integers(16, 96))
+    L = draw(st.sampled_from([1.0, 2 * np.pi, 37.5]))
+    mesh = circle_mesh(n, L)
+    if draw(st.booleans()):
+        inner = np.cumsum(draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=40)))
+        bx = np.append(L * inner[:-1] / inner[-1], L)
+    else:
+        on_nodes = draw(st.sets(st.integers(1, n - 1), max_size=n - 1))
+        bx = np.append(mesh.nodes[sorted(on_nodes)], L)
+    rises = np.cumsum(draw(st.lists(st.floats(0.01, 1.0), min_size=len(bx), max_size=len(bx))))
+    y0 = draw(st.floats(-L, L))
+    by = np.append(y0, y0 + L * rises / rises[-1])
+    by[-1] = y0 + L
+    return mesh, np.append(0.0, bx), by
+
+
+@settings(max_examples=300, deadline=None)
+@given(increasing_lifts())
+def test_diffeo_node_samples_are_read_from_the_lift(lift):
+    mesh, bx, by = lift
+    phi = Diffeo1D(mesh=mesh, break_x=bx, break_y=by)
+    assert phi.node_values.tobytes() == np.interp(mesh.nodes, bx, by).tobytes()
+    for x, derivative in zip(mesh.nodes, phi.node_derivatives):
+        j = int(np.flatnonzero(bx <= x)[-1])  # the piece the node starts or lies in
+        assert derivative == (by[j + 1] - by[j]) / (bx[j + 1] - bx[j])
+    identity = Diffeo1D.identity(mesh)
+    assert identity.node_values.tobytes() == mesh.nodes.tobytes()
+    assert identity.node_derivatives.tobytes() == np.ones(mesh.node_count).tobytes()
+    for samples in (phi.node_values, phi.node_derivatives, identity.node_values):
+        assert not samples.flags.writeable
 
 
 def test_diffeo_winding_obstruction_detected():
@@ -407,9 +469,9 @@ def criterion9_pair(draw, rotation_steps, n=64):
 
 @pytest.mark.xfail(strict=True, raises=PreconditionError, reason=(
     "false winding obstruction: for p = 1 the initial cell count doubles straight to "
-    "max_cells = 4096, where the best greedy span is (1 - 3.9e-6) L but the reserve limit "
-    "L - (m + 2) mu is (1 - 4.1e-6) L; with max_cells = 2048 the same call succeeds "
-    "(error 5.0e-4), and with max_cells = 256 too (error 7.2e-3)"))
+    "_MAX_CELLS = 4096, where the best greedy span is (1 - 3.9e-6) L but the reserve limit "
+    "L - (m + 2) mu is (1 - 4.1e-6) L; with _MAX_CELLS = 2048 the same call succeeds "
+    "(error 5.0e-4), and with 256 too (error 7.2e-3)"))
 def test_criterion9_draw3_rotated_has_no_obstruction():
     mesh, f, g = criterion9_pair(draw=3, rotation_steps=38)
     result = approximate_by_diffeo(mesh, f, g, p=1.0, eps=1e-2)
@@ -417,12 +479,14 @@ def test_criterion9_draw3_rotated_has_no_obstruction():
     assert fine_circle_norm(result.phi, mesh.nodes, f, g, mesh.weights, mesh.length, 1.0) < 1e-2
 
 
-def test_criterion9_draw3_rotated_succeeds_below_4096_cells():
+def test_criterion9_draw3_rotated_succeeds_below_4096_cells(monkeypatch):
     # the false obstruction above is the mu reserve outgrowing the greedy
     # span's slack at 4096 cells; fewer cells leave room
+    import curvlab.prescribe as prescribe
     mesh, f, g = criterion9_pair(draw=3, rotation_steps=38)
     for max_cells, bound in ((2048, 1e-3), (256, 1e-2)):
-        result = approximate_by_diffeo(mesh, f, g, p=1.0, eps=1e-2, max_cells=max_cells)
+        monkeypatch.setattr(prescribe, "_MAX_CELLS", max_cells)
+        result = approximate_by_diffeo(mesh, f, g, p=1.0, eps=1e-2)
         assert result.cells == max_cells
         assert result.achieved_error < bound
 
@@ -578,8 +642,22 @@ def test_full_prescribe_negative_target_rejected():
     assert info.value.condition == "pinching-window"
 
 
+def fail_identity_path(monkeypatch):
+    """Make the direct (identity) solve of `full_prescribe` fail, so the
+    reparametrized path runs."""
+    import curvlab.prescribe as prescribe
+    verified_solve = prescribe._verified_solve
+
+    def solve(metric, c, expected, phi, path, cfg, **extra):
+        if path == "identity":
+            raise SolverError("identity path failed on purpose")
+        return verified_solve(metric, c, expected, phi, path, cfg, **extra)
+
+    monkeypatch.setattr(prescribe, "_verified_solve", solve)
+
+
 @pytest.mark.parametrize("n", [128, 256])
-def test_full_prescribe_reparametrized_path(n):
+def test_full_prescribe_reparametrized_path(n, monkeypatch):
     # the returned metric realizes target o phi in the Newton chart, checked
     # by its own stencil curvature
     metric = bumpy(amplitude=0.2, n=n)
@@ -587,8 +665,8 @@ def test_full_prescribe_reparametrized_path(n):
     scal0 = scal_warped(metric)
     r = mesh.nodes
     target = np.mean(scal0) + 2.0 * np.sin(r) + 0.8 * np.sin(2 * r + 0.3)
-    cfg = PrescribeConfig(force_reparametrization=True, eps=5e-2)
-    result = full_prescribe(metric, target, cfg)
+    fail_identity_path(monkeypatch)
+    result = full_prescribe(metric, target, PrescribeConfig(eps=5e-2))
     assert result.path == "reparametrized"
     target_at_phi = np.interp(np.mod(result.phi.node_values, mesh.length),
                               np.append(r, mesh.length), np.append(target, target[0]))
@@ -597,13 +675,15 @@ def test_full_prescribe_reparametrized_path(n):
     assert result.residuals["approximation"] < 5e-2
 
 
-def test_full_prescribe_raises_above_sup_tol():
+def test_full_prescribe_raises_above_sup_tol(monkeypatch):
     # the verified error is never zero: the direct path falls back, and the
     # reparametrized path raises
+    import curvlab.prescribe as prescribe
     metric = get_preset("round-fiber", n=64)
     target = 6.0 * (1.0 + 0.1 * np.sin(metric.mesh.nodes))
+    monkeypatch.setattr(prescribe, "_SUP_TOL", 1e-300)
     with pytest.raises(SolverError, match="reparametrized .*sup_tol"):
-        full_prescribe(metric, target, PrescribeConfig(sup_tol=1e-300))
+        full_prescribe(metric, target)
 
 
 def escape_bumped(flat):
@@ -654,7 +734,7 @@ def test_full_prescribe_falls_back_from_a_singular_direct_system():
         newton_prescribe(bumped, _window_constant(target, scal_warped(bumped)) * target)
     result = full_prescribe(flat, target)
     assert result.path == "reparametrized"
-    assert result.residuals["sup_error"] <= PrescribeConfig().sup_tol
+    assert result.residuals["sup_error"] <= _SUP_TOL
 
 
 def test_full_prescribe_escapes_flat_kernel():
@@ -693,8 +773,10 @@ def test_full_prescribe_flat_background_tests_original_and_bumped(monkeypatch):
     flat = get_preset("flat-torus", n=128)
     target = 0.05 * np.sin(flat.mesh.nodes)
     for force in (False, True):
+        if force:
+            fail_identity_path(monkeypatch)
         metrics.clear()
-        result = full_prescribe(flat, target, PrescribeConfig(force_reparametrization=force))
+        result = full_prescribe(flat, target)
         assert result.path == ("reparametrized" if force else "identity")
         assert len(metrics) == 2 and metrics[0] is flat
         bump = metrics[1].warping / flat.warping - 1.0
@@ -702,8 +784,10 @@ def test_full_prescribe_flat_background_tests_original_and_bumped(monkeypatch):
         assert result.residuals["sup_error"] < 1e-3
 
 
-def test_full_prescribe_without_escape_rejects_flat():
+def test_newton_prescribe_rejects_flat_as_kernel_dichotomy():
+    # the kernel test that makes full_prescribe escape the flat background
     flat = get_preset("flat-torus", n=128)
     target = 0.05 * np.sin(flat.mesh.nodes)
-    with pytest.raises(PreconditionError):
-        full_prescribe(flat, target, PrescribeConfig(escape_bump=0.0))
+    with pytest.raises(PreconditionError) as info:
+        newton_prescribe(flat, target)
+    assert info.value.condition == "kernel-dichotomy"

@@ -42,6 +42,11 @@ def test_expr_rejects_garbage():
         parse_profile_expr("2*cos r")
     with pytest.raises(ConfigError):
         parse_profile_expr("1 +")
+    # the number scanner accepts these, and float() used to reject them with
+    # a ValueError that escaped the runner
+    for text in ("1e", "1.2.3", "2e+", ".", "2*1e"):
+        with pytest.raises(ConfigError, match="^malformed number '.*' in profile expression$"):
+            parse_profile_expr(text)
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +186,9 @@ def test_prescribe_run(tmp_path, monkeypatch):
 
 
 def test_main_prescribe_above_sup_tol_exits_solver(tmp_path, monkeypatch, capsys):
-    import dataclasses
-
-    import curvlab.runner as runner
+    import curvlab.prescribe as prescribe
     from curvlab.runner import EXIT_SOLVER
-    full_prescribe = runner.full_prescribe
-    monkeypatch.setattr(runner, "full_prescribe", lambda metric, target, cfg: full_prescribe(
-        metric, target, dataclasses.replace(cfg, sup_tol=1e-300)))
+    monkeypatch.setattr(prescribe, "_SUP_TOL", 1e-300)
     code = main(["prescribe", "--model", "round-fiber", "--target", "6*(1 + 0.1*sin(r))",
                  "--outdir", str(tmp_path / "o")])
     assert code == EXIT_SOLVER
@@ -424,6 +425,58 @@ def test_main_rejects_nonfinite_model_input(tmp_path, capsys, command, override,
     # must not contain infs or NaNs"), yamabe with "Factor is exactly singular"
     outdir = tmp_path / "o"
     code = main([command, "--model", "round-fiber", "--set", override, "--outdir", str(outdir)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"configuration error: {reason}"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command,flag", [("classify", "--f"), ("prescribe", "--target"),
+                                          ("approx", "--target")])
+@pytest.mark.parametrize("number", ["1e", "1.2.3", "2e+", "."])
+def test_main_rejects_malformed_numbers(tmp_path, capsys, command, flag, number):
+    # each used to exit 1 with "could not convert string to float"
+    outdir = tmp_path / "o"
+    code = main([command, "--model", "bumpy", flag, number, "--outdir", str(outdir)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.strip() == f"configuration error: malformed number {number!r} in profile expression"
+    assert not outdir.exists()
+
+
+INVALID_SETTINGS = [
+    # exit 0 with a wrong verdict (Z_G, lambda1 = -2.1) or achieved_error = nan
+    ("classify --set model.cF=-2 --tol nan", "tol must be finite and non-negative"),
+    ("classify --tol inf", "tol must be finite and non-negative"),
+    ("classify --tol -1", "tol must be finite and non-negative"),
+    ("approx --target 6+0.5*sin(r) --eps nan", "eps must be positive"),
+    ("approx --target 6+0.5*sin(r) --p nan", "p must be >= 1"),
+    ("prescribe --target 6*(1+0.1*sin(r)) --eps nan", "eps must be positive"),
+    ("prescribe --target 6*(1+0.1*sin(r)) --p nan", "p must be >= 1"),
+    ("prescribe --target 6*(1+0.1*sin(r)) --tol nan",
+     "newton_tol and newton_max_iter must be positive"),
+    ("yamabe --tol nan", "tol_residual and max_iter must be positive"),
+    # exit 1 from the eigensolver, exit 3 from a NaN Newton residual
+    ("classify --set model.cF=inf", "fiber scalar curvature must be finite"),
+    ("yamabe --set model.cF=nan", "fiber scalar curvature must be finite"),
+    ("yamabe --c nan", "the functional constant c must be finite"),
+    ("yamabe --c inf", "the functional constant c must be finite"),
+    ("yamabe --set model.cF=-2 --negative --c nan", "the functional constant c must be finite"),
+    # exit 1 with a traceback
+    ("yamabe --tol -1", "tol_residual and max_iter must be positive"),
+    ("yamabe --max-iter 0", "tol_residual and max_iter must be positive"),
+    ("approx --target 6+0.5*sin(r) --p 0.5", "p must be >= 1"),
+    ("prescribe --target 6*(1+0.1*sin(r)) --max-iter -1",
+     "newton_tol and newton_max_iter must be positive"),
+    ("prescribe --target 6*(1+0.1*sin(r)) --max-iter 0",
+     "newton_tol and newton_max_iter must be positive"),
+]
+
+
+@pytest.mark.parametrize("args,reason", INVALID_SETTINGS, ids=[a.replace(" ", "_") for a, _ in INVALID_SETTINGS])
+def test_main_rejects_invalid_settings(tmp_path, capsys, args, reason):
+    command, *rest = args.split()
+    outdir = tmp_path / "o"
+    code = main([command, "--model", "bumpy", *rest, "--outdir", str(outdir)])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.strip() == f"configuration error: {reason}"
     assert not outdir.exists()

@@ -242,6 +242,19 @@ def test_problem_caches_background_scal():
     assert not p.scal.flags.writeable
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_nonfinite_c(bad):
+    with pytest.raises(ValueError, match="^the functional constant c must be finite$"):
+        ConformalProblem(get_preset("bumpy"), c=bad)
+
+
+@pytest.mark.parametrize("settings", [dict(tol_residual=np.nan), dict(tol_residual=-1.0),
+                                      dict(tol_residual=0.0), dict(max_iter=0)])
+def test_solver_config_rejects_nan_and_nonpositive_settings(settings):
+    with pytest.raises(ValueError, match="must be positive"):
+        SolverConfig(**settings)
+
+
 def test_minimize_rejects_flat_background():
     p = ConformalProblem(get_preset("flat-torus"), c=1.0)
     with pytest.raises(PreconditionError):
@@ -420,6 +433,13 @@ def test_classifier_three_verdicts():
     assert verdict is ConformalClass.ZERO and abs(lam) < 1e-8
     verdict, lam = classify_conformal_class(get_preset("hyperbolic-fiber"))
     assert verdict is ConformalClass.NEGATIVE and lam < 0
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8])
+def test_classifier_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # a NaN tol used to fail both comparisons and report Z_G for any lambda_1
+    with pytest.raises(ValueError, match="^tol must be finite and non-negative$"):
+        classify_conformal_class(get_preset("hyperbolic-fiber"), tol=tol)
 
 
 def test_classifier_invariant_under_scaling():
