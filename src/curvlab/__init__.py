@@ -23,10 +23,10 @@ from .models import (DiagonalInvariantMetric, LeftInvariantMetric,
 from .cheeger import (IsotropyData, OrbitData, TangentSplit,
                       deformed_group_metric, homogeneous_scal, isotropy_term,
                       orbit_tensor_eig, pinching_limit, scal_cheeger,
-                      shrink_map_apply, twist_term)
+                      twist_term)
 from .yamabe import (ConformalClass, ConformalProblem, ConformalSolution,
                      SolverConfig, classify_conformal_class, conformal_energy,
-                     conformal_scal, conformal_warped_metric, el_residual,
+                     conformal_scal, el_residual,
                      energy_gradient, minimize_on_constraint,
                      negative_constant_bound, project_to_constraint,
                      solve_negative_constant)

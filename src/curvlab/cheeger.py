@@ -158,15 +158,6 @@ def orbit_tensor_eig(orbit: OrbitData):
     return lam, O
 
 
-def shrink_map_apply(orbit: OrbitData, t: float, vec: TangentSplit) -> TangentSplit:
-    """Apply C_t: identity on the normal part, (1 + tP)^{-1} on the orbit part."""
-    if t < 0:
-        raise ValueError("deformation time must be nonnegative")
-    P = orbit.algebra.tensor
-    M = np.eye(orbit.orbit_dim) + t * P
-    return TangentSplit(vec.normal.copy(), np.linalg.solve(M, vec.orbit))
-
-
 def _times(t: float | np.ndarray) -> np.ndarray:
     """Deformation times as a 0-d or 1-d float array, checked nonnegative."""
     ts = np.asarray(t, dtype=float)

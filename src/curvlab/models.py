@@ -246,6 +246,8 @@ class LeftInvariantMetric:
         P = np.asarray(self.tensor, dtype=float)
         if P.shape != (d, d):
             raise ValueError("tensor must be a (d, d) array")
+        if not np.all(np.isfinite(P)):
+            raise ValueError("tensor must be finite")
         if not np.allclose(P, P.T, atol=1e-12):
             raise ValueError("tensor must be symmetric")
         if np.min(np.linalg.eigvalsh(P)) <= 0:

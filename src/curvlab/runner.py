@@ -7,10 +7,10 @@ Configuration is a flat text file with one dotted key per line::
     model.N = 128
     run.outdir = out
 
-Recognized keys: model.preset, model.N, model.L, model.k, model.cF, model.f,
-solver.tol, solver.max_iter, run.outdir, yamabe.c, yamabe.negative,
-prescribe.target, prescribe.p, prescribe.eps, cheeger.t_max, canonical.sweep,
-approx.target, approx.p, approx.eps.  Any other key is a configuration error.
+`COMMAND_KEYS` lists the keys each command reads.  Any other key, and a
+`command` entry that names another command, is a configuration error.  On
+the command line each key is the flag --<last part>, with _ written as -
+(--max-iter sets solver.max_iter); --model is a second spelling of --preset.
 
 Outputs per run: report.txt (key = value lines), CSV data files at full
 double precision, and gnuplot-compatible two-column files under plotdata/.
@@ -20,7 +20,7 @@ Identical configuration reproduces every output byte for byte; wall time is
 therefore reported on stderr only.
 
 Exit codes: 0 success, 2 precondition rejection, 3 solver non-convergence,
-4 configuration or I/O failure.
+4 configuration, usage or I/O failure.
 """
 
 from __future__ import annotations
@@ -49,13 +49,22 @@ EXIT_PRECONDITION = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 4
 
-COMMANDS = ("classify", "yamabe", "prescribe", "cheeger", "canonical", "approx")
+_MODEL_KEYS = ("model.preset", "model.N", "model.L", "model.k", "model.cF", "model.f")
 
-RECOGNIZED_KEYS = frozenset((
-    "model.preset", "model.N", "model.L", "model.k", "model.cF", "model.f",
-    "solver.tol", "solver.max_iter", "run.outdir", "yamabe.c", "yamabe.negative",
-    "prescribe.target", "prescribe.p", "prescribe.eps", "cheeger.t_max", "canonical.sweep",
-    "approx.target", "approx.p", "approx.eps"))
+# The keys each command reads; every command also reads run.outdir.  The
+# group presets (cheeger) and the canonical presets take no mesh or profile.
+COMMAND_KEYS = {command: (*keys, "run.outdir") for command, keys in {
+    "classify": (*_MODEL_KEYS, "solver.tol"),
+    "yamabe": (*_MODEL_KEYS, "solver.tol", "solver.max_iter", "yamabe.c", "yamabe.negative"),
+    "prescribe": (*_MODEL_KEYS, "solver.tol", "solver.max_iter",
+                  "prescribe.target", "prescribe.p", "prescribe.eps"),
+    "cheeger": ("model.preset", "cheeger.t_max"),
+    "canonical": ("model.preset", "canonical.sweep"),
+    "approx": (*_MODEL_KEYS, "approx.target", "approx.p", "approx.eps"),
+}.items()}
+
+COMMANDS = tuple(COMMAND_KEYS)
+RECOGNIZED_KEYS = frozenset().union(*COMMAND_KEYS.values())
 
 CANONICAL_PRESETS = {
     "product-round-fiber": dict(base_dim=2, fiber_dim=2, base_scal=0.0, fiber_scal=2.0),
@@ -167,9 +176,9 @@ class ScenarioConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in COMMAND_KEYS:
             raise ConfigError(f"unknown command {self.command!r}")
-        unknown = sorted(set(self.options) - RECOGNIZED_KEYS)
+        unknown = sorted(set(self.options) - set(COMMAND_KEYS[self.command]))
         if unknown:
             raise ConfigError(f"unknown configuration key(s): {', '.join(unknown)}")
 
@@ -245,6 +254,8 @@ def _library_checks():
 def _resolve_model(cfg: ScenarioConfig):
     name = cfg.get("model.preset", "round-fiber")
     n = cfg.get_int("model.N", 64)
+    if n < 16:
+        raise ConfigError("model.N must be at least 16")
     length = cfg.get_float("model.L", 2 * np.pi)
     k = cfg.get_int("model.k", 3)
     profile = None
@@ -465,8 +476,6 @@ _RUNNERS = {
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Execute one scenario, writing report.txt, CSVs and plotdata files."""
-    if cfg.get_int("model.N", 64) < 16:
-        raise ConfigError("model.N must be at least 16")
     outdir = Path(cfg.get("run.outdir", "curvlab-out"))
     start = time.perf_counter()
     summary, residuals = _RUNNERS[cfg.command](cfg, outdir)
@@ -484,54 +493,42 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
 # command line front end
 # ---------------------------------------------------------------------------
 
-_FLAG_KEYS = {
-    "model": "model.preset", "preset": "model.preset", "N": "model.N", "L": "model.L",
-    "k": "model.k", "cF": "model.cF", "f": "model.f", "c": "yamabe.c",
-    "target": "prescribe.target", "p": "prescribe.p", "eps": "prescribe.eps",
-    "t_max": "cheeger.t_max", "sweep": "canonical.sweep", "tol": "solver.tol",
-    "max_iter": "solver.max_iter", "outdir": "run.outdir",
-}
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 4, like any bad setting
+        raise ConfigError(message)
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="curvlab",
-                                     description="invariant-curvature scenario runner")
+    parser = _Parser(prog="curvlab", description="invariant-curvature scenario runner")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
-        p = sub.add_parser(command)
+    for command, keys in COMMAND_KEYS.items():
+        p = sub.add_parser(command, allow_abbrev=False)  # one spelling per flag
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a dotted configuration key")
-        for flag, key in _FLAG_KEYS.items():
-            p.add_argument(f"--{flag.replace('_', '-')}", dest=f"flag_{flag}", default=None)
-        if command == "yamabe":
-            p.add_argument("--negative", action="store_true")
+        for key in keys:
+            flags = ["--" + key.rpartition(".")[2].replace("_", "-")]
+            flags += ["--model"] if key == "model.preset" else []
+            switch = {"action": "store_const", "const": "true"} if key == "yamabe.negative" else {}
+            p.add_argument(*flags, dest=key, **switch)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        options = {}
-        if args.config:
-            options.update(parse_config_file(args.config))
-        for flag, key in _FLAG_KEYS.items():
-            value = getattr(args, f"flag_{flag}", None)
-            if value is not None:
-                if args.command == "approx" and key.startswith("prescribe."):
-                    key = "approx." + key.partition(".")[2]  # approx.target, .p, .eps
-                options[key] = value
-        if getattr(args, "negative", False):
-            options["yamabe.negative"] = "true"
+        args = _build_parser().parse_args(argv)
+        options = parse_config_file(args.config) if args.config else {}
+        options.update((key, value) for key, value in vars(args).items()
+                       if key in RECOGNIZED_KEYS and value is not None)
         for override in args.set:
             if "=" not in override:
                 raise ConfigError(f"--set expects KEY=VALUE, got {override!r}")
             key, _, value = override.partition("=")
             options[key.strip()] = value.strip()
         command = options.pop("command", args.command)
-        cfg = ScenarioConfig(command=command, options=options)
-        report = run_scenario(cfg)
+        if command != args.command:
+            raise ConfigError(f"command = {command} does not match the subcommand {args.command}")
+        report = run_scenario(ScenarioConfig(command=command, options=options))
     except PreconditionError as exc:
         print(f"rejected ({exc.condition or 'precondition'}): {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

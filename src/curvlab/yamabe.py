@@ -41,9 +41,7 @@ Each scipy subpackage is imported inside the functions that use it:
 `classify_conformal_class` (a mesh imports it with its first sparse matrix;
 its stencils, and so `conformal_scal` and `el_residual`, need numpy only);
 `scipy.sparse.linalg` in `minimize_on_constraint`; `scipy.linalg` in
-`classify_conformal_class`; and `scipy.interpolate` (which loads
-`scipy.optimize`, `scipy.special`, `scipy.fft` and `scipy.spatial`) in
-`conformal_warped_metric`.  Together they cost more to import than the rest
+`classify_conformal_class`.  Together they cost more to import than the rest
 of curvlab, and most commands never call those functions.
 """
 
@@ -370,36 +368,6 @@ def conformal_scal(metric: WarpedProductMetric, u) -> np.ndarray:
     g = YamabeConstants.for_dimension(metric.dim)
     scal = scal_warped(metric)
     return (-4.0 * g.b_n * metric.mesh.laplacian(u) + scal * u) / u**g.gamma_n
-
-
-def conformal_warped_metric(metric: WarpedProductMetric, u, n_out: int | None = None
-                            ) -> WarpedProductMetric:
-    """Resample u^(4/(n-2)) g as a warped product over its own arclength circle.
-
-    With v = u^(2/(n-2)), the conformal metric is (v dr)^2 + (v f)^2 g_F; the
-    new arclength is the antiderivative of v and the new warping is v f
-    re-sampled on a uniform grid through periodic splines.
-    """
-    import scipy.interpolate
-
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
-        raise PreconditionError("conformal factor must be strictly positive",
-                                condition="positive-factor")
-    mesh = metric.mesh
-    n = metric.dim
-    v = u ** (2.0 / (n - 2))
-    nodes = np.append(mesh.nodes, mesh.length)
-    v_ext = np.append(v, v[0])
-    spline_v = scipy.interpolate.CubicSpline(nodes, v_ext, bc_type="periodic")
-    phi = spline_v.antiderivative()(nodes)
-    new_length = float(phi[-1])
-    ftil = v * metric.warping
-    spline_f = scipy.interpolate.CubicSpline(phi, np.append(ftil, ftil[0]), bc_type="periodic")
-    n_out = n_out or mesh.node_count
-    new_nodes = new_length / n_out * np.arange(n_out)
-    return WarpedProductMetric.from_profile(
-        n_out, new_length, metric.fiber_dim, metric.fiber_scal, spline_f(new_nodes))
 
 
 def classify_conformal_class(metric: WarpedProductMetric, tol: float = 1e-8):

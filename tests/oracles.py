@@ -14,14 +14,18 @@ Newton loop `solve_negative_constant` once ran, the roll-and-slice stencils
 `QuotientMesh` once evaluated its derivatives, Laplacian and Dirichlet form
 with, and the closed-form warped-product curvature `scal_warped` once
 evaluated.
-Two small functions that only tests read live here too: the coercive energy
-of the negative regime and the representation-independent curvature
-operator.
+Four small functions that only tests read live here too: the coercive energy
+of the negative regime, the representation-independent curvature operator,
+the shrink map C_t of a Cheeger deformation, and the spline resampling of a
+conformal warped metric over its own arclength circle (the independent route
+of acceptance criteria 5 and 10).
 """
 
 import numpy as np
+import scipy.interpolate
 import scipy.sparse as sp
 
+from curvlab.cheeger import OrbitData, TangentSplit
 from curvlab.errors import ObstructionError, PreconditionError, SolverError
 from curvlab.mesh import CIRCLE
 from curvlab.models import (DiagonalInvariantMetric, WarpedProductMetric,
@@ -503,3 +507,40 @@ def scal_warped_formula(metric: WarpedProductMetric) -> np.ndarray:
     df = metric.mesh.derivative(f)
     d2f = metric.mesh.second_derivative(f)
     return metric.fiber_scal / f**2 - 2.0 * k * d2f / f - k * (k - 1) * (df / f) ** 2
+
+
+def shrink_map_apply(orbit: OrbitData, t: float, vec: TangentSplit) -> TangentSplit:
+    """Apply C_t: identity on the normal part, (1 + tP)^{-1} on the orbit part."""
+    if t < 0:
+        raise ValueError("deformation time must be nonnegative")
+    P = orbit.algebra.tensor
+    M = np.eye(orbit.orbit_dim) + t * P
+    return TangentSplit(vec.normal.copy(), np.linalg.solve(M, vec.orbit))
+
+
+def conformal_warped_metric(metric: WarpedProductMetric, u, n_out: int | None = None
+                            ) -> WarpedProductMetric:
+    """Resample u^(4/(n-2)) g as a warped product over its own arclength circle.
+
+    With v = u^(2/(n-2)), the conformal metric is (v dr)^2 + (v f)^2 g_F; the
+    new arclength is the antiderivative of v and the new warping is v f
+    re-sampled on a uniform grid through periodic splines.
+    """
+    u = np.asarray(u, dtype=float)
+    if np.any(u <= 0):
+        raise PreconditionError("conformal factor must be strictly positive",
+                                condition="positive-factor")
+    mesh = metric.mesh
+    n = metric.dim
+    v = u ** (2.0 / (n - 2))
+    nodes = np.append(mesh.nodes, mesh.length)
+    v_ext = np.append(v, v[0])
+    spline_v = scipy.interpolate.CubicSpline(nodes, v_ext, bc_type="periodic")
+    phi = spline_v.antiderivative()(nodes)
+    new_length = float(phi[-1])
+    ftil = v * metric.warping
+    spline_f = scipy.interpolate.CubicSpline(phi, np.append(ftil, ftil[0]), bc_type="periodic")
+    n_out = n_out or mesh.node_count
+    new_nodes = new_length / n_out * np.arange(n_out)
+    return WarpedProductMetric.from_profile(
+        n_out, new_length, metric.fiber_dim, metric.fiber_scal, spline_f(new_nodes))

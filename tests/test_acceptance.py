@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import curvlab as cl
-from oracles import fine_circle_norm, linearize_scal, ratio_max_sampled_refined
+from oracles import (conformal_warped_metric, fine_circle_norm, linearize_scal,
+                     ratio_max_sampled_refined)
 
 
 def criterion(number, description):
@@ -111,7 +112,7 @@ def test_negative_constant_solve():
     assert sol.residual_norm < 1e-6
     assert np.all(sol.u > 0)
     assert sol.achieved_constant > 0
-    rescaled = cl.conformal_warped_metric(metric, sol.u)
+    rescaled = conformal_warped_metric(metric, sol.u)
     verdict, _ = cl.classify_conformal_class(rescaled)
     assert verdict is cl.ConformalClass.NEGATIVE
 
@@ -199,7 +200,7 @@ def test_conformal_oracle_convergence():
         metric = cl.get_preset("round-fiber", n=n)
         u = 1.0 + 0.3 * np.sin(metric.mesh.nodes)
         direct = cl.conformal_scal(metric, u)
-        resampled = cl.conformal_warped_metric(metric, u, n_out=4 * n)
+        resampled = conformal_warped_metric(metric, u, n_out=4 * n)
         v = u ** (2.0 / (metric.dim - 2))
         nodes = np.append(metric.mesh.nodes, metric.mesh.length)
         spline = scipy.interpolate.CubicSpline(nodes, np.append(v, v[0]), bc_type="periodic")

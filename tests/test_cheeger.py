@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from curvlab import (IsotropyData, OrbitData, PreconditionError, TangentSplit,
                      deformed_group_metric, homogeneous_scal, isotropy_term,
                      orbit_tensor_eig, pinching_limit, scal_cheeger,
-                     scal_left_invariant, shrink_map_apply, su2_metric,
+                     scal_left_invariant, su2_metric,
                      su2_plus_line_structure, su2_structure, twist_term)
 from curvlab.models import LeftInvariantMetric, abelian_metric
 
-from oracles import ratio_max_sampled_refined, twist_term_sampled
+from oracles import ratio_max_sampled_refined, shrink_map_apply, twist_term_sampled
 
 T_GRID = (0.0, 0.1, 1.0, 10.0, 100.0)
 

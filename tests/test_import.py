@@ -19,8 +19,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 IMPORTS = ("import numpy as np\n"
            "from curvlab import (ConformalProblem, approximate_by_diffeo, circle_mesh,\n"
-           "    classify_conformal_class, conformal_scal, conformal_warped_metric,\n"
-           "    get_preset, minimize_on_constraint, scal_warped)\n"
+           "    classify_conformal_class, conformal_scal, get_preset,\n"
+           "    minimize_on_constraint, scal_warped)\n"
            "from curvlab.runner import ScenarioConfig, run_scenario\n")
 
 
@@ -42,15 +42,12 @@ def test_import_loads_no_heavy_scipy_subpackage():
 @pytest.mark.parametrize("call,loads", [
     ("assert get_preset('round-fiber', n=32).mesh.stiffness_matrix().shape == (32, 32)",
      "scipy.sparse"),
-    ("m = get_preset('round-fiber', n=32)\n"
-     "assert conformal_warped_metric(m, 1 + 0.1 * np.sin(m.mesh.nodes)).mesh.node_count == 32",
-     "scipy.interpolate"),
     ("assert classify_conformal_class(get_preset('round-fiber', n=32))[0].value == 'P_G'",
      "scipy.linalg"),
     ("s = minimize_on_constraint(ConformalProblem(get_preset('round-fiber', n=32), c=1.0))\n"
      "assert s.residual_norm < 1e-6",
      "scipy.sparse.linalg"),
-], ids=["first_matrix_call", "conformal_warped_metric", "classify_conformal_class",
+], ids=["first_matrix_call", "classify_conformal_class",
         "minimize_on_constraint"])
 def test_deferred_imports_load_in_their_function(call, loads):
     assert loads in _fresh_modules(IMPORTS + call)

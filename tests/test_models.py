@@ -279,6 +279,10 @@ def test_structure_constant_validation():
         LeftInvariantMetric(bad, np.eye(3))
     with pytest.raises(ValueError):
         LeftInvariantMetric(su2_structure(), np.diag([1.0, -1.0, 1.0]))
+    # an infinite entry used to construct, and a NaN read as "not symmetric"
+    for bad_entry in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="^tensor must be finite$"):
+            LeftInvariantMetric(su2_structure(), np.diag([bad_entry, 1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from curvlab import get_preset, scal_warped
 from curvlab.errors import ConfigError
-from curvlab.runner import (EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION,
+from curvlab.runner import (COMMAND_KEYS, EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION,
                             RECOGNIZED_KEYS, ScenarioConfig, emit_csv, main,
                             parse_config_file, parse_profile_expr, run_scenario)
 
@@ -104,13 +104,18 @@ def test_config_rejects_unknown_keys():
 
 
 def test_recognized_keys_match_the_module_docstring():
-    # the same list appears in the runner docstring and in the README
+    # the docstring names the table; the README lists each command's row,
+    # one "- `command`: `key`, ..." line per command
     import curvlab.runner as runner
-    listed = runner.__doc__.split("Recognized keys:")[1].split(".  ")[0]
-    assert {k.strip() for k in listed.split(",")} == RECOGNIZED_KEYS
+    assert "`COMMAND_KEYS` lists the keys each command reads" in runner.__doc__
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    listed = readme.split("Recognized keys:")[1].split(";")[0]
-    assert {k.strip().strip("`") for k in listed.split(",")} == RECOGNIZED_KEYS
+    listed = {}
+    for line in readme.split("Each command reads these keys")[1].split("\n\n")[1].splitlines():
+        command, _, keys = line.removeprefix("- ").partition(": ")
+        listed[command.strip("`")] = [k.strip().strip("`") for k in keys.split(",")]
+    assert listed.keys() == COMMAND_KEYS.keys()
+    for command, keys in listed.items():
+        assert keys == list(COMMAND_KEYS[command]), command
 
 
 def test_config_rejects_bad_number():
@@ -386,6 +391,103 @@ def test_main_rejects_unknown_key(tmp_path, capsys):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("args,reason", [
+    # each used to exit 0 (or 4 with "model.N must be at least 16") although
+    # the command never reads the key
+    (["classify", "--model", "bumpy", "--target", "1e"], "unrecognized arguments: --target 1e"),
+    (["cheeger", "--model", "su2-berger(1.5)", "--tol", "nan"], "unrecognized arguments: --tol nan"),
+    (["cheeger", "--model", "su2-berger(1.5)", "--set", "model.cF=nan"],
+     "unknown configuration key(s): model.cF"),
+    (["canonical", "--eps", "nan"], "unrecognized arguments: --eps nan"),
+    (["canonical", "--N", "8"], "unrecognized arguments: --N 8"),
+    (["prescribe", "--set", "approx.target=6", "--set", "yamabe.c=1"],
+     "unknown configuration key(s): approx.target, yamabe.c"),
+], ids=["classify_target", "cheeger_tol", "cheeger_cF", "canonical_eps", "canonical_N",
+        "prescribe_foreign_keys"])
+def test_main_rejects_keys_the_command_does_not_read(tmp_path, capsys, args, reason):
+    outdir = tmp_path / "o"
+    code = main([*args, "--outdir", str(outdir)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"configuration error: {reason}"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_config_accepts_exactly_the_keys_of_its_command(command):
+    ScenarioConfig(command=command, options=dict.fromkeys(COMMAND_KEYS[command], "1"))
+    for key in RECOGNIZED_KEYS - set(COMMAND_KEYS[command]):
+        with pytest.raises(ConfigError, match=f"^unknown configuration key\\(s\\): {key}$"):
+            ScenarioConfig(command=command, options={key: "1"})
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_each_flag_sets_its_key(command):
+    # the flag is the key's last part with _ written as -; --negative is a switch
+    from curvlab.runner import _build_parser
+    parser = _build_parser()
+    for key in COMMAND_KEYS[command]:
+        flag = "--" + key.rpartition(".")[2].replace("_", "-")
+        args = [command, flag] if key == "yamabe.negative" else [command, flag, "v"]
+        assert vars(parser.parse_args(args))[key] == ("true" if key == "yamabe.negative" else "v")
+    if "model.preset" in COMMAND_KEYS[command]:
+        assert vars(parser.parse_args([command, "--model", "m"]))["model.preset"] == "m"
+
+
+@pytest.mark.parametrize("args,reason", [
+    (["classify", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ([], "the following arguments are required: command"),
+    (["classify", "--model"], "argument --preset/--model: expected one argument"),
+    (["explode"], "argument command: invalid choice: 'explode'"),
+    # argparse takes an unambiguous prefix for the flag: --neg used to set
+    # yamabe.negative, and with only cheeger's flags in its parser --t would set t_max
+    (["cheeger", "--t", "50"], "unrecognized arguments: --t 50"),
+    (["yamabe", "--neg"], "unrecognized arguments: --neg"),
+], ids=["unknown_flag", "no_command", "missing_value", "unknown_command", "cheeger_prefix",
+        "yamabe_prefix"])
+def test_main_usage_errors_are_config_errors(capsys, args, reason):
+    # argparse used to print its usage and exit 2, the precondition code
+    code = main(args)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {reason}")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_main_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--help"])
+    assert exc.value.code == 0
+    assert "--tol" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args,entry", [
+    # classify used to run yamabe and exit 0
+    (["classify", "--model", "round-fiber", "--config", "CFG"], "yamabe"),
+    (["classify", "--model", "round-fiber", "--set", "command=yamabe"], "yamabe"),
+    # used to exit 4 with the misleading "approx.target is required"
+    (["prescribe", "--model", "bumpy", "--config", "CFG", "--target", "6+0.5*sin(r)"], "approx"),
+], ids=["classify_config", "classify_set", "prescribe_config"])
+def test_main_rejects_a_command_entry_that_differs_from_the_subcommand(tmp_path, capsys, args,
+                                                                        entry):
+    cfg_file = tmp_path / "f.cfg"
+    cfg_file.write_text(f"command = {entry}\n")
+    outdir = tmp_path / "o"
+    code = main([str(cfg_file) if a == "CFG" else a for a in args] + ["--outdir", str(outdir)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == (
+        f"configuration error: command = {entry} does not match the subcommand {args[0]}")
+    assert not outdir.exists()
+
+
+def test_main_config_command_matching_the_subcommand_runs(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"command = classify\nmodel.preset = flat-torus\nmodel.N = 32\n"
+                        f"run.outdir = {tmp_path / 'o'}\n")
+    assert main(["classify", "--config", str(cfg_file)]) == EXIT_OK
+    assert "verdict = Z_G" in capsys.readouterr().out
+    assert "command = classify" in (tmp_path / "o" / "report.txt").read_text().splitlines()
+
+
 @pytest.mark.parametrize("t_max", ["nan", "inf", "-inf", "1e-3", "0.01", "1e103", "1e300"])
 def test_main_rejects_cheeger_t_max_outside_the_sweep(tmp_path, capsys, t_max):
     # nan and inf used to exit 0 with final_ratio = nan, 1e-3 ran the logspace
@@ -419,6 +521,10 @@ def test_main_rejects_nonfinite_canonical_sweep(tmp_path, capsys, sweep):
     ("classify", "model.L=inf", "length must be finite and positive"),
     ("classify", "model.f=1+r^-1", "warping must be finite"),
     ("yamabe", "model.L=nan", "length must be finite and positive"),
+    # inf used to exit 0 with final_ratio = nan, nan to exit 4 with "tensor
+    # must be symmetric"
+    ("cheeger", "model.preset=su2-berger(inf)", "tensor must be finite"),
+    ("cheeger", "model.preset=su2-berger(nan)", "tensor must be finite"),
 ])
 def test_main_rejects_nonfinite_model_input(tmp_path, capsys, command, override, reason):
     # classify used to exit 1 with a traceback from the eigensolver ("array

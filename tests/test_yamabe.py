@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from curvlab import (ConformalClass, ConformalProblem, ObstructionError,
                      PreconditionError, SolverConfig, SolverError,
                      WarpedProductMetric, classify_conformal_class,
-                     conformal_energy, conformal_scal, conformal_warped_metric,
+                     conformal_energy, conformal_scal,
                      el_residual, energy_gradient, get_preset,
                      minimize_on_constraint, negative_constant_bound,
                      project_to_constraint, scal_warped, solve_negative_constant)
 from curvlab.yamabe import _bordered_newton
 
-from oracles import coercive_energy, negative_newton_loop
+from oracles import coercive_energy, conformal_warped_metric, negative_newton_loop
 
 
 def round_problem(c=6.0, n=64, eps=1.0):
