@@ -13,10 +13,13 @@ instead of the implementation.
 A metric is locally surjective onto nearby curvature functions whenever the
 adjoint has trivial kernel (quantified by `kernel_min_singular`: exactly zero
 on the flat model, where constants are annihilated, and bounded away from
-zero on generic backgrounds).  `newton_prescribe` tests that once per metric,
-then solves F(g + adjoint(u)) = K by Newton iterations whose linear systems
-use the composition jacobian . adjoint, and `full_prescribe` chains the
-pinching window search, the escape from a kernel background, an optional
+zero on generic backgrounds).  That test forms no dense matrix: Lanczos
+iterates on the inverse Gram operator of the adjoint, applied through one
+sparse LU of the augmented system, in O(N) work and memory.
+`newton_prescribe` tests the kernel once per metric, then solves
+F(g + adjoint(u)) = K by Newton iterations whose linear systems use the
+composition jacobian . adjoint, and `full_prescribe` chains the pinching
+window search, the escape from a kernel background, an optional
 measure-concentrating reparametrization phi, and the Newton solve.
 
 The result is a statement in the Newton chart, as in the Kazdan-Warner route
@@ -178,11 +181,56 @@ def kernel_min_singular(metric: WarpedProductMetric) -> float:
     Vanishes exactly when constants are annihilated (flat background: zero
     curvature and zero Ricci); bounded away from zero on generic backgrounds,
     which is the quantitative form of the kernel dichotomy.
+
+    With B = M_h^{-1/2} J^T M^{1/2}, the (2N, N) adjoint in orthonormal
+    coordinates, the sparse augmented matrix K = [[I, B], [B^T, 0]] is
+    factored once by `splu`: the solve of K (y, x) = (0, -v) gives
+    x = (B^T B)^{-1} v (Bjorck, *Numerical Methods for Least Squares
+    Problems*, 1996, on the augmented system).  Lanczos (`eigsh`, ARPACK;
+    Lehoucq, Sorensen and Yang, *ARPACK Users' Guide*, 1998) finds the largest
+    eigenvalue of that inverse, starting from a fixed seeded vector so that
+    two calls return the same float, and the value returned is
+    ||B x|| / ||x|| at its eigenvector x.  O(N) work and memory; no dense
+    matrix is formed.  An exactly singular K has a kernel and returns 0.0; a
+    Lanczos run that does not converge is a `SolverError`.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+
     m = metric.mesh.mass_vector()
     mh = np.concatenate([m, metric.fiber_dim * m])
     B = _scaled_transpose(linearize_scal_matrix(metric), 1.0 / np.sqrt(mh), np.sqrt(m))
-    return float(np.linalg.svd(B.toarray(), compute_uv=False)[-1])
+    rows, n = B.shape
+    # K from B's CSC arrays as three COO blocks: I, B and its transpose
+    col = np.repeat(np.arange(n), np.diff(B.indptr))
+    eye = np.arange(rows)
+    K = sp.csc_array((np.concatenate([np.ones(rows), B.data, B.data]),
+                      (np.concatenate([eye, B.indices, rows + col]),
+                       np.concatenate([eye, rows + col, B.indices]))),
+                     shape=(rows + n, rows + n))
+    try:
+        lu = splu(K)
+    except RuntimeError:  # "Factor is exactly singular"
+        return 0.0
+    rhs = np.zeros(rows + n)
+
+    def inverse_gram(v):
+        rhs[rows:] = -v.ravel()
+        return lu.solve(rhs)[rows:]
+
+    # a constant start is an exact eigenvector of B^T B on the homogeneous
+    # backgrounds, not the extreme one.  "LM", not "LA": near a kernel the
+    # rounding of the solve can give the huge eigenvalue either sign.  ncv = 6,
+    # not scipy's 20: the larger basis measured slower, and slowed the dense
+    # SVDs run after it.
+    start = np.random.default_rng(0).standard_normal(n)
+    try:
+        _, vectors = eigsh(LinearOperator((n, n), matvec=inverse_gram, dtype=float),
+                           k=1, which="LM", v0=start, ncv=6)
+    except ArpackNoConvergence as err:
+        raise SolverError(f"kernel test: Lanczos did not converge ({err})") from err
+    x = vectors[:, 0]
+    return float(np.linalg.norm(B @ x) / np.linalg.norm(x))
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +697,9 @@ def _window_constant(target, scal) -> float:
         raise PreconditionError(
             "no window constant satisfies c min(target) < scal < c max(target)",
             condition="pinching-window")
-    target = np.asarray(target, dtype=float)
-    return min(window, key=lambda cc: float(np.max(np.abs(cc * target - scal))))
+    window = np.array(window)
+    distance = np.max(np.abs(window[:, None] * np.asarray(target, dtype=float) - scal), axis=1)
+    return float(window[np.argmin(distance)])
 
 
 def full_prescribe(metric: WarpedProductMetric, target,

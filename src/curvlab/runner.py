@@ -8,8 +8,9 @@ Configuration is a flat text file with one dotted key per line::
     run.outdir = out
 
 `COMMAND_KEYS` lists the keys each command reads.  Any other key, and a
-`command` entry that names another command, is a configuration error.  On
-the command line each key is the flag --<last part>, with _ written as -
+`command` entry that names another command, is a configuration error.
+`DEFAULT_PRESETS` names the model each command runs on without model.preset.
+On the command line each key is the flag --<last part>, with _ written as -
 (--max-iter sets solver.max_iter); --model is a second spelling of --preset.
 
 Outputs per run: report.txt (key = value lines), CSV data files at full
@@ -64,6 +65,8 @@ COMMAND_KEYS = {command: (*keys, "run.outdir") for command, keys in {
 }.items()}
 
 COMMANDS = tuple(COMMAND_KEYS)
+DEFAULT_PRESETS = {**dict.fromkeys(COMMANDS, "round-fiber"),
+                   "cheeger": "su2-biinvariant", "canonical": "product-round-fiber"}
 RECOGNIZED_KEYS = frozenset().union(*COMMAND_KEYS.values())
 
 CANONICAL_PRESETS = {
@@ -252,10 +255,8 @@ def _library_checks():
 
 
 def _resolve_model(cfg: ScenarioConfig):
-    name = cfg.get("model.preset", "round-fiber")
+    name = cfg.get("model.preset", DEFAULT_PRESETS[cfg.command])
     n = cfg.get_int("model.N", 64)
-    if n < 16:
-        raise ConfigError("model.N must be at least 16")
     length = cfg.get_float("model.L", 2 * np.pi)
     k = cfg.get_int("model.k", 3)
     profile = None
@@ -409,7 +410,7 @@ def _run_cheeger(cfg, outdir):
 
 
 def _run_canonical(cfg, outdir):
-    name = cfg.get("model.preset", "product-round-fiber")
+    name = cfg.get("model.preset", DEFAULT_PRESETS["canonical"])
     if name not in CANONICAL_PRESETS:
         raise ConfigError(f"unknown canonical preset {name!r}; "
                           f"choose from {sorted(CANONICAL_PRESETS)}")

@@ -7,7 +7,8 @@ twist-term maximum, plain high-resolution quadrature, a dense
 column-by-column assembly of the discrete curvature Jacobian, the
 sparse-product assembly `linearize_scal_matrix` once ran, a Richardson-
 extrapolated difference quotient of the curvature, the continuum formula of
-the Jacobian's adjoint, the per-cell loops that `approximate_by_diffeo` once
+the Jacobian's adjoint, the dense SVD `kernel_min_singular` once ran, the
+per-candidate loop `_window_constant` once ran, the per-cell loops that `approximate_by_diffeo` once
 ran for its greedy walk and its monotone-run split, the whole-array wrap
 `_periodic_interp` once took, the hand-written
 Newton loop `solve_negative_constant` once ran, the roll-and-slice stencils
@@ -30,7 +31,8 @@ from curvlab.errors import ObstructionError, PreconditionError, SolverError
 from curvlab.mesh import CIRCLE
 from curvlab.models import (DiagonalInvariantMetric, WarpedProductMetric,
                             YamabeConstants, ricci_warped, scal_diagonal, scal_warped)
-from curvlab.prescribe import MetricPerturbation, _scal_jacobian_components
+from curvlab.prescribe import (MetricPerturbation, _pinching_window, _scal_jacobian_components,
+                               _scaled_transpose, linearize_scal_matrix)
 from curvlab.yamabe import (_POSITIVITY_FLOOR, ConformalProblem, ConformalSolution,
                             SolverConfig, negative_constant_bound)
 
@@ -258,6 +260,23 @@ def adjoint_formula(metric, u):
         a=-lap + d2u - u * ric_rr,
         b=-lap + (df / f) * du - u * ric_fiber,
     )
+
+
+def dense_kernel_min_singular(metric: WarpedProductMetric) -> float:
+    """Smallest singular value of the adjoint between the weighted spaces, by
+    the dense SVD of B = M_h^{-1/2} J^T M^{1/2}, a (2N, N) matrix."""
+    m = metric.mesh.mass_vector()
+    mh = np.concatenate([m, metric.fiber_dim * m])
+    B = _scaled_transpose(linearize_scal_matrix(metric), 1.0 / np.sqrt(mh), np.sqrt(m))
+    return float(np.linalg.svd(B.toarray(), compute_uv=False)[-1])
+
+
+def window_constant_loop(target, scal) -> float:
+    """`curvlab.prescribe._window_constant` with one distance per window
+    constant, the first smallest winning (the window must not be empty)."""
+    target = np.asarray(target, dtype=float)
+    return min(_pinching_window(target, scal),
+               key=lambda cc: float(np.max(np.abs(cc * target - scal))))
 
 
 def greedy_walk_loop(table, L, mu, starts):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvlab import (DiagonalInvariantMetric, Diffeo1D, MetricPerturbation,
@@ -14,13 +14,13 @@ from curvlab import (DiagonalInvariantMetric, Diffeo1D, MetricPerturbation,
                      newton_prescribe, pinching_check, ricci_warped,
                      scal_warped, tensor_inner)
 from curvlab.mesh import INTERVAL, build_mesh
-from curvlab.prescribe import (_SUP_TOL, _greedy_walk, _monotone_runs,
+from curvlab.prescribe import (_KERNEL_FLOOR, _SUP_TOL, _greedy_walk, _monotone_runs,
                                _periodic_interp, _pinching_window, _window_constant)
 
-from oracles import (adjoint_formula, dense_scal_jacobian, fine_circle_norm,
-                     greedy_walk_loop, linearize_scal, monotone_runs_loop,
-                     periodic_interp_mod, perturbed_scal, scal_operator,
-                     sparse_product_jacobian)
+from oracles import (adjoint_formula, dense_kernel_min_singular, dense_scal_jacobian,
+                     fine_circle_norm, greedy_walk_loop, linearize_scal,
+                     monotone_runs_loop, periodic_interp_mod, perturbed_scal,
+                     scal_operator, sparse_product_jacobian, window_constant_loop)
 
 
 def bumpy(amplitude=0.2, n=64):
@@ -221,6 +221,81 @@ def test_round_product_constants_not_kernel():
     assert 0 < sigma <= norm_ratio + 1e-12
 
 
+@st.composite
+def warped_backgrounds(draw):
+    """Warpings 1 + a1 sin r + a2 cos 2r + a3 sin 3r on round, flat and
+    hyperbolic fibers; each amplitude is 0 or at least 0.02 in size, so a
+    background is either exactly a kernel one or far from the floor."""
+    amplitude = st.one_of(st.just(0.0), st.floats(0.02, 0.3), st.floats(-0.3, -0.02))
+    a1, a2, a3 = draw(amplitude), draw(amplitude), draw(amplitude)
+    return WarpedProductMetric.from_profile(
+        draw(st.integers(16, 512)), 2 * np.pi, draw(st.sampled_from([2, 3])),
+        draw(st.sampled_from([-2.0, 0.0, 6.0])),
+        lambda r: 1.0 + a1 * np.sin(r) + a2 * np.cos(2 * r) + a3 * np.sin(3 * r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(warped_backgrounds())
+def test_kernel_min_singular_matches_dense_svd(metric):
+    sparse, dense = kernel_min_singular(metric), dense_kernel_min_singular(metric)
+    assert (sparse < _KERNEL_FLOOR) == (dense < _KERNEL_FLOOR)
+    if dense >= _KERNEL_FLOOR:
+        assert abs(sparse - dense) <= 1e-9 * dense
+
+
+@pytest.mark.parametrize("name", ["round-fiber", "hyperbolic-fiber", "flat-torus", "bumpy"])
+def test_kernel_min_singular_repeats_bit_for_bit(name):
+    metric = get_preset(name, n=256)
+    assert kernel_min_singular(metric).hex() == kernel_min_singular(metric).hex()
+
+
+def test_kernel_min_singular_forms_no_dense_matrix(monkeypatch):
+    def dense_route(*args, **kwargs):
+        raise AssertionError("the kernel test formed a dense matrix")
+    monkeypatch.setattr(np.linalg, "svd", dense_route)
+    for array in (sp.csr_array, sp.csc_array, sp.coo_array):
+        monkeypatch.setattr(array, "toarray", dense_route)
+    assert kernel_min_singular(bumpy(n=4096)) > 1e-3
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_flat_torus_is_a_kernel_background_at_large_n(n):
+    flat = get_preset("flat-torus", n=n)
+    assert kernel_min_singular(flat) < _KERNEL_FLOOR
+    with pytest.raises(PreconditionError) as info:
+        newton_prescribe(flat, 0.05 * np.sin(flat.mesh.nodes))
+    assert info.value.condition == "kernel-dichotomy"
+
+
+def test_kernel_min_singular_of_an_exactly_singular_system_is_zero(monkeypatch):
+    # at N = 16 LU finds the flat torus's augmented matrix exactly singular
+    import scipy.sparse.linalg as spla
+    splu, raised = spla.splu, []
+
+    def recording_splu(matrix):
+        try:
+            return splu(matrix)
+        except RuntimeError as err:
+            raised.append(str(err))
+            raise
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    flat = get_preset("flat-torus", n=16)
+    assert kernel_min_singular(flat) == 0.0
+    assert raised == ["Factor is exactly singular"]
+    assert dense_kernel_min_singular(flat) < _KERNEL_FLOOR
+
+
+def test_kernel_min_singular_without_lanczos_convergence_is_a_solver_error(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                       np.empty(0), np.empty((0, 0)))
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(SolverError, match="^kernel test: Lanczos did not converge"):
+        kernel_min_singular(bumpy())
+
+
 # ---------------------------------------------------------------------------
 # Newton prescription
 # ---------------------------------------------------------------------------
@@ -326,6 +401,22 @@ def test_pinching_window_matches_pinching_check(target, scal):
     grid = np.logspace(-3.0, 3.0, 61)
     expected = [float(c) for c in grid if pinching_check(target, scal, c)]
     assert _pinching_window(target, scal) == expected
+
+
+@st.composite
+def window_pairs(draw):
+    """A target and a curvature sampled at the same nodes."""
+    n = draw(st.integers(1, 40))
+    sample = st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)
+    return draw(sample), draw(sample)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_pairs())
+def test_window_constant_matches_per_candidate_loop(pair):
+    target, scal = pair
+    assume(_pinching_window(target, scal))
+    assert _window_constant(target, scal).hex() == window_constant_loop(target, scal).hex()
 
 
 def test_pinching_window_on_sign_changing_targets():

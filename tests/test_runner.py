@@ -235,6 +235,18 @@ def test_cheeger_sweep(tmp_path):
     assert lines[0] == "t,scal,scal_over_t,predicted_limit,ratio"
 
 
+def test_main_cheeger_defaults_to_the_biinvariant_group(tmp_path, capsys):
+    # model.preset used to default to round-fiber for every command, so
+    # cheeger without --model always exited 4 ("needs a group preset")
+    assert main(["cheeger", "--outdir", str(tmp_path / "default")]) == EXIT_OK
+    assert main(["cheeger", "--model", "su2-biinvariant",
+                 "--outdir", str(tmp_path / "explicit")]) == EXIT_OK
+    for name in ("sweep.csv", "plotdata/scal_over_t.dat"):
+        assert (tmp_path / "default" / name).read_text() == \
+            (tmp_path / "explicit" / name).read_text()
+    assert "predicted_limit = 1.5" in (tmp_path / "default" / "report.txt").read_text()
+
+
 def test_canonical_sweep(tmp_path):
     cfg = ScenarioConfig(command="canonical",
                          options={"model.preset": "negative-base-product",
@@ -378,6 +390,34 @@ def test_main_invalid_model_is_a_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.strip() == "configuration error: warping must be strictly positive"
+
+
+@pytest.mark.parametrize("n", ["8", "0", "-5"])
+def test_main_rejects_too_few_nodes_with_the_mesh_message(tmp_path, capsys, n):
+    outdir = tmp_path / "o"
+    code = main(["classify", "--model", "bumpy", "--N", n, "--outdir", str(outdir)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"configuration error: need at least 16 nodes, got {n}"
+    assert not outdir.exists()
+
+
+def test_main_prescribe_takes_a_target_that_starts_with_a_minus_sign(tmp_path, capsys):
+    # "--target -2*(...)" reads as a flag; "--target=-2*(...)" and
+    # "--set prescribe.target=-2*(...)" pass the profile, as README says
+    target = "-2*(1+0.05*sin(r))"
+    for how, args in (("flag", [f"--target={target}"]),
+                      ("set", ["--set", f"prescribe.target={target}"])):
+        code = main(["prescribe", "--model", "hyperbolic-fiber", *args,
+                     "--outdir", str(tmp_path / how)])
+        assert code == EXIT_OK
+        assert "path = identity" in capsys.readouterr().out
+    assert (tmp_path / "flag" / "prescription.csv").read_text() == \
+        (tmp_path / "set" / "prescription.csv").read_text()
+    code = main(["prescribe", "--model", "hyperbolic-fiber", "--target", target,
+                 "--outdir", str(tmp_path / "space")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == \
+        "configuration error: argument --target: expected one argument"
 
 
 def test_main_rejects_unknown_key(tmp_path, capsys):
