@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _frozen
 from .errors import PreconditionError
 
 # roots whose imaginary part is below this fraction of their modulus are real:
@@ -46,20 +47,15 @@ class SubmersionPointData:
         if not np.isfinite(self.fiber_scal):
             raise ValueError("fiber scalar curvature must be finite")
         for name in ("K_base", "K_tot_hh"):
-            t = np.asarray(getattr(self, name), dtype=float)
+            t = _frozen.store(self, name)
             if t.shape != (nb, nb):
                 raise ValueError(f"{name} must be ({nb}, {nb})")
             if np.max(np.abs(t - t.T), initial=0.0) > 1e-12:
                 raise ValueError(f"{name} must be symmetric")
             if np.max(np.abs(np.diag(t)), initial=0.0) > 1e-12:
                 raise ValueError(f"{name} must have zero diagonal")
-            t.setflags(write=False)
-            object.__setattr__(self, name, t)
-        t = np.asarray(self.K_mixed, dtype=float)
-        if t.shape != (nb, k):
+        if _frozen.store(self, "K_mixed").shape != (nb, k):
             raise ValueError(f"K_mixed must be ({nb}, {k})")
-        t.setflags(write=False)
-        object.__setattr__(self, "K_mixed", t)
 
 
 def cv_sectional(data: SubmersionPointData, s: float, plane: str, i: int = 0,

@@ -45,6 +45,7 @@ from itertools import permutations
 
 import numpy as np
 
+from . import _frozen
 from .errors import PreconditionError
 from .models import LeftInvariantMetric, sectional_left_invariant
 
@@ -59,8 +60,8 @@ class TangentSplit:
     orbit: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
-        object.__setattr__(self, "orbit", np.asarray(self.orbit, dtype=float))
+        _frozen.store(self, "normal")
+        _frozen.store(self, "orbit")
 
 
 @dataclass(frozen=True)
@@ -78,15 +79,13 @@ class IsotropyData:
     rho_maps: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.rho_maps, dtype=float)
+        rho = _frozen.store(self, "rho_maps")
         if rho.ndim != 3 or rho.shape[2] != self.isotropy_dim or rho.shape[0] != rho.shape[1]:
             raise ValueError("rho_maps must have shape (normal_dim, normal_dim, isotropy_dim)")
         for b in range(self.isotropy_dim):
             omega = rho[:, :, b].T  # omega[a, i] = g(e_a, rho_{e_i}(z_b))
             if np.max(np.abs(omega + omega.T)) > _TABLE_TOL:
                 raise ValueError("isotropy data must be skew across normal indices")
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho_maps", rho)
 
     @property
     def normal_dim(self) -> int:
@@ -122,27 +121,20 @@ class OrbitData:
         if m < 0:
             raise ValueError("normal_dim must be nonnegative")
         if self.normal_sectionals is not None:
-            t = np.asarray(self.normal_sectionals, dtype=float)
+            t = _frozen.store(self, "normal_sectionals")
             if t.shape != (m, m):
                 raise ValueError("normal_sectionals must be (normal_dim, normal_dim)")
             if np.max(np.abs(t - t.T)) > _TABLE_TOL or np.max(np.abs(np.diag(t))) > _TABLE_TOL:
                 raise ValueError("normal_sectionals must be symmetric with zero diagonal")
-            t.setflags(write=False)
-            object.__setattr__(self, "normal_sectionals", t)
         if self.mixed_sectionals is not None:
-            t = np.asarray(self.mixed_sectionals, dtype=float)
-            if t.shape != (m, k):
+            if _frozen.store(self, "mixed_sectionals").shape != (m, k):
                 raise ValueError("mixed_sectionals must be (normal_dim, algebra_dim)")
-            t.setflags(write=False)
-            object.__setattr__(self, "mixed_sectionals", t)
         if self.dw_normal is not None:
-            t = np.asarray(self.dw_normal, dtype=float)
+            t = _frozen.store(self, "dw_normal")
             if t.shape != (k, m, m):
                 raise ValueError("dw_normal must be (algebra_dim, normal_dim, normal_dim)")
             if np.max(np.abs(t + np.swapaxes(t, 1, 2))) > _TABLE_TOL:
                 raise ValueError("dw_normal tables must be antisymmetric in the normal pair")
-            t.setflags(write=False)
-            object.__setattr__(self, "dw_normal", t)
 
     @property
     def orbit_dim(self) -> int:

@@ -46,6 +46,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _frozen
+
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -171,12 +173,12 @@ class QuotientMesh:
     length: float
 
     def __post_init__(self):
-        n = self.nodes.shape[0]
+        n = _frozen.store(self, "nodes").shape[0]
+        w = _frozen.store(self, "weights")
         if n < 16:
             raise ValueError(f"need at least 16 nodes, got {n}")
-        if self.weights.shape != (n,):
+        if w.shape != (n,):
             raise ValueError("weights/nodes length mismatch")
-        w = self.weights
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         if self.topology == CIRCLE:
@@ -191,8 +193,6 @@ class QuotientMesh:
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.total_volume() <= 0:
             raise ValueError("total volume must be positive")
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
 
     # -- quadrature ----------------------------------------------------
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _frozen
 from .mesh import CIRCLE, QuotientMesh, build_mesh, sample_profile, uniform_nodes
 
 _JACOBI_TOL = 1e-10
@@ -97,13 +98,12 @@ class WarpedProductMetric:
             raise ValueError("fiber dimension must be >= 2 (total dimension >= 3)")
         if not np.isfinite(self.fiber_scal):
             raise ValueError("fiber scalar curvature must be finite")
-        f = np.asarray(self.warping, dtype=float)
+        f = _frozen.store(self, "warping")
         if f.shape != (self.mesh.node_count,):
             raise ValueError("warping length mismatch")
         _check_warping(f)
         if not np.allclose(self.mesh.weights, f**self.fiber_dim, rtol=1e-12, atol=0):
             raise ValueError("mesh weights must equal warping^fiber_dim")
-        f.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -163,13 +163,12 @@ class DiagonalInvariantMetric:
 
     def __post_init__(self):
         n = self.mesh.node_count
-        for arr, name in ((self.radial, "radial"), (self.fiber, "fiber")):
-            a = np.asarray(arr, dtype=float)
+        for name in ("radial", "fiber"):
+            a = _frozen.store(self, name)
             if a.shape != (n,):
                 raise ValueError(f"{name} component length mismatch")
             if np.any(a <= 0):
                 raise ValueError(f"{name} component must stay positive definite")
-            a.setflags(write=False)
 
     def scal(self) -> np.ndarray:
         return scal_diagonal(self.mesh, self.radial, self.fiber,
@@ -230,7 +229,7 @@ class LeftInvariantMetric:
     tensor: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.structure, dtype=float)
+        c = _frozen.store(self, "structure")
         d = c.shape[0]
         if c.shape != (d, d, d):
             raise ValueError("structure constants must be a (d, d, d) array")
@@ -243,7 +242,7 @@ class LeftInvariantMetric:
                + np.einsum('kim,mjl->ijkl', c, c))
         if np.max(np.abs(jac)) > _JACOBI_TOL:
             raise ValueError("Jacobi identity violated")
-        P = np.asarray(self.tensor, dtype=float)
+        P = _frozen.store(self, "tensor")
         if P.shape != (d, d):
             raise ValueError("tensor must be a (d, d) array")
         if not np.all(np.isfinite(P)):
@@ -252,8 +251,6 @@ class LeftInvariantMetric:
             raise ValueError("tensor must be symmetric")
         if np.min(np.linalg.eigvalsh(P)) <= 0:
             raise ValueError("tensor must be positive definite")
-        c.setflags(write=False)
-        P.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -263,7 +260,7 @@ class LeftInvariantMetric:
         return np.einsum('ijl,i,j->l', self.structure, X, Y)
 
     def with_tensor(self, P) -> "LeftInvariantMetric":
-        return LeftInvariantMetric(self.structure, np.asarray(P, dtype=float))
+        return LeftInvariantMetric(self.structure, P)
 
 
 def su2_structure() -> np.ndarray:
@@ -276,13 +273,11 @@ def su2_structure() -> np.ndarray:
 
 
 def su2_metric(tensor=None) -> LeftInvariantMetric:
-    P = np.eye(3) if tensor is None else np.asarray(tensor, dtype=float)
-    return LeftInvariantMetric(su2_structure(), P)
+    return LeftInvariantMetric(su2_structure(), np.eye(3) if tensor is None else tensor)
 
 
 def abelian_metric(dim: int, tensor=None) -> LeftInvariantMetric:
-    P = np.eye(dim) if tensor is None else np.asarray(tensor, dtype=float)
-    return LeftInvariantMetric(np.zeros((dim, dim, dim)), P)
+    return LeftInvariantMetric(np.zeros((dim, dim, dim)), np.eye(dim) if tensor is None else tensor)
 
 
 def su2_plus_line_structure() -> np.ndarray:

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import _newton
+from . import _frozen, _newton
 from .errors import PreconditionError, SolverError
 from .mesh import CIRCLE, INTERVAL, QuotientMesh, build_mesh
 from .models import (DiagonalInvariantMetric, WarpedProductMetric, as_diagonal,
@@ -56,12 +56,9 @@ class MetricPerturbation:
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        a, b = _frozen.store(self, "a"), _frozen.store(self, "b")
         if a.shape != b.shape or a.ndim != 1:
             raise ValueError("perturbation components must be equal-length vectors")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.a, self.b])
@@ -361,16 +358,12 @@ class Diffeo1D:
     break_y: np.ndarray
 
     def __post_init__(self):
-        bx = np.asarray(self.break_x, dtype=float)
-        by = np.asarray(self.break_y, dtype=float)
+        bx, by = _frozen.store(self, "break_x"), _frozen.store(self, "break_y")
         if np.any(np.diff(bx) <= 0) or np.any(np.diff(by) <= 0):
             raise ValueError("lift breakpoints must be strictly increasing")
         L = self.mesh.length
         if abs((bx[-1] - bx[0]) - L) > 1e-9 * L or abs((by[-1] - by[0]) - L) > 1e-9 * L:
             raise ValueError("lift must advance by exactly one period (winding 1)")
-        for name, arr in (("break_x", bx), ("break_y", by)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @cached_property
     def node_values(self) -> np.ndarray:
@@ -402,8 +395,8 @@ class Diffeo1D:
 
     @classmethod
     def identity(cls, mesh: QuotientMesh) -> "Diffeo1D":
-        bx = np.array([0.0, mesh.length])
-        return cls(mesh=mesh, break_x=bx, break_y=bx.copy())
+        bx = [0.0, mesh.length]
+        return cls(mesh=mesh, break_x=bx, break_y=bx)
 
 
 @dataclass(frozen=True)

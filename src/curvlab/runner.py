@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import canonical as cv
-from .cheeger import OrbitData, homogeneous_scal, isotropy_term, scal_cheeger
+from .cheeger import OrbitData, homogeneous_scal, scal_cheeger
 from .errors import ConfigError, CurvLabError, PreconditionError, SolverError
 from .models import (LeftInvariantMetric, WarpedProductMetric, get_preset,
                      scal_warped)
@@ -254,19 +254,23 @@ def _library_checks():
         raise ConfigError(str(exc)) from exc
 
 
+def _given(**settings) -> dict:
+    """The settings the configuration gives; the library defaults the rest."""
+    return {name: value for name, value in settings.items() if value is not None}
+
+
 def _resolve_model(cfg: ScenarioConfig):
     name = cfg.get("model.preset", DEFAULT_PRESETS[cfg.command])
-    n = cfg.get_int("model.N", 64)
-    length = cfg.get_float("model.L", 2 * np.pi)
-    k = cfg.get_int("model.k", 3)
     profile = None
     if cfg.get("model.f") is not None:
         profile = parse_profile_expr(cfg.get("model.f"))
+    sizes = _given(n=cfg.get_int("model.N"), length=cfg.get_float("model.L"),
+                   fiber_dim=cfg.get_int("model.k"))
     with _library_checks():
-        model = get_preset(name, n=n, length=length, fiber_dim=k, profile=profile)
+        model = get_preset(name, profile=profile, **sizes)
         if cfg.get("model.cF") is not None and isinstance(model, WarpedProductMetric):
-            model = WarpedProductMetric.from_profile(
-                n, length, k, cfg.get_float("model.cF"), model.warping)
+            model = WarpedProductMetric(model.mesh, model.fiber_dim,
+                                        cfg.get_float("model.cF"), model.warping)
     return model
 
 
@@ -338,7 +342,7 @@ def _write_report(outdir: Path, report: RunReport) -> None:
 def _run_classify(cfg, outdir):
     model = _require_warped(_resolve_model(cfg), "classify")
     with _library_checks():  # the classifier checks its tolerance before it computes
-        verdict, lam1 = classify_conformal_class(model, tol=cfg.get_float("solver.tol", 1e-8))
+        verdict, lam1 = classify_conformal_class(model, **_given(tol=cfg.get_float("solver.tol")))
     scal = scal_warped(model)
     emit_csv(outdir / "scal.csv", ["r", "scal"], zip(model.mesh.nodes, scal))
     emit_plotdata(outdir / "plotdata" / "scal.dat", model.mesh.nodes, scal)
@@ -352,9 +356,11 @@ def _run_yamabe(cfg, outdir):
                           "yamabe.negative has a fixed Newton budget")
     model = _require_warped(_resolve_model(cfg), "yamabe")
     c = cfg.get_float("yamabe.c", None if negative else 1.0)
+    settings = _given(tol_residual=cfg.get_float("solver.tol"),
+                      max_iter=cfg.get_int("solver.max_iter"))
     with _library_checks():
-        sol_cfg = SolverConfig(tol_residual=cfg.get_float("solver.tol", SolverConfig.tol_residual),
-                               max_iter=cfg.get_int("solver.max_iter", SolverConfig.max_iter))
+        # without settings each regime runs with its own default tolerance
+        sol_cfg = SolverConfig(**settings) if settings else None
         # built for a given c in both regimes: it rejects a non-finite c
         problem = None if c is None else ConformalProblem(model, c=c)
     if negative:
@@ -378,11 +384,10 @@ def _run_prescribe(cfg, outdir):
         raise ConfigError("prescribe.target is required")
     target = parse_profile_expr(target_text)(model.mesh.nodes)
     with _library_checks():
-        pcfg = PrescribeConfig(p=cfg.get_float("prescribe.p", PrescribeConfig.p),
-                               eps=cfg.get_float("prescribe.eps", PrescribeConfig.eps),
-                               newton_tol=cfg.get_float("solver.tol", PrescribeConfig.newton_tol),
-                               newton_max_iter=cfg.get_int("solver.max_iter",
-                                                           PrescribeConfig.newton_max_iter))
+        pcfg = PrescribeConfig(**_given(p=cfg.get_float("prescribe.p"),
+                                        eps=cfg.get_float("prescribe.eps"),
+                                        newton_tol=cfg.get_float("solver.tol"),
+                                        newton_max_iter=cfg.get_int("solver.max_iter")))
     result = full_prescribe(model, target, pcfg)
     emit_csv(outdir / "prescription.csv", ["r", "phi", "u", "scal_out"],
              zip(model.mesh.nodes, result.phi.node_values, result.u, result.scal_out))
@@ -398,7 +403,7 @@ def _run_cheeger(cfg, outdir):
     t_max = cfg.get_float("cheeger.t_max", 1e4)
     if not 1e-2 < t_max <= 1e100:  # the sweep starts at 0.01; t^3 must stay a finite float
         raise ConfigError("cheeger.t_max must lie in (0.01, 1e100]")
-    predicted = homogeneous_scal(orbit) + 3.0 * isotropy_term(None)
+    predicted = homogeneous_scal(orbit)  # no isotropy term: a group has no singular orbit
     ts = np.logspace(-2, np.log10(t_max), 60)
     scal = scal_cheeger(orbit, None, ts)
     over_t = scal / ts
@@ -422,7 +427,7 @@ def _run_canonical(cfg, outdir):
         K_base = np.full((nb, nb), pair_value)
         np.fill_diagonal(K_base, 0.0)
     data = cv.SubmersionPointData(base_dim=nb, fiber_dim=k, K_base=K_base,
-                                  K_tot_hh=K_base.copy(), K_mixed=np.zeros((nb, k)),
+                                  K_tot_hh=K_base, K_mixed=np.zeros((nb, k)),
                                   fiber_scal=preset["fiber_scal"])
     sweep = cfg.get("canonical.sweep", "0.01:2.0:50")
     try:
@@ -454,8 +459,7 @@ def _run_approx(cfg, outdir):
     target = parse_profile_expr(target_text)(model.mesh.nodes)
     source = scal_warped(model)
     with _library_checks():  # PrescribeConfig checks the L^p tolerance
-        lp = PrescribeConfig(p=cfg.get_float("approx.p", PrescribeConfig.p),
-                             eps=cfg.get_float("approx.eps", PrescribeConfig.eps))
+        lp = PrescribeConfig(**_given(p=cfg.get_float("approx.p"), eps=cfg.get_float("approx.eps")))
     result = approximate_by_diffeo(model.mesh, source, target, p=lp.p, eps=lp.eps)
     phi = result.phi
     emit_csv(outdir / "diffeo.csv", ["r", "phi", "f_of_phi", "target"],

@@ -281,16 +281,14 @@ def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
 
     if np.min(u) <= _POSITIVITY_FLOOR:
         raise SolverError(f"descent profile is not strictly positive (min u = {np.min(u):.3e})")
-    grad = energy_gradient(p, u)
-    normal = p.c * u ** p.constants.gamma_n
-    lam = mesh.inner(grad, normal) / mesh.inner(normal, normal)
 
     def constraint(u_):
         g = p.constants
         return ((p.c / g.two_star) * float(np.dot(u_**g.two_star, m)) - p.epsilon,
                 p.c * u_**g.gamma_n * m)
 
-    u, achieved, _ = _bordered_newton(p, u, (1.0 + lam) * p.c, constraint,
+    # every exit leaves u where the loop last evaluated mult
+    u, achieved, _ = _bordered_newton(p, u, (1.0 + mult) * p.c, constraint,
                                       0.05 * cfg.tol_residual, p.epsilon)
     lam = achieved / p.c - 1.0
     residual = mesh.lp_norm(el_residual(p, u, achieved), 2)

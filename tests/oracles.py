@@ -534,7 +534,7 @@ def shrink_map_apply(orbit: OrbitData, t: float, vec: TangentSplit) -> TangentSp
         raise ValueError("deformation time must be nonnegative")
     P = orbit.algebra.tensor
     M = np.eye(orbit.orbit_dim) + t * P
-    return TangentSplit(vec.normal.copy(), np.linalg.solve(M, vec.orbit))
+    return TangentSplit(vec.normal, np.linalg.solve(M, vec.orbit))
 
 
 def conformal_warped_metric(metric: WarpedProductMetric, u, n_out: int | None = None

@@ -169,6 +169,20 @@ def test_yamabe_negative_run(tmp_path):
     assert report.summary["achieved_constant"] == pytest.approx(2.0, rel=1e-8)
 
 
+def test_yamabe_negative_runs_with_the_library_tolerance(tmp_path, monkeypatch):
+    # without solver.tol the runner passes no config, so solve_negative_constant
+    # keeps its own 1e-8; a given solver.tol reaches it unchanged
+    import curvlab.runner as runner
+    tolerances, solve = [], runner.solve_negative_constant
+    monkeypatch.setattr(runner, "solve_negative_constant", lambda metric, cfg, **kw: (
+        tolerances.append(cfg and cfg.tol_residual) or solve(metric, cfg, **kw)))
+    for tol in ({}, {"solver.tol": "1e-7"}):
+        run_scenario(ScenarioConfig(command="yamabe", options={
+            "model.preset": "hyperbolic-fiber", "yamabe.negative": "true",
+            "run.outdir": str(tmp_path / "out"), **tol}))
+    assert tolerances == [None, 1e-7]
+
+
 def test_prescribe_run(tmp_path, monkeypatch):
     import curvlab.runner as runner
     from curvlab.runner import _fmt
