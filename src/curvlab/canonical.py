@@ -47,15 +47,12 @@ class SubmersionPointData:
         if not np.isfinite(self.fiber_scal):
             raise ValueError("fiber scalar curvature must be finite")
         for name in ("K_base", "K_tot_hh"):
-            t = _frozen.store(self, name)
-            if t.shape != (nb, nb):
-                raise ValueError(f"{name} must be ({nb}, {nb})")
+            t = _frozen.store(self, name, (nb, nb))
             if np.max(np.abs(t - t.T), initial=0.0) > 1e-12:
                 raise ValueError(f"{name} must be symmetric")
             if np.max(np.abs(np.diag(t)), initial=0.0) > 1e-12:
                 raise ValueError(f"{name} must have zero diagonal")
-        if _frozen.store(self, "K_mixed").shape != (nb, k):
-            raise ValueError(f"K_mixed must be ({nb}, {k})")
+        _frozen.store(self, "K_mixed", (nb, k))
 
 
 def cv_sectional(data: SubmersionPointData, s: float, plane: str, i: int = 0,
@@ -77,6 +74,11 @@ def cv_sectional(data: SubmersionPointData, s: float, plane: str, i: int = 0,
     raise ValueError(f"unknown plane type {plane!r}")
 
 
+def _sums(data: SubmersionPointData) -> tuple:
+    """(sb, st, sm): the sums of K_base, K_tot_hh and K_mixed."""
+    return tuple(float(np.sum(t)) for t in (data.K_base, data.K_tot_hh, data.K_mixed))
+
+
 def cv_scal(data: SubmersionPointData, s: float) -> float:
     """Deformed scalar curvature at the point.
 
@@ -87,9 +89,7 @@ def cv_scal(data: SubmersionPointData, s: float) -> float:
     """
     if s <= 0:
         raise ValueError("fiber scale must be positive")
-    sb = float(np.sum(data.K_base))
-    st = float(np.sum(data.K_tot_hh))
-    sm = float(np.sum(data.K_mixed))
+    sb, st, sm = _sums(data)
     horiz = sb * (1.0 - s) + s * ((1.0 - s) * sb + s * st)
     return horiz + 2.0 * s * sm + data.fiber_scal / s
 
@@ -106,9 +106,7 @@ def positivity_threshold(data: SubmersionPointData) -> float:
     if data.fiber_scal <= 0:
         raise PreconditionError("fiber scalar curvature must be positive",
                                 condition="positive-fiber")
-    sb = float(np.sum(data.K_base))
-    st = float(np.sum(data.K_tot_hh))
-    sm = float(np.sum(data.K_mixed))
+    sb, st, sm = _sums(data)
     roots = np.roots([st - sb, 2.0 * sm, sb, data.fiber_scal])
     real = roots.real[np.abs(roots.imag) <= _REAL_ROOT_TOL * np.abs(roots)]
     positive = real[real > 0]

@@ -60,8 +60,8 @@ class TangentSplit:
     orbit: np.ndarray
 
     def __post_init__(self):
-        _frozen.store(self, "normal")
-        _frozen.store(self, "orbit")
+        _frozen.store(self, "normal", (None,))
+        _frozen.store(self, "orbit", (None,))
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ class IsotropyData:
     rho_maps: np.ndarray
 
     def __post_init__(self):
-        rho = _frozen.store(self, "rho_maps")
-        if rho.ndim != 3 or rho.shape[2] != self.isotropy_dim or rho.shape[0] != rho.shape[1]:
+        rho = _frozen.store(self, "rho_maps", (None, None, self.isotropy_dim))
+        if rho.shape[0] != rho.shape[1]:
             raise ValueError("rho_maps must have shape (normal_dim, normal_dim, isotropy_dim)")
         for b in range(self.isotropy_dim):
             omega = rho[:, :, b].T  # omega[a, i] = g(e_a, rho_{e_i}(z_b))
@@ -121,18 +121,13 @@ class OrbitData:
         if m < 0:
             raise ValueError("normal_dim must be nonnegative")
         if self.normal_sectionals is not None:
-            t = _frozen.store(self, "normal_sectionals")
-            if t.shape != (m, m):
-                raise ValueError("normal_sectionals must be (normal_dim, normal_dim)")
+            t = _frozen.store(self, "normal_sectionals", (m, m))
             if np.max(np.abs(t - t.T)) > _TABLE_TOL or np.max(np.abs(np.diag(t))) > _TABLE_TOL:
                 raise ValueError("normal_sectionals must be symmetric with zero diagonal")
         if self.mixed_sectionals is not None:
-            if _frozen.store(self, "mixed_sectionals").shape != (m, k):
-                raise ValueError("mixed_sectionals must be (normal_dim, algebra_dim)")
+            _frozen.store(self, "mixed_sectionals", (m, k))
         if self.dw_normal is not None:
-            t = _frozen.store(self, "dw_normal")
-            if t.shape != (k, m, m):
-                raise ValueError("dw_normal must be (algebra_dim, normal_dim, normal_dim)")
+            t = _frozen.store(self, "dw_normal", (k, m, m))
             if np.max(np.abs(t + np.swapaxes(t, 1, 2))) > _TABLE_TOL:
                 raise ValueError("dw_normal tables must be antisymmetric in the normal pair")
 

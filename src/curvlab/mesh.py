@@ -173,12 +173,10 @@ class QuotientMesh:
     length: float
 
     def __post_init__(self):
-        n = _frozen.store(self, "nodes").shape[0]
-        w = _frozen.store(self, "weights")
+        n = _frozen.store(self, "nodes", (None,)).shape[0]
         if n < 16:
             raise ValueError(f"need at least 16 nodes, got {n}")
-        if w.shape != (n,):
-            raise ValueError("weights/nodes length mismatch")
+        w = _frozen.store(self, "weights", (n,))
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         if self.topology == CIRCLE:

@@ -98,9 +98,7 @@ class WarpedProductMetric:
             raise ValueError("fiber dimension must be >= 2 (total dimension >= 3)")
         if not np.isfinite(self.fiber_scal):
             raise ValueError("fiber scalar curvature must be finite")
-        f = _frozen.store(self, "warping")
-        if f.shape != (self.mesh.node_count,):
-            raise ValueError("warping length mismatch")
+        f = _frozen.store(self, "warping", (self.mesh.node_count,))
         _check_warping(f)
         if not np.allclose(self.mesh.weights, f**self.fiber_dim, rtol=1e-12, atol=0):
             raise ValueError("mesh weights must equal warping^fiber_dim")
@@ -164,9 +162,7 @@ class DiagonalInvariantMetric:
     def __post_init__(self):
         n = self.mesh.node_count
         for name in ("radial", "fiber"):
-            a = _frozen.store(self, name)
-            if a.shape != (n,):
-                raise ValueError(f"{name} component length mismatch")
+            a = _frozen.store(self, name, (n,))
             if np.any(a <= 0):
                 raise ValueError(f"{name} component must stay positive definite")
 
@@ -229,7 +225,7 @@ class LeftInvariantMetric:
     tensor: np.ndarray
 
     def __post_init__(self):
-        c = _frozen.store(self, "structure")
+        c = _frozen.store(self, "structure", (None, None, None))
         d = c.shape[0]
         if c.shape != (d, d, d):
             raise ValueError("structure constants must be a (d, d, d) array")
@@ -242,9 +238,7 @@ class LeftInvariantMetric:
                + np.einsum('kim,mjl->ijkl', c, c))
         if np.max(np.abs(jac)) > _JACOBI_TOL:
             raise ValueError("Jacobi identity violated")
-        P = _frozen.store(self, "tensor")
-        if P.shape != (d, d):
-            raise ValueError("tensor must be a (d, d) array")
+        P = _frozen.store(self, "tensor", (d, d))
         if not np.all(np.isfinite(P)):
             raise ValueError("tensor must be finite")
         if not np.allclose(P, P.T, atol=1e-12):

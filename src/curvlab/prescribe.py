@@ -56,9 +56,7 @@ class MetricPerturbation:
     b: np.ndarray
 
     def __post_init__(self):
-        a, b = _frozen.store(self, "a"), _frozen.store(self, "b")
-        if a.shape != b.shape or a.ndim != 1:
-            raise ValueError("perturbation components must be equal-length vectors")
+        _frozen.store(self, "b", _frozen.store(self, "a", (None,)).shape)
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.a, self.b])
@@ -358,7 +356,10 @@ class Diffeo1D:
     break_y: np.ndarray
 
     def __post_init__(self):
-        bx, by = _frozen.store(self, "break_x"), _frozen.store(self, "break_y")
+        bx = _frozen.store(self, "break_x", (None,))
+        by = _frozen.store(self, "break_y", bx.shape)
+        if bx.size < 2:
+            raise ValueError(f"break_x must hold at least two breakpoints, got {bx.size}")
         if np.any(np.diff(bx) <= 0) or np.any(np.diff(by) <= 0):
             raise ValueError("lift breakpoints must be strictly increasing")
         L = self.mesh.length

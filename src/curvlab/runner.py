@@ -9,6 +9,7 @@ Configuration is a flat text file with one dotted key per line::
 
 `COMMAND_KEYS` lists the keys each command reads.  Any other key, and a
 `command` entry that names another command, is a configuration error.
+`KEY_TYPES` gives the type of each numeric or boolean key; the others are text.
 `DEFAULT_PRESETS` names the model each command runs on without model.preset.
 On the command line each key is the flag --<last part>, with _ written as -
 (--max-iter sets solver.max_iter); --model is a second spelling of --preset.
@@ -69,6 +70,15 @@ DEFAULT_PRESETS = {**dict.fromkeys(COMMANDS, "round-fiber"),
                    "cheeger": "su2-biinvariant", "canonical": "product-round-fiber"}
 RECOGNIZED_KEYS = frozenset().union(*COMMAND_KEYS.values())
 
+# The type each non-text key is read as; a bool key is also a --flag switch.
+KEY_TYPES = {"model.N": int, "model.L": float, "model.k": int, "model.cF": float,
+             "solver.tol": float, "solver.max_iter": int, "yamabe.c": float,
+             "yamabe.negative": bool, "prescribe.p": float, "prescribe.eps": float,
+             "cheeger.t_max": float, "approx.p": float, "approx.eps": float}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+
 CANONICAL_PRESETS = {
     "product-round-fiber": dict(base_dim=2, fiber_dim=2, base_scal=0.0, fiber_scal=2.0),
     "negative-base-product": dict(base_dim=2, fiber_dim=2, base_scal=-4.0, fiber_scal=2.0),
@@ -78,6 +88,11 @@ CANONICAL_PRESETS = {
 # ---------------------------------------------------------------------------
 # profile expressions: constants, r, sin, cos, + - * ^, parentheses
 # ---------------------------------------------------------------------------
+
+
+_BINARY = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+           "*": lambda a, b: a * b, "^": lambda a, b: a ** b}
+_LEVELS = ("+-", "*", "^")  # loosest binding first
 
 
 class _ExprParser:
@@ -93,35 +108,23 @@ class _ExprParser:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def parse(self):
-        node = self._expr()
+        node = self._binary(0)
         if self._peek():
             raise ConfigError(f"unexpected input at {self.text[self.pos:]!r}")
         return node
 
-    def _expr(self):
-        node = self._term()
-        while self._peek() and self._peek() in "+-":
-            op = self.text[self.pos]
+    def _binary(self, level):
+        """Operands joined left to right by the operators of ``_LEVELS[level]``;
+        the last level, ^, joins two atoms and does not chain."""
+        if level == len(_LEVELS):
+            return self._atom()
+        node = self._binary(level + 1)
+        while self._peek() and self._peek() in _LEVELS[level]:
+            op = _BINARY[self.text[self.pos]]
             self.pos += 1
-            rhs = self._term()
-            node = (lambda a, b: (lambda r: a(r) + b(r)))(node, rhs) if op == "+" \
-                else (lambda a, b: (lambda r: a(r) - b(r)))(node, rhs)
-        return node
-
-    def _term(self):
-        node = self._factor()
-        while self._peek() == "*":
-            self.pos += 1
-            rhs = self._factor()
-            node = (lambda a, b: (lambda r: a(r) * b(r)))(node, rhs)
-        return node
-
-    def _factor(self):
-        node = self._atom()
-        if self._peek() == "^":
-            self.pos += 1
-            exponent = self._atom()
-            node = (lambda a, b: (lambda r: a(r) ** b(r)))(node, exponent)
+            node = (lambda f, a, b: lambda r: f(a(r), b(r)))(op, node, self._binary(level + 1))
+            if level == len(_LEVELS) - 1:
+                break
         return node
 
     def _atom(self):
@@ -132,7 +135,7 @@ class _ExprParser:
             return lambda r: -inner(r)
         if ch == "(":
             self.pos += 1
-            node = self._expr()
+            node = self._binary(0)
             if self._peek() != ")":
                 raise ConfigError("unbalanced parenthesis in profile expression")
             self.pos += 1
@@ -186,35 +189,15 @@ class ScenarioConfig:
             raise ConfigError(f"unknown configuration key(s): {', '.join(unknown)}")
 
     def get(self, key, default=None):
-        return self.options.get(key, default)
-
-    def get_float(self, key, default=None):
+        """The value of ``key`` read as its `KEY_TYPES` type, or ``default`` if unset."""
         raw = self.options.get(key)
         if raw is None:
             return default
+        kind = KEY_TYPES.get(key, str)
         try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be a number, got {raw!r}") from exc
-
-    def get_int(self, key, default=None):
-        raw = self.options.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
-
-    def get_bool(self, key, default=False):
-        raw = self.options.get(key)
-        if raw is None:
-            return default
-        if str(raw).lower() in ("1", "true", "yes", "on"):
-            return True
-        if str(raw).lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{key} must be a boolean, got {raw!r}")
+            return _BOOLS[str(raw).lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"{key} must be {_TYPE_NAMES[kind]}, got {raw!r}") from exc
 
 
 @dataclass
@@ -259,31 +242,33 @@ def _given(**settings) -> dict:
     return {name: value for name, value in settings.items() if value is not None}
 
 
-def _resolve_model(cfg: ScenarioConfig):
+_MODEL_KINDS = {WarpedProductMetric: "a warped-product preset",
+                LeftInvariantMetric: "a group preset (su2-*)"}
+
+
+def _resolve_model(cfg: ScenarioConfig, kind):
+    """The configured preset, which must be an instance of ``kind``."""
     name = cfg.get("model.preset", DEFAULT_PRESETS[cfg.command])
     profile = None
     if cfg.get("model.f") is not None:
         profile = parse_profile_expr(cfg.get("model.f"))
-    sizes = _given(n=cfg.get_int("model.N"), length=cfg.get_float("model.L"),
-                   fiber_dim=cfg.get_int("model.k"))
+    sizes = _given(n=cfg.get("model.N"), length=cfg.get("model.L"), fiber_dim=cfg.get("model.k"))
     with _library_checks():
         model = get_preset(name, profile=profile, **sizes)
-        if cfg.get("model.cF") is not None and isinstance(model, WarpedProductMetric):
-            model = WarpedProductMetric(model.mesh, model.fiber_dim,
-                                        cfg.get_float("model.cF"), model.warping)
+        if not isinstance(model, kind):
+            raise ConfigError(f"command {cfg.command!r} needs {_MODEL_KINDS[kind]}")
+        if cfg.get("model.cF") is not None:  # a key of the warped-model commands only
+            model = WarpedProductMetric(model.mesh, model.fiber_dim, cfg.get("model.cF"),
+                                        model.warping)
     return model
 
 
-def _require_warped(model, command):
-    if not isinstance(model, WarpedProductMetric):
-        raise ConfigError(f"command {command!r} needs a warped-product preset")
-    return model
-
-
-def _require_group(model, command):
-    if not isinstance(model, LeftInvariantMetric):
-        raise ConfigError(f"command {command!r} needs a group preset (su2-*)")
-    return model
+def _target(cfg: ScenarioConfig, model) -> np.ndarray:
+    """The command's required target profile at the model's nodes."""
+    key = f"{cfg.command}.target"
+    if cfg.get(key) is None:
+        raise ConfigError(f"{key} is required")
+    return parse_profile_expr(cfg.get(key))(model.mesh.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +325,9 @@ def _write_report(outdir: Path, report: RunReport) -> None:
 
 
 def _run_classify(cfg, outdir):
-    model = _require_warped(_resolve_model(cfg), "classify")
+    model = _resolve_model(cfg, WarpedProductMetric)
     with _library_checks():  # the classifier checks its tolerance before it computes
-        verdict, lam1 = classify_conformal_class(model, **_given(tol=cfg.get_float("solver.tol")))
+        verdict, lam1 = classify_conformal_class(model, **_given(tol=cfg.get("solver.tol")))
     scal = scal_warped(model)
     emit_csv(outdir / "scal.csv", ["r", "scal"], zip(model.mesh.nodes, scal))
     emit_plotdata(outdir / "plotdata" / "scal.dat", model.mesh.nodes, scal)
@@ -350,14 +335,13 @@ def _run_classify(cfg, outdir):
 
 
 def _run_yamabe(cfg, outdir):
-    negative = cfg.get_bool("yamabe.negative")
-    if negative and cfg.get("solver.max_iter") is not None:
+    negative = cfg.get("yamabe.negative")
+    if negative and "solver.max_iter" in cfg.options:
         raise ConfigError("solver.max_iter bounds the positive regime's descent only; "
                           "yamabe.negative has a fixed Newton budget")
-    model = _require_warped(_resolve_model(cfg), "yamabe")
-    c = cfg.get_float("yamabe.c", None if negative else 1.0)
-    settings = _given(tol_residual=cfg.get_float("solver.tol"),
-                      max_iter=cfg.get_int("solver.max_iter"))
+    model = _resolve_model(cfg, WarpedProductMetric)
+    c = cfg.get("yamabe.c", None if negative else 1.0)
+    settings = _given(tol_residual=cfg.get("solver.tol"), max_iter=cfg.get("solver.max_iter"))
     with _library_checks():
         # without settings each regime runs with its own default tolerance
         sol_cfg = SolverConfig(**settings) if settings else None
@@ -378,16 +362,12 @@ def _run_yamabe(cfg, outdir):
 
 
 def _run_prescribe(cfg, outdir):
-    model = _require_warped(_resolve_model(cfg), "prescribe")
-    target_text = cfg.get("prescribe.target")
-    if target_text is None:
-        raise ConfigError("prescribe.target is required")
-    target = parse_profile_expr(target_text)(model.mesh.nodes)
+    model = _resolve_model(cfg, WarpedProductMetric)
+    target = _target(cfg, model)
     with _library_checks():
-        pcfg = PrescribeConfig(**_given(p=cfg.get_float("prescribe.p"),
-                                        eps=cfg.get_float("prescribe.eps"),
-                                        newton_tol=cfg.get_float("solver.tol"),
-                                        newton_max_iter=cfg.get_int("solver.max_iter")))
+        pcfg = PrescribeConfig(**_given(p=cfg.get("prescribe.p"), eps=cfg.get("prescribe.eps"),
+                                        newton_tol=cfg.get("solver.tol"),
+                                        newton_max_iter=cfg.get("solver.max_iter")))
     result = full_prescribe(model, target, pcfg)
     emit_csv(outdir / "prescription.csv", ["r", "phi", "u", "scal_out"],
              zip(model.mesh.nodes, result.phi.node_values, result.u, result.scal_out))
@@ -398,9 +378,8 @@ def _run_prescribe(cfg, outdir):
 
 
 def _run_cheeger(cfg, outdir):
-    model = _require_group(_resolve_model(cfg), "cheeger")
-    orbit = OrbitData(algebra=model)
-    t_max = cfg.get_float("cheeger.t_max", 1e4)
+    orbit = OrbitData(algebra=_resolve_model(cfg, LeftInvariantMetric))
+    t_max = cfg.get("cheeger.t_max", 1e4)
     if not 1e-2 < t_max <= 1e100:  # the sweep starts at 0.01; t^3 must stay a finite float
         raise ConfigError("cheeger.t_max must lie in (0.01, 1e100]")
     predicted = homogeneous_scal(orbit)  # no isotropy term: a group has no singular orbit
@@ -452,14 +431,11 @@ def _run_canonical(cfg, outdir):
 
 
 def _run_approx(cfg, outdir):
-    model = _require_warped(_resolve_model(cfg), "approx")
-    target_text = cfg.get("approx.target")
-    if target_text is None:
-        raise ConfigError("approx.target is required")
-    target = parse_profile_expr(target_text)(model.mesh.nodes)
+    model = _resolve_model(cfg, WarpedProductMetric)
+    target = _target(cfg, model)
     source = scal_warped(model)
     with _library_checks():  # PrescribeConfig checks the L^p tolerance
-        lp = PrescribeConfig(**_given(p=cfg.get_float("approx.p"), eps=cfg.get_float("approx.eps")))
+        lp = PrescribeConfig(**_given(p=cfg.get("approx.p"), eps=cfg.get("approx.eps")))
     result = approximate_by_diffeo(model.mesh, source, target, p=lp.p, eps=lp.eps)
     phi = result.phi
     emit_csv(outdir / "diffeo.csv", ["r", "phi", "f_of_phi", "target"],
@@ -514,7 +490,7 @@ def _build_parser():
         for key in keys:
             flags = ["--" + key.rpartition(".")[2].replace("_", "-")]
             flags += ["--model"] if key == "model.preset" else []
-            switch = {"action": "store_const", "const": "true"} if key == "yamabe.negative" else {}
+            switch = {"action": "store_const", "const": "true"} if KEY_TYPES.get(key) is bool else {}
             p.add_argument(*flags, dest=key, **switch)
     return parser
 

@@ -82,8 +82,9 @@ class ConformalProblem:
         if not self.epsilon > 0:
             raise ValueError("constraint level must be positive")
 
-    @property
+    @cached_property
     def constants(self) -> YamabeConstants:
+        """The dimensional constants of the conformal equation, computed once."""
         return YamabeConstants.for_dimension(self.metric.dim)
 
     @property

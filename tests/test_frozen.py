@@ -69,3 +69,54 @@ def test_list_inputs_compute_like_arrays():
     np.testing.assert_array_equal(scal, np.full(32, 6.0))
     with pytest.raises(ValueError, match="^need at least 16 nodes, got 8$"):
         QuotientMesh("circle", list(range(8)), 1.0, [1.0] * 8, 8.0)
+
+
+# (constructor, inputs that replace the valid ones, the field the error names):
+# one wrong-rank or wrong-length input per array field
+WRONG_SHAPES = [
+    ("QuotientMesh", dict(nodes=1.0), "nodes"),
+    ("QuotientMesh", dict(weights=np.ones(17)), "weights"),
+    ("WarpedProductMetric", dict(warping=np.full(8, 2.0)), "warping"),
+    ("DiagonalInvariantMetric", dict(radial=np.ones(15)), "radial"),
+    ("DiagonalInvariantMetric", dict(fiber=np.ones((16, 1))), "fiber"),
+    ("LeftInvariantMetric", dict(structure=1.0), "structure"),
+    ("LeftInvariantMetric", dict(structure=np.zeros((3, 3, 2))), "structure"),
+    ("LeftInvariantMetric", dict(tensor=np.eye(2)), "tensor"),
+    ("TangentSplit", dict(normal=np.eye(2)), "normal"),
+    ("TangentSplit", dict(orbit=3.0), "orbit"),
+    ("IsotropyData", dict(rho_maps=np.zeros((2, 2))), "rho_maps"),
+    ("IsotropyData", dict(rho_maps=np.zeros((2, 3, 1))), "rho_maps"),
+    ("OrbitData", dict(normal_sectionals=np.zeros((3, 3))), "normal_sectionals"),
+    ("OrbitData", dict(mixed_sectionals=np.ones((3, 2))), "mixed_sectionals"),
+    ("OrbitData", dict(dw_normal=np.zeros((2, 2, 2))), "dw_normal"),
+    ("SubmersionPointData", dict(K_base=np.zeros(2)), "K_base"),
+    ("SubmersionPointData", dict(K_tot_hh=np.zeros((3, 3))), "K_tot_hh"),
+    ("SubmersionPointData", dict(K_mixed=np.ones((2, 3))), "K_mixed"),
+    ("MetricPerturbation", dict(a=1.0), "a"),
+    ("MetricPerturbation", dict(b=[4.0, 5.0]), "b"),
+    ("Diffeo1D", dict(break_x=[], break_y=[]), "break_x"),
+    ("Diffeo1D", dict(break_x=[0.0], break_y=[1.0]), "break_x"),
+    ("Diffeo1D", dict(break_x=[0.0, 8.0, 16.0], break_y=[0.0, 16.0]), "break_y"),
+]
+
+
+@pytest.mark.parametrize("name, wrong, field", WRONG_SHAPES,
+                         ids=[f"{name}.{'+'.join(wrong)}" for name, wrong, _ in WRONG_SHAPES])
+def test_wrong_shapes_raise_value_errors_naming_the_field(name, wrong, field):
+    cls, fixed, arrays = CONSTRUCTORS[name]
+    with pytest.raises(ValueError, match=f"^{field} "):
+        cls(**fixed, **{**arrays, **wrong})
+
+
+def test_every_array_field_has_a_wrong_shape_case():
+    covered = {(name, field) for name, wrong, _ in WRONG_SHAPES for field in wrong}
+    assert covered == {(name, field) for name, (_, _, arrays) in CONSTRUCTORS.items()
+                       for field in arrays}
+
+
+def test_shape_message_names_expected_and_actual_shape():
+    mesh = circle_mesh(64, 2 * np.pi, 1.0)
+    with pytest.raises(ValueError, match=r"^warping must have shape \(64,\), got \(8,\)$"):
+        WarpedProductMetric(mesh, 3, 6.0, np.ones(8))
+    with pytest.raises(ValueError, match=r"^nodes must have shape \(None,\), got \(\)$"):
+        QuotientMesh("circle", 1.0, 1.0, np.ones(16), 16.0)

@@ -1,5 +1,6 @@
 """Scenario runner: config parsing, outputs, determinism, exit codes."""
 
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from curvlab import get_preset, scal_warped
 from curvlab.errors import ConfigError
 from curvlab.runner import (COMMAND_KEYS, EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION,
-                            RECOGNIZED_KEYS, ScenarioConfig, emit_csv, main,
+                            KEY_TYPES, RECOGNIZED_KEYS, ScenarioConfig, emit_csv, main,
                             parse_config_file, parse_profile_expr, run_scenario)
 
 
@@ -47,6 +48,25 @@ def test_expr_rejects_garbage():
     for text in ("1e", "1.2.3", "2e+", ".", "2*1e"):
         with pytest.raises(ConfigError, match="^malformed number '.*' in profile expression$"):
             parse_profile_expr(text)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("-r^2", lambda r: (-r) ** 2),  # unary minus binds its atom before ^
+    ("2*3^2", lambda r: np.full_like(r, 18.0)),
+    ("1-2-3", lambda r: np.full_like(r, -4.0)),  # left to right
+    ("2*r-r*3+1", lambda r: 2 * r - r * 3 + 1),
+    ("(1+r)^(1+1)*2", lambda r: (1 + r) ** 2 * 2),
+])
+def test_expr_precedence(text, expected):
+    r = np.linspace(-2.0, 2.0, 9)
+    np.testing.assert_array_equal(parse_profile_expr(text)(r), expected(r))
+
+
+def test_expr_power_takes_one_atom_and_does_not_chain():
+    with pytest.raises(ConfigError, match="^unexpected input at '\\^2'$"):
+        parse_profile_expr("r^2^2")
+    with pytest.raises(ConfigError, match="^unbalanced parenthesis in profile expression$"):
+        parse_profile_expr("(1 + r")
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +141,32 @@ def test_recognized_keys_match_the_module_docstring():
 def test_config_rejects_bad_number():
     cfg = ScenarioConfig(command="classify", options={"model.N": "many"})
     with pytest.raises(ConfigError):
-        cfg.get_int("model.N")
+        cfg.get("model.N")
+
+
+def test_config_reads_each_key_by_its_type():
+    cfg = ScenarioConfig(command="yamabe", options={
+        "model.N": "32", "model.L": "6", "yamabe.negative": "Yes", "model.f": "1 + 0.1*sin(r)"})
+    assert cfg.get("model.N") == 32 and type(cfg.get("model.N")) is int
+    assert cfg.get("model.L") == 6.0 and type(cfg.get("model.L")) is float
+    assert cfg.get("yamabe.negative") is True
+    assert cfg.get("model.f") == "1 + 0.1*sin(r)"
+    assert cfg.get("yamabe.c", 1.0) == 1.0
+    assert KEY_TYPES.keys() <= RECOGNIZED_KEYS
+    assert set(KEY_TYPES.values()) == {int, float, bool}
+
+
+@pytest.mark.parametrize("key", sorted(KEY_TYPES))
+def test_main_rejects_an_unreadable_typed_key(tmp_path, capsys, key):
+    command = next(c for c, keys in COMMAND_KEYS.items() if key in keys)
+    required = [f"--set={command}.target=6"] if f"{command}.target" in COMMAND_KEYS[command] else []
+    outdir = tmp_path / "o"
+    code = main([command, f"--set={key}=many", *required, "--outdir", str(outdir)])
+    assert code == EXIT_CONFIG
+    kind = {int: "an integer", float: "a number", bool: "a boolean"}[KEY_TYPES[key]]
+    assert capsys.readouterr().err.strip() == \
+        f"configuration error: {key} must be {kind}, got 'many'"
+    assert not outdir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -640,3 +685,24 @@ def test_main_rejects_invalid_settings(tmp_path, capsys, args, reason):
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.strip() == f"configuration error: {reason}"
     assert not outdir.exists()
+
+
+def _readme_command_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```sh\n")[1].split("```")[0]
+    return [line for line in block.splitlines() if line.startswith("curvlab ")]
+
+
+def test_readme_lists_the_command_lines_it_documents():
+    assert {shlex.split(line)[1] for line in _readme_command_lines()} == set(COMMAND_KEYS)
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_line_runs_and_reproduces_its_files(tmp_path, capsys, line):
+    args = shlex.split(line)[1:]
+    args[args.index("--outdir") + 1] = str(tmp_path / "out")
+    assert main(args) == EXIT_OK
+    first = {p: p.read_bytes() for p in sorted((tmp_path / "out").rglob("*")) if p.is_file()}
+    assert main(args) == EXIT_OK
+    second = {p: p.read_bytes() for p in sorted((tmp_path / "out").rglob("*")) if p.is_file()}
+    assert first and second == first
