@@ -90,9 +90,10 @@ CANONICAL_PRESETS = {
 # ---------------------------------------------------------------------------
 
 
-_BINARY = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
-           "*": lambda a, b: a * b, "^": lambda a, b: a ** b}
-_LEVELS = ("+-", "*", "^")  # loosest binding first
+# Each operator builds the node that joins its two operand nodes.
+_BINARY = {"+": lambda a, b: lambda r: a(r) + b(r), "-": lambda a, b: lambda r: a(r) - b(r),
+           "*": lambda a, b: lambda r: a(r) * b(r), "^": lambda a, b: lambda r: a(r) ** b(r)}
+_LEVELS = ("+-", "*")  # chaining levels, loosest first; ^ binds tightest (_power)
 
 
 class _ExprParser:
@@ -114,17 +115,22 @@ class _ExprParser:
         return node
 
     def _binary(self, level):
-        """Operands joined left to right by the operators of ``_LEVELS[level]``;
-        the last level, ^, joins two atoms and does not chain."""
+        """Operands joined left to right by the operators of ``_LEVELS[level]``."""
         if level == len(_LEVELS):
-            return self._atom()
+            return self._power()
         node = self._binary(level + 1)
         while self._peek() and self._peek() in _LEVELS[level]:
             op = _BINARY[self.text[self.pos]]
             self.pos += 1
-            node = (lambda f, a, b: lambda r: f(a(r), b(r)))(op, node, self._binary(level + 1))
-            if level == len(_LEVELS) - 1:
-                break
+            node = op(node, self._binary(level + 1))
+        return node
+
+    def _power(self):
+        """An atom, raised at most once to another atom: ^ does not chain."""
+        node = self._atom()
+        if self._peek() == "^":
+            self.pos += 1
+            node = _BINARY["^"](node, self._atom())
         return node
 
     def _atom(self):
@@ -285,10 +291,8 @@ def _fmt(x) -> str:
 def emit_csv(path, header, rows) -> None:
     """Comma-separated, header line, 17 significant digits, newline-terminated."""
     rows = [list(row) for row in rows]
-    width = len(header)
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("rows must be rectangular")
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError("rows must be rectangular")
     lines = [",".join(header)]
     lines += [",".join(_fmt(x) for x in row) for row in rows]
     _write_lines(path, lines)
@@ -310,12 +314,9 @@ def _write_lines(path, lines) -> None:
 
 def _write_report(outdir: Path, report: RunReport) -> None:
     lines = [f"command = {report.command}"]
-    for key in sorted(report.input_echo):
-        lines.append(f"input.{key} = {report.input_echo[key]}")
-    for key, value in report.summary.items():
-        lines.append(f"{key} = {_fmt(value)}")
-    for key, value in report.residuals.items():
-        lines.append(f"residual.{key} = {_fmt(value)}")
+    lines += [f"input.{key} = {report.input_echo[key]}" for key in sorted(report.input_echo)]
+    lines += [f"{key} = {_fmt(value)}" for key, value in report.summary.items()]
+    lines += [f"residual.{key} = {_fmt(value)}" for key, value in report.residuals.items()]
     _write_lines(outdir / "report.txt", lines)
 
 
@@ -336,7 +337,7 @@ def _run_classify(cfg, outdir):
 
 def _run_yamabe(cfg, outdir):
     negative = cfg.get("yamabe.negative")
-    if negative and "solver.max_iter" in cfg.options:
+    if negative and cfg.options.get("solver.max_iter") is not None:
         raise ConfigError("solver.max_iter bounds the positive regime's descent only; "
                           "yamabe.negative has a fixed Newton budget")
     model = _resolve_model(cfg, WarpedProductMetric)

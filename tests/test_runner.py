@@ -431,6 +431,15 @@ def test_main_yamabe_negative_rejects_max_iter(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_yamabe_negative_treats_a_none_max_iter_as_unset(tmp_path):
+    # like ScenarioConfig.get, the max_iter check reads a None value as unset
+    options = {"model.preset": "bumpy", "model.cF": "-2", "yamabe.negative": "true"}
+    reports = [run_scenario(ScenarioConfig("yamabe", {**options, **extra,
+                                                      "run.outdir": str(tmp_path / name)}))
+               for name, extra in (("unset", {}), ("none", {"solver.max_iter": None}))]
+    assert reports[0].summary == reports[1].summary
+
+
 def test_main_approx_flags_reach_the_approx_keys(tmp_path, capsys):
     # --target, --p and --eps under `approx` set approx.*, not prescribe.*
     outdir = tmp_path / "o"
