@@ -492,7 +492,7 @@ def _greedy_walk(table: np.ndarray, L: float, mu: float, starts):
 
 
 _FINE_FACTOR = 16  # the fine grid has at least this many points per mesh node
-_MAX_CELLS = 4096  # the cell count doubles up to this until the error is below eps
+_MAX_CELLS = 4096  # cap on the cell count of the slope rule
 
 
 def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
@@ -503,10 +503,16 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
     cells on which the target is nearly constant, pick for each cell a point
     where the source attains that value, and concentrate the cell's measure
     near that point, spending only a thin transition set on the moves between
-    points.  The forward greedy pick keeps the lift within one period, so the
-    map has winding one; when the source oscillates less than the target that
-    is impossible and a winding obstruction is reported.  The walk costs
-    O(m R) for m cells and R monotone runs of the source, per start tried.
+    points.  The cell count is the smallest power of two from 64 to
+    ``_MAX_CELLS`` at which the target's steepest node difference moves it by
+    about half the plateau budget across one cell; it is the only level
+    evaluated.  Each cell value is clipped into the range of the source's fine
+    samples, which its monotone runs cover, so every cell has a candidate.
+    The forward greedy pick keeps the lift within one period, so the map has
+    winding one; when the source oscillates less than the target that is
+    impossible and a winding obstruction is reported.  An error not below eps
+    is a resolution bound that quotes it.  The walk costs O(m R) for m cells
+    and R monotone runs of the source, per start tried.
 
     Interval quotients are handled on the mirrored double cover and the
     returned map lives there.
@@ -543,114 +549,84 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
     V = mesh.total_volume()
     w_max = float(np.max(mesh.weights))
 
-    fine_state = {}
-
-    def ensure_fine(m_cells):
-        m_fine = max(4096, _FINE_FACTOR * n, 8 * m_cells)
-        if fine_state.get("m") == m_fine:
-            return
-        xf = L / m_fine * np.arange(m_fine)
-        fine_state.update(
-            m=m_fine, xf=xf, hf=L / m_fine,
-            f=_periodic_interp(xf, mesh.nodes, f, L),
-            g=_periodic_interp(xf, mesh.nodes, g, L),
-            w=_periodic_interp(xf, mesh.nodes, mesh.weights, L),
-        )
-        # |f'| on the fine grid, closed at L for periodic lookups
-        f_slope = np.abs(np.gradient(fine_state["f"], fine_state["hf"]))
-        fine_state["slope"] = (np.append(xf, L), np.append(f_slope, f_slope[0]))
-        runs = []
-        for start, stop in _monotone_runs(fine_state["f"]):
-            if stop < m_fine:
-                seg = fine_state["f"][start:stop + 1]
-                xseg = xf[start:stop + 1]
-            else:
-                seg = np.append(fine_state["f"][start:], fine_state["f"][0])
-                xseg = np.append(xf[start:], L)
-            if seg[0] > seg[-1]:
-                seg, xseg = seg[::-1], xseg[::-1]
-            if seg[-1] - seg[0] > 0:
-                runs.append((seg, xseg))
-        fine_state["runs"] = runs
-
-    def candidate_table(gbar):
-        """Positions (n_runs, m) where the source attains each cell value."""
-        runs = fine_state["runs"]
-        pos = np.full((len(runs), len(gbar)), np.nan)
-        for idx, (seg, xseg) in enumerate(runs):
-            ok = (gbar >= seg[0] - tol) & (gbar <= seg[-1] + tol)
-            if np.any(ok):
-                pos[idx, ok] = np.mod(np.interp(np.clip(gbar[ok], seg[0], seg[-1]), seg, xseg), L)
-        return pos
-
-    # initial cell count from the target's slope against the plateau budget
+    # cell count from the target's slope against the plateau budget
     g_slope = float(np.max(np.abs(np.diff(np.append(g, g[0]))))) / mesh.h
     plateau_budget = eps * V ** (-1.0 / p) / 2.0
     m_cells = 64
     if g_slope > 0:
         while m_cells < _MAX_CELLS and g_slope * (L / m_cells) > 1.2 * plateau_budget:
             m_cells *= 2
-
+    ell = L / m_cells
     mu = 1e-9 * L
-    smallest = float("inf")
-    while m_cells <= _MAX_CELLS:
-        ensure_fine(m_cells)
-        xf, hf = fine_state["xf"], fine_state["hf"]
-        g_fine, w_fine = fine_state["g"], fine_state["w"]
-        ell = L / m_cells
-        centers = ell * (np.arange(m_cells) + 0.5)
-        gbar = _periodic_interp(centers, mesh.nodes, g, L)
-        table = candidate_table(gbar)
-        if np.any(np.all(np.isnan(table), axis=0)):
-            m_cells *= 2
-            continue
 
-        starts = sorted(set(np.round(table[~np.isnan(table[:, 0]), 0], 12)))[:16]
-        chosen = _greedy_walk(table, L, mu, starts)
-        if chosen is None:
-            raise PreconditionError(
-                "the source oscillates less than the target: no monotone "
-                "degree-one reparametrization exists at this tolerance",
-                condition="winding-obstruction")
+    m_fine = max(4096, _FINE_FACTOR * n, 8 * m_cells)
+    hf = L / m_fine
+    xf = hf * np.arange(m_fine)
+    f_fine = _periodic_interp(xf, mesh.nodes, f, L)
+    # the fine source and |f'|, closed at L for periodic lookups
+    x_closed, f_closed = np.append(xf, L), np.append(f_fine, f_fine[0])
+    f_slope = np.abs(np.gradient(f_fine, hf))
+    slope_table = (x_closed, np.append(f_slope, f_slope[0]))
 
-        X = np.asarray(chosen)
-        Xc = np.append(X, X[0] + L)
-        gaps = np.diff(Xc)
-        eps1 = eps * V ** (-1.0 / p) / 6.0
-        slope_at = np.interp(_wrap(X, L), *fine_state["slope"]) + 1e-12
-        eta = np.minimum.reduce([
-            np.full(m_cells, ell / 8.0),
-            eps1 / slope_at,
-            np.append(gaps[:-1], gaps[-1]) / 4.0,
-            np.concatenate([[gaps[-1]], gaps[:-1]]) / 4.0,
-        ])
-        eta = np.maximum(eta, mu / 16.0)
-        trans_budget = min(0.25 * L, (0.5 * eps) ** p / (span ** p * max(w_max, 1e-300)))
-        delta = min(trans_budget / m_cells, 0.4 * ell)
-        delta = max(delta, 1e-13 * L)
+    # positions (n_runs, m) where each rising run of the source attains each cell value
+    centers = ell * (np.arange(m_cells) + 0.5)
+    gbar = np.clip(_periodic_interp(centers, mesh.nodes, g, L), np.min(f_fine), np.max(f_fine))
+    table = []
+    for start, stop in _monotone_runs(f_fine):
+        seg, xseg = f_closed[start:stop + 1], x_closed[start:stop + 1]
+        if seg[0] > seg[-1]:
+            seg, xseg = seg[::-1], xseg[::-1]
+        if seg[-1] - seg[0] > 0:
+            row = np.full(m_cells, np.nan)
+            ok = (gbar >= seg[0] - tol) & (gbar <= seg[-1] + tol)
+            row[ok] = np.mod(np.interp(np.clip(gbar[ok], seg[0], seg[-1]), seg, xseg), L)
+            table.append(row)
+    table = np.array(table)
 
-        bx = np.empty(2 * m_cells + 1)
-        by = np.empty(2 * m_cells + 1)
-        eta_c = np.append(eta, eta[0])
-        bx[0::2] = ell * np.arange(m_cells + 1)
-        bx[1::2] = ell * np.arange(1, m_cells + 1) - delta
-        bx[-1] = L
-        by[0::2] = Xc - eta_c
-        by[1::2] = Xc[:-1] + eta_c[:-1]
+    starts = sorted(set(np.round(table[~np.isnan(table[:, 0]), 0], 12)))[:16]
+    X = _greedy_walk(table, L, mu, starts)
+    if X is None:
+        raise PreconditionError(
+            "the source oscillates less than the target: no monotone "
+            "degree-one reparametrization exists at this tolerance",
+            condition="winding-obstruction")
 
-        phi_fine = np.interp(xf, bx, by)
-        err_fine = _periodic_interp(phi_fine, mesh.nodes, f, L) - g_fine
-        achieved = float(np.sum(np.abs(err_fine) ** p * w_fine * hf) ** (1.0 / p))
-        if achieved < eps:
-            return ApproximationResult(phi=Diffeo1D(mesh=mesh, break_x=bx, break_y=by),
-                                       achieved_error=achieved, requested_eps=eps, p=p,
-                                       cells=m_cells)
-        smallest = min(smallest, achieved)
-        m_cells *= 2
-    raise PreconditionError(
-        f"requested tolerance {eps:.3e} not reachable at this resolution; "
-        f"achievable about {smallest:.3e}",
-        condition="resolution-bound")
+    Xc = np.append(X, X[0] + L)
+    gaps = np.diff(Xc)
+    eps1 = eps * V ** (-1.0 / p) / 6.0
+    slope_at = np.interp(_wrap(X, L), *slope_table) + 1e-12
+    eta = np.minimum.reduce([
+        np.full(m_cells, ell / 8.0),
+        eps1 / slope_at,
+        np.append(gaps[:-1], gaps[-1]) / 4.0,
+        np.concatenate([[gaps[-1]], gaps[:-1]]) / 4.0,
+    ])
+    eta = np.maximum(eta, mu / 16.0)
+    trans_budget = min(0.25 * L, (0.5 * eps) ** p / (span ** p * max(w_max, 1e-300)))
+    delta = min(trans_budget / m_cells, 0.4 * ell)
+    delta = max(delta, 1e-13 * L)
+
+    bx = np.empty(2 * m_cells + 1)
+    by = np.empty(2 * m_cells + 1)
+    eta_c = np.append(eta, eta[0])
+    bx[0::2] = ell * np.arange(m_cells + 1)
+    bx[1::2] = ell * np.arange(1, m_cells + 1) - delta
+    bx[-1] = L
+    by[0::2] = Xc - eta_c
+    by[1::2] = Xc[:-1] + eta_c[:-1]
+
+    phi_fine = np.interp(xf, bx, by)
+    err_fine = (_periodic_interp(phi_fine, mesh.nodes, f, L)
+                - _periodic_interp(xf, mesh.nodes, g, L))
+    w_fine = _periodic_interp(xf, mesh.nodes, mesh.weights, L)
+    achieved = float(np.sum(np.abs(err_fine) ** p * w_fine * hf) ** (1.0 / p))
+    if not achieved < eps:
+        raise PreconditionError(
+            f"requested tolerance {eps:.3e} not reachable with {m_cells} cells; "
+            f"achieved {achieved:.3e}",
+            condition="resolution-bound")
+    return ApproximationResult(phi=Diffeo1D(mesh=mesh, break_x=bx, break_y=by),
+                               achieved_error=achieved, requested_eps=eps, p=p, cells=m_cells)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Linearization, exact adjoint, Newton prescription, reparametrizations."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -582,6 +584,38 @@ def test_criterion9_draw3_rotated_succeeds_below_4096_cells(monkeypatch):
         assert result.achieved_error < bound
 
 
+@pytest.mark.parametrize("n", [17, 333])
+def test_rotated_copy_of_the_source_is_approximable(n):
+    # cell values near the source's maximum used to fall between the fine
+    # samples of the source, and the call was refused as "achievable about inf"
+    mesh = circle_mesh(n, 2 * np.pi)
+    f = np.sin(mesh.nodes)
+    g = np.roll(f, 5)
+    result = approximate_by_diffeo(mesh, f, g, p=2.0, eps=1e-2)
+    assert fine_circle_norm(result.phi, mesh.nodes, f, g, mesh.weights, mesh.length, 2.0) < 1e-2
+
+
+def test_resolution_bound_quotes_the_computed_error():
+    mesh, f, g = criterion9_pair(draw=0, rotation_steps=5)
+    with pytest.raises(PreconditionError) as info:
+        approximate_by_diffeo(mesh, f, g, p=2.0, eps=1e-6)
+    assert info.value.condition == "resolution-bound"
+    achieved = float(re.search(r"achieved (\S+)$", str(info.value)).group(1))
+    assert 1e-6 <= achieved < np.inf
+
+
+def test_cell_count_is_the_slope_rule():
+    mesh, f, g = criterion9_pair(draw=0, rotation_steps=5)
+    p, eps = 2.0, 1e-2
+    slope = np.max(np.abs(np.diff(np.append(g, g[0])))) / mesh.h
+    budget = eps * mesh.total_volume() ** (-1.0 / p) / 2.0
+    cells = 64
+    while cells < 4096 and slope * mesh.length / cells > 1.2 * budget:
+        cells *= 2
+    assert 64 < cells < 4096
+    assert approximate_by_diffeo(mesh, f, g, p=p, eps=eps).cells == cells
+
+
 @st.composite
 def candidate_tables(draw):
     """Candidate tables as `approximate_by_diffeo` builds them, and harder ones.
@@ -873,6 +907,15 @@ def test_full_prescribe_flat_background_tests_original_and_bumped(monkeypatch):
         bump = metrics[1].warping / flat.warping - 1.0
         assert np.allclose(bump, 1e-3 * np.sin(flat.mesh.nodes), rtol=0, atol=1e-15)
         assert result.residuals["sup_error"] < 1e-3
+
+
+def test_newton_prescribe_rejects_flat_at_large_n_as_kernel_dichotomy():
+    # the flat torus's smallest adjoint singular value grows with N (1.3e-8 at
+    # N = 32768) but stays below 1e-16 of the adjoint's norm
+    flat = get_preset("flat-torus", n=32768)
+    with pytest.raises(PreconditionError) as info:
+        newton_prescribe(flat, 0.05 * np.sin(flat.mesh.nodes), PrescribeConfig(newton_tol=1e300))
+    assert info.value.condition == "kernel-dichotomy"
 
 
 def test_newton_prescribe_rejects_flat_as_kernel_dichotomy():
