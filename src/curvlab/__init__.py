@@ -34,8 +34,7 @@ from .prescribe import (ApproximationResult, Diffeo1D, MetricPerturbation,
                         NewtonResult, PrescribeConfig, PrescriptionResult,
                         approximate_by_diffeo, full_prescribe,
                         kernel_min_singular, linearize_scal_adjoint,
-                        linearize_scal_matrix, newton_prescribe,
-                        pinching_check, tensor_inner)
+                        linearize_scal_matrix, newton_prescribe, tensor_inner)
 from .canonical import SubmersionPointData, cv_scal, cv_sectional, positivity_threshold
 from .errors import (ConfigError, CurvLabError, ObstructionError,
                      PreconditionError, SolverError)

@@ -27,8 +27,8 @@ only.
 
 The scaled matrices (first and second derivative, stiffness, Laplacian) are
 `scipy.sparse` CSR arrays.  Each mesh builds each of them from the shared
-stencils on its first request, next to the union pattern of I, D1 and D2
-(`StencilPattern`); every caller shares them, read-only.  A mesh's first
+stencils on its first request, next to D2's pattern, which holds those of
+I and D1 (`StencilPattern`); every caller shares them, read-only.  A mesh's first
 matrix is where `scipy.sparse` is imported.
 
 Meshes are uniform.  On interval topology the weight may vanish at the two
@@ -66,9 +66,9 @@ def _as_values(u, n: int) -> np.ndarray:
     return u
 
 
-# Union pattern of I, D1 and D2 in sorted CSR order: entry e sits at
-# (row[e], col[e]) and holds the D1 and D2 values there (0 where absent);
-# diagonal[j] is the entry at (j, j).
+# D2's pattern in sorted CSR order, which holds those of I and D1: entry e
+# sits at (row[e], col[e]) and holds the D1 and D2 values there (0 where
+# absent); diagonal[j] is the entry at (j, j).
 StencilPattern = namedtuple("StencilPattern", "indptr row col d1 d2 diagonal")
 
 
@@ -338,18 +338,17 @@ class QuotientMesh:
     def stencil_pattern(self) -> StencilPattern:
         """The `StencilPattern` of this mesh, built once from `d1_matrix` and
         `d2_matrix`; read-only.  Interval closure rows hold 4 entries, others 3."""
-        n, ops = self.node_count, (self.d1_matrix(), self.d2_matrix())
-        # row-major entry keys, sorted within each canonical CSR array
-        keys = [np.repeat(n * np.arange(n), np.diff(op.indptr)) + op.indices for op in ops]
-        diagonal = (n + 1) * np.arange(n)
-        union = np.unique(np.concatenate([diagonal, *keys]))
-        values = np.zeros((2, len(union)))
-        for vals, op, key in zip(values, ops, keys):
-            vals[np.searchsorted(union, key)] = op.data
-        row, col = np.divmod(union, n)
-        pattern = StencilPattern(np.searchsorted(row, np.arange(n + 1)), row, col, *values,
-                                 np.searchsorted(union, diagonal))
-        for arr in (*pattern, values):
+        n, d1, d2 = self.node_count, self.d1_matrix(), self.d2_matrix()
+        indptr, col = d2.indptr.astype(np.int64), d2.indices.astype(np.int64)
+        row = np.repeat(np.arange(n), np.diff(indptr))
+        # row-major entry keys, sorted as D2's canonical CSR arrays are
+        keys = n * row + col
+        d1_values = np.zeros(len(keys))
+        d1_values[np.searchsorted(keys, np.repeat(n * np.arange(n), np.diff(d1.indptr))
+                                  + d1.indices)] = d1.data
+        pattern = StencilPattern(indptr, row, col, d1_values, d2.data,
+                                 np.searchsorted(keys, (n + 1) * np.arange(n)))
+        for arr in pattern:
             arr.setflags(write=False)
         return pattern
 

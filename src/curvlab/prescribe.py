@@ -233,7 +233,7 @@ def kernel_min_singular(metric: WarpedProductMetric) -> float:
 # ---------------------------------------------------------------------------
 
 
-_KERNEL_FLOOR = 1e-8  # smallest adjoint singular value of a non-kernel background
+_KERNEL_FLOOR = 1e-12  # smallest adjoint singular value of a non-kernel background, per ||B||_1
 _TIKHONOV_FLOOR = 1e-12  # Newton systems with a smaller singular value are shifted
 _SUP_TOL = 1e-3  # largest sup distance of a returned curvature from target o phi
 _ESCAPE_BUMP = 1e-3  # relative warping bump that escapes a kernel background
@@ -289,15 +289,21 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
     if K.shape != (n,):
         raise ValueError("target length mismatch")
 
+    Ast = _adjoint_matrix(metric).tocsr()
+    # ||B||_1 of the adjoint that kernel_min_singular tests,
+    # B = M_h^{1/2} Ast M^{-1/2}: its largest column sum
+    m = mesh.mass_vector()
+    norm = float(np.max(abs(Ast).T @ np.sqrt(np.concatenate([m, metric.fiber_dim * m]))
+                        / np.sqrt(m)))
     sigma = kernel_min_singular(metric)
-    if sigma < _KERNEL_FLOOR:
+    if sigma < _KERNEL_FLOOR * norm:
         raise PreconditionError(
-            f"adjoint kernel is not trivial (min singular value {sigma:.3e}); "
+            f"adjoint kernel is not trivial (min singular value {sigma:.3e}, "
+            f"{sigma / norm:.1e} of the adjoint's norm); "
             "the exceptional backgrounds are flat or positive-constant ones",
             condition="kernel-dichotomy")
 
     base_fiber = metric.warping**2
-    Ast = _adjoint_matrix(metric).tocsr()
     regularized = False
 
     def evaluate(u):
@@ -324,15 +330,6 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
     out = DiagonalInvariantMetric(mesh=mesh, fiber_dim=metric.fiber_dim,
                                   fiber_scal=metric.fiber_scal, radial=A, fiber=B)
     return NewtonResult(metric_out=out, u=u, residuals=tuple(history), regularized=regularized)
-
-
-def pinching_check(target, scal, c: float) -> bool:
-    """Strict nodewise window c min(target) < scal < c max(target)."""
-    if c <= 0:
-        raise ValueError("the window constant must be positive")
-    target = np.asarray(target, dtype=float)
-    scal = np.asarray(scal, dtype=float)
-    return bool(np.all(c * np.min(target) < scal) and np.all(scal < c * np.max(target)))
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +554,7 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
         while m_cells < _MAX_CELLS and g_slope * (L / m_cells) > 1.2 * plateau_budget:
             m_cells *= 2
     ell = L / m_cells
-    mu = 1e-9 * L
+    mu = 1e-9 * ell
 
     m_fine = max(4096, _FINE_FACTOR * n, 8 * m_cells)
     hf = L / m_fine
@@ -653,21 +650,15 @@ class PrescriptionResult:
     path: str          # "identity" | "reparametrized" | "trivial"
 
 
-def _pinching_window(target, scal) -> list[float]:
-    """The grid constants c that pass `pinching_check`, tested all at once."""
-    grid = np.logspace(-3.0, 3.0, 61)
-    inside = (grid * np.min(target) < np.min(scal)) & (np.max(scal) < grid * np.max(target))
-    return [float(c) for c in grid[inside]]
-
-
 def _window_constant(target, scal) -> float:
-    """Feasible window constant minimizing the distance of c*target from scal."""
-    window = _pinching_window(target, scal)
-    if not window:
+    """Of the grid constants c with c min(target) < scal < c max(target) at
+    every node, the one whose c*target is nearest scal in sup distance."""
+    grid = np.logspace(-3.0, 3.0, 61)
+    window = grid[(grid * np.min(target) < np.min(scal)) & (np.max(scal) < grid * np.max(target))]
+    if not len(window):
         raise PreconditionError(
             "no window constant satisfies c min(target) < scal < c max(target)",
             condition="pinching-window")
-    window = np.array(window)
     distance = np.max(np.abs(window[:, None] * np.asarray(target, dtype=float) - scal), axis=1)
     return float(window[np.argmin(distance)])
 

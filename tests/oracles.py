@@ -7,19 +7,21 @@ twist-term maximum, plain high-resolution quadrature, a dense
 column-by-column assembly of the discrete curvature Jacobian, the
 sparse-product assembly `linearize_scal_matrix` once ran, a Richardson-
 extrapolated difference quotient of the curvature, the continuum formula of
-the Jacobian's adjoint, the dense SVD `kernel_min_singular` once ran, the
-per-candidate loop `_window_constant` once ran, the per-cell loops that `approximate_by_diffeo` once
-ran for its greedy walk and its monotone-run split, the whole-array wrap
-`_periodic_interp` once took, the hand-written
+the Jacobian's adjoint, the dense SVD `kernel_min_singular` once ran and
+the adjoint's 1-norm from the orthonormal adjoint itself, the per-candidate
+loop `_window_constant` once ran, the per-cell loops that
+`approximate_by_diffeo` once ran for its greedy walk and its monotone-run
+split, the whole-array wrap `_periodic_interp` once took, the hand-written
 Newton loop `solve_negative_constant` once ran, the roll-and-slice stencils
 `QuotientMesh` once evaluated its derivatives, Laplacian and Dirichlet form
 with, and the closed-form warped-product curvature `scal_warped` once
 evaluated.
-Four small functions that only tests read live here too: the coercive energy
-of the negative regime, the representation-independent curvature operator,
-the shrink map C_t of a Cheeger deformation, and the spline resampling of a
-conformal warped metric over its own arclength circle (the independent route
-of acceptance criteria 5 and 10).
+Five small functions that only tests read live here too: the nodewise
+pinching test of a window constant, the coercive energy of the negative
+regime, the representation-independent curvature operator, the shrink map
+C_t of a Cheeger deformation, and the spline resampling of a conformal
+warped metric over its own arclength circle (the independent route of
+acceptance criteria 5 and 10).
 """
 
 import numpy as np
@@ -31,8 +33,8 @@ from curvlab.errors import ObstructionError, PreconditionError, SolverError
 from curvlab.mesh import CIRCLE
 from curvlab.models import (DiagonalInvariantMetric, WarpedProductMetric,
                             YamabeConstants, ricci_warped, scal_diagonal, scal_warped)
-from curvlab.prescribe import (MetricPerturbation, _pinching_window, _scal_jacobian_components,
-                               _scaled_transpose, linearize_scal_matrix)
+from curvlab.prescribe import (MetricPerturbation, _scal_jacobian_components, _scaled_transpose,
+                               linearize_scal_matrix)
 from curvlab.yamabe import (_POSITIVITY_FLOOR, ConformalProblem, ConformalSolution,
                             SolverConfig, negative_constant_bound)
 
@@ -262,21 +264,40 @@ def adjoint_formula(metric, u):
     )
 
 
+def _orthonormal_adjoint(metric: WarpedProductMetric) -> sp.csc_array:
+    """B = M_h^{-1/2} J^T M^{1/2}, the (2N, N) adjoint in orthonormal coordinates."""
+    m = metric.mesh.mass_vector()
+    mh = np.concatenate([m, metric.fiber_dim * m])
+    return _scaled_transpose(linearize_scal_matrix(metric), 1.0 / np.sqrt(mh), np.sqrt(m))
+
+
 def dense_kernel_min_singular(metric: WarpedProductMetric) -> float:
     """Smallest singular value of the adjoint between the weighted spaces, by
     the dense SVD of B = M_h^{-1/2} J^T M^{1/2}, a (2N, N) matrix."""
-    m = metric.mesh.mass_vector()
-    mh = np.concatenate([m, metric.fiber_dim * m])
-    B = _scaled_transpose(linearize_scal_matrix(metric), 1.0 / np.sqrt(mh), np.sqrt(m))
-    return float(np.linalg.svd(B.toarray(), compute_uv=False)[-1])
+    return float(np.linalg.svd(_orthonormal_adjoint(metric).toarray(), compute_uv=False)[-1])
 
 
-def window_constant_loop(target, scal) -> float:
-    """`curvlab.prescribe._window_constant` with one distance per window
-    constant, the first smallest winning (the window must not be empty)."""
+def adjoint_norm1(metric: WarpedProductMetric) -> float:
+    """||B||_1, the largest column sum of |B|, for the relative kernel floor."""
+    return float(np.max(abs(_orthonormal_adjoint(metric)).sum(axis=0)))
+
+
+def pinching_check(target, scal, c: float) -> bool:
+    """Strict nodewise window c min(target) < scal < c max(target)."""
+    if c <= 0:
+        raise ValueError("the window constant must be positive")
     target = np.asarray(target, dtype=float)
-    return min(_pinching_window(target, scal),
-               key=lambda cc: float(np.max(np.abs(cc * target - scal))))
+    scal = np.asarray(scal, dtype=float)
+    return bool(np.all(c * np.min(target) < scal) and np.all(scal < c * np.max(target)))
+
+
+def window_constant_loop(target, scal) -> float | None:
+    """`curvlab.prescribe._window_constant` with one `pinching_check` and one
+    distance per grid constant, the first smallest winning; None when no grid
+    constant passes."""
+    target = np.asarray(target, dtype=float)
+    window = [float(c) for c in np.logspace(-3.0, 3.0, 61) if pinching_check(target, scal, c)]
+    return min(window, key=lambda cc: float(np.max(np.abs(cc * target - scal))), default=None)
 
 
 def greedy_walk_loop(table, L, mu, starts):

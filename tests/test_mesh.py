@@ -341,6 +341,8 @@ def test_stencil_pattern_is_the_union_of_identity_d1_and_d2(make):
     d1, d2 = mesh.d1_matrix(), mesh.d2_matrix()
     union = (abs(d1) + abs(d2) + sp.eye_array(n)).tocoo()
     assert set(zip(union.row, union.col)) == set(zip(pattern.row, pattern.col))
+    assert np.array_equal(pattern.indptr, d2.indptr)  # the union is D2's pattern
+    assert np.array_equal(pattern.col, d2.indices)
     for values, op in ((pattern.d1, d1), (pattern.d2, d2)):
         on_pattern = sp.csr_array((values, pattern.col, pattern.indptr), shape=(n, n))
         assert np.array_equal(on_pattern.toarray(), op.toarray())

@@ -13,15 +13,15 @@ from curvlab import (DiagonalInvariantMetric, Diffeo1D, MetricPerturbation,
                      WarpedProductMetric, approximate_by_diffeo, circle_mesh,
                      full_prescribe, get_preset, kernel_min_singular,
                      linearize_scal_adjoint, linearize_scal_matrix,
-                     newton_prescribe, pinching_check, ricci_warped,
+                     newton_prescribe, ricci_warped,
                      scal_warped, tensor_inner)
 from curvlab.mesh import INTERVAL, build_mesh
 from curvlab.prescribe import (_KERNEL_FLOOR, _SUP_TOL, _greedy_walk, _monotone_runs,
-                               _periodic_interp, _pinching_window, _window_constant)
+                               _periodic_interp, _window_constant)
 
-from oracles import (adjoint_formula, dense_kernel_min_singular, dense_scal_jacobian,
-                     fine_circle_norm, greedy_walk_loop, linearize_scal,
-                     monotone_runs_loop, periodic_interp_mod, perturbed_scal,
+from oracles import (adjoint_formula, adjoint_norm1, dense_kernel_min_singular,
+                     dense_scal_jacobian, fine_circle_norm, greedy_walk_loop, linearize_scal,
+                     monotone_runs_loop, periodic_interp_mod, perturbed_scal, pinching_check,
                      scal_operator, sparse_product_jacobian, window_constant_loop)
 
 
@@ -240,8 +240,9 @@ def warped_backgrounds(draw):
 @given(warped_backgrounds())
 def test_kernel_min_singular_matches_dense_svd(metric):
     sparse, dense = kernel_min_singular(metric), dense_kernel_min_singular(metric)
-    assert (sparse < _KERNEL_FLOOR) == (dense < _KERNEL_FLOOR)
-    if dense >= _KERNEL_FLOOR:
+    floor = _KERNEL_FLOOR * adjoint_norm1(metric)
+    assert (sparse < floor) == (dense < floor)
+    if dense >= floor:
         assert abs(sparse - dense) <= 1e-9 * dense
 
 
@@ -263,7 +264,7 @@ def test_kernel_min_singular_forms_no_dense_matrix(monkeypatch):
 @pytest.mark.parametrize("n", [1024, 4096])
 def test_flat_torus_is_a_kernel_background_at_large_n(n):
     flat = get_preset("flat-torus", n=n)
-    assert kernel_min_singular(flat) < _KERNEL_FLOOR
+    assert kernel_min_singular(flat) < _KERNEL_FLOOR * adjoint_norm1(flat)
     with pytest.raises(PreconditionError) as info:
         newton_prescribe(flat, 0.05 * np.sin(flat.mesh.nodes))
     assert info.value.condition == "kernel-dichotomy"
@@ -284,7 +285,7 @@ def test_kernel_min_singular_of_an_exactly_singular_system_is_zero(monkeypatch):
     flat = get_preset("flat-torus", n=16)
     assert kernel_min_singular(flat) == 0.0
     assert raised == ["Factor is exactly singular"]
-    assert dense_kernel_min_singular(flat) < _KERNEL_FLOOR
+    assert dense_kernel_min_singular(flat) < _KERNEL_FLOOR * adjoint_norm1(flat)
 
 
 def test_kernel_min_singular_without_lanczos_convergence_is_a_solver_error(monkeypatch):
@@ -377,14 +378,22 @@ def test_newton_contraction_in_quadratic_regime():
 # ---------------------------------------------------------------------------
 
 
+def window_rejection(target, scal):
+    with pytest.raises(PreconditionError) as info:
+        _window_constant(target, scal)
+    return info.value.condition
+
+
 def test_pinching_strictness():
     scal = np.full(64, 6.0)
     assert not pinching_check(np.full(64, 6.0), scal, 1.0)
+    assert window_rejection(np.full(64, 6.0), scal) == "pinching-window"
 
 
 def test_pinching_window_holds():
     r = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     assert pinching_check(6.0 + np.sin(r), np.full(64, 6.0), 1.0)
+    assert _window_constant(6.0 + np.sin(r), np.full(64, 6.0)) == 1.0
 
 
 def test_pinching_negative_target_fails():
@@ -392,17 +401,7 @@ def test_pinching_negative_target_fails():
     target = -1.0 - 0.1 * np.sin(np.linspace(0, 2 * np.pi, 64, endpoint=False))
     for c in np.logspace(-3, 3, 61):
         assert not pinching_check(target, scal, float(c))
-
-
-window_samples = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40)
-
-
-@settings(max_examples=300, deadline=None)
-@given(window_samples, window_samples)
-def test_pinching_window_matches_pinching_check(target, scal):
-    grid = np.logspace(-3.0, 3.0, 61)
-    expected = [float(c) for c in grid if pinching_check(target, scal, c)]
-    assert _pinching_window(target, scal) == expected
+    assert window_rejection(target, scal) == "pinching-window"
 
 
 @st.composite
@@ -416,19 +415,23 @@ def window_pairs(draw):
 @settings(max_examples=300, deadline=None)
 @given(window_pairs())
 def test_window_constant_matches_per_candidate_loop(pair):
+    # a rejection exactly when no grid constant passes pinching_check, and
+    # otherwise the loop's constant, bit for bit
     target, scal = pair
-    assume(_pinching_window(target, scal))
-    assert _window_constant(target, scal).hex() == window_constant_loop(target, scal).hex()
+    expected = window_constant_loop(target, scal)
+    if expected is None:
+        assert window_rejection(target, scal) == "pinching-window"
+    else:
+        assert _window_constant(target, scal).hex() == expected.hex()
 
 
 def test_pinching_window_on_sign_changing_targets():
     r = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    grid = np.logspace(-3.0, 3.0, 61)
     for target, scal in ((0.05 * np.sin(r), np.zeros(64)), (np.sin(r), 0.3 * np.cos(r)),
                          (np.sin(r) - 0.5, np.full(64, 0.2)), (6.0 + np.sin(r), np.full(64, 6.0))):
-        window = _pinching_window(target, scal)
-        assert window == [float(c) for c in grid if pinching_check(target, scal, c)]
-        assert window
+        expected = window_constant_loop(target, scal)
+        assert expected is not None
+        assert _window_constant(target, scal).hex() == expected.hex()
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +563,6 @@ def criterion9_pair(draw, rotation_steps, n=64):
     return mesh, f, g
 
 
-@pytest.mark.xfail(strict=True, raises=PreconditionError, reason=(
-    "false winding obstruction: for p = 1 the initial cell count doubles straight to "
-    "_MAX_CELLS = 4096, where the best greedy span is (1 - 3.9e-6) L but the reserve limit "
-    "L - (m + 2) mu is (1 - 4.1e-6) L; with _MAX_CELLS = 2048 the same call succeeds "
-    "(error 5.0e-4), and with 256 too (error 7.2e-3)"))
 def test_criterion9_draw3_rotated_has_no_obstruction():
     mesh, f, g = criterion9_pair(draw=3, rotation_steps=38)
     result = approximate_by_diffeo(mesh, f, g, p=1.0, eps=1e-2)
@@ -573,8 +571,8 @@ def test_criterion9_draw3_rotated_has_no_obstruction():
 
 
 def test_criterion9_draw3_rotated_succeeds_below_4096_cells(monkeypatch):
-    # the false obstruction above is the mu reserve outgrowing the greedy
-    # span's slack at 4096 cells; fewer cells leave room
+    # at p = 1 the slope rule asks for more cells than the cap, so the cap is
+    # the cell count; the reserve mu per cell leaves the walk room at any cap
     import curvlab.prescribe as prescribe
     mesh, f, g = criterion9_pair(draw=3, rotation_steps=38)
     for max_cells, bound in ((2048, 1e-3), (256, 1e-2)):
@@ -685,14 +683,18 @@ def test_greedy_walk_matches_per_cell_loop_on_approximation_tables(monkeypatch):
     import curvlab.prescribe as prescribe
     walk, calls = prescribe._greedy_walk, []
     monkeypatch.setattr(prescribe, "_greedy_walk", lambda *args: calls.append(args) or walk(*args))
-    for draw, rotation_steps, p in ((0, 5, 2.0), (3, 38, 1.0), (7, 20, 4.0)):
-        mesh, f, g = criterion9_pair(draw, rotation_steps)
+    mesh = get_preset("round-fiber").mesh
+    pairs = [(*criterion9_pair(draw, rotation_steps), p)
+             for draw, rotation_steps, p in ((0, 5, 2.0), (3, 38, 1.0), (7, 20, 4.0))]
+    # a source that oscillates less than its target: a true obstruction
+    pairs.append((mesh, np.sin(mesh.nodes), 0.9 * np.sin(2 * mesh.nodes), 2.0))
+    for mesh, f, g, p in pairs:
         try:
             approximate_by_diffeo(mesh, f, g, p=p, eps=1e-2)
         except PreconditionError:
             pass
     outcomes = [walk_outcome(walk, *args) for args in calls]
-    assert None in outcomes  # the false obstruction's walk
+    assert None in outcomes  # the obstruction's walk
     assert outcomes == [walk_outcome(greedy_walk_loop, *args) for args in calls]
 
 

@@ -275,7 +275,9 @@ def test_main_prescribe_singular_newton_system_exits_solver(tmp_path, monkeypatc
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular_solve)
-    code = main(["prescribe", "--model", "round-fiber", "--target", "6*(1 + 0.1*sin(r))",
+    # a non-constant background: the reparametrized path starts far from its
+    # target and needs a Newton step too
+    code = main(["prescribe", "--model", "bumpy", "--target", "6 + 4*sin(r)",
                  "--outdir", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == EXIT_SOLVER
