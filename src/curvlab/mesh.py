@@ -28,8 +28,8 @@ only.
 The scaled matrices (first and second derivative, stiffness, Laplacian) are
 `scipy.sparse` CSR arrays.  Each mesh builds each of them from the shared
 stencils on its first request, next to D2's pattern, which holds those of
-I and D1 (`StencilPattern`); every caller shares them, read-only.  A mesh's first
-matrix is where `scipy.sparse` is imported.
+I and D1 (`StencilPattern`); every caller shares them, read-only.  A mesh's
+first matrix is where `scipy.sparse` is imported.
 
 Meshes are uniform.  On interval topology the weight may vanish at the two
 endpoint nodes only (singular orbits); the Laplacian closes the stencil there

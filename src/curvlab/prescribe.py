@@ -501,15 +501,15 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
     where the source attains that value, and concentrate the cell's measure
     near that point, spending only a thin transition set on the moves between
     points.  The cell count is the smallest power of two from 64 to
-    ``_MAX_CELLS`` at which the target's steepest node difference moves it by
-    about half the plateau budget across one cell; it is the only level
-    evaluated.  Each cell value is clipped into the range of the source's fine
-    samples, which its monotone runs cover, so every cell has a candidate.
-    The forward greedy pick keeps the lift within one period, so the map has
-    winding one; when the source oscillates less than the target that is
-    impossible and a winding obstruction is reported.  An error not below eps
-    is a resolution bound that quotes it.  The walk costs O(m R) for m cells
-    and R monotone runs of the source, per start tried.
+    ``_MAX_CELLS`` at which the target, at its steepest node slope, changes
+    by at most 0.6 eps V^(-1/p) across one cell (V the total volume), and
+    the only one evaluated.  Each cell value is clipped into the range of the
+    source's fine samples, which its monotone runs cover, so every cell has a
+    candidate.  The forward greedy pick keeps the lift within one period, so
+    the map has winding one; when the source oscillates less than the target
+    that is impossible and a winding obstruction is reported.  An error not
+    below eps is a resolution bound that quotes it.  The walk costs O(m R)
+    for m cells and R monotone runs of the source, per start tried.
 
     Interval quotients are handled on the mirrored double cover and the
     returned map lives there.
@@ -554,7 +554,7 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
         while m_cells < _MAX_CELLS and g_slope * (L / m_cells) > 1.2 * plateau_budget:
             m_cells *= 2
     ell = L / m_cells
-    mu = 1e-9 * ell
+    mu = 1e-9 * ell  # the walk's reserve (m + 2) mu stays about 1e-9 L
 
     m_fine = max(4096, _FINE_FACTOR * n, 8 * m_cells)
     hf = L / m_fine
@@ -565,7 +565,9 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
     f_slope = np.abs(np.gradient(f_fine, hf))
     slope_table = (x_closed, np.append(f_slope, f_slope[0]))
 
-    # positions (n_runs, m) where each rising run of the source attains each cell value
+    # positions (n_runs, m) where each monotone run of the source attains each
+    # cell value; the runs cover the fine source's range and the values are
+    # clipped into it, so every cell has a candidate
     centers = ell * (np.arange(m_cells) + 0.5)
     gbar = np.clip(_periodic_interp(centers, mesh.nodes, g, L), np.min(f_fine), np.max(f_fine))
     table = []
