@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvlab import (DiagonalInvariantMetric, Diffeo1D, MetricPerturbation,
@@ -584,8 +584,8 @@ def test_criterion9_draw3_rotated_succeeds_below_4096_cells(monkeypatch):
 
 @pytest.mark.parametrize("n", [17, 333])
 def test_rotated_copy_of_the_source_is_approximable(n):
-    # cell values near the source's maximum used to fall between the fine
-    # samples of the source, and the call was refused as "achievable about inf"
+    # cell values near the source's maximum lie above every fine sample of
+    # the source; clipped into the samples' range, each has a candidate
     mesh = circle_mesh(n, 2 * np.pi)
     f = np.sin(mesh.nodes)
     g = np.roll(f, 5)
