@@ -404,6 +404,28 @@ def test_pinching_negative_target_fails():
     assert window_rejection(target, scal) == "pinching-window"
 
 
+window_samples = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_samples, window_samples)
+def test_pinching_window_matches_pinching_check(target, scal):
+    # `_window_constant` rejects exactly when no grid constant passes
+    # pinching_check, and otherwise returns one that passes.  The window
+    # depends on target and scal only through their extremes, so the
+    # two-point stand-ins below probe it while the lengths may differ.
+    grid = np.logspace(-3.0, 3.0, 61)
+    window = [float(c) for c in grid if pinching_check(target, scal, c)]
+    probe = [min(target), max(target)]
+    bounds = [min(scal), max(scal)]
+    if not window:
+        assert window_rejection(probe, bounds) == "pinching-window"
+    else:
+        c = _window_constant(probe, bounds)
+        assert c in window
+        assert pinching_check(target, scal, c)
+
+
 @st.composite
 def window_pairs(draw):
     """A target and a curvature sampled at the same nodes."""
