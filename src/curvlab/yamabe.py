@@ -21,14 +21,16 @@ mode of the discrete Laplacian, so the step count does not grow with N.
 
 Both regimes end in the same equation 4 b_n lap(u) - scal u + s u^gamma = 0,
 and one bordered Newton iteration in (u, s) solves it for each (Keller's
-bordering, 1977).  In the positive regime it polishes the descent iterate
-with s = c' and the constraint level as the border; the Lagrange multiplier
-lam recovered at convergence shifts the constant to c' = (1 + lam) c and the
-residual reported is the Euler-Lagrange defect at c'.  In the negative regime
-it solves with s = -c' from a start profile, bordered by a mass normalization
-that excludes the trivial solution.  On backgrounds whose conformal class
-admits no negative constant the iteration converges to c' = 0; that state is
-reported as an obstruction rather than returned.
+bordering, 1977).  Each step costs O(N): it eliminates nodes 1..N-1, a
+tridiagonal block, and leaves a 2x2 system in (u_0, s).  In the positive
+regime it polishes the descent iterate with s = c' and the constraint level
+as the border; the Lagrange multiplier lam recovered at convergence shifts
+the constant to c' = (1 + lam) c and the residual reported is the
+Euler-Lagrange defect at c'.  In the negative regime it solves with s = -c'
+from a start profile, bordered by a mass normalization that excludes the
+trivial solution.  On backgrounds whose conformal class admits no negative
+constant the iteration converges to c' = 0; that state is reported as an
+obstruction rather than returned.
 
 The sign of the smallest eigenvalue of the conformal Laplacian
 u -> -4 b_n lap(u) + scal u classifies the conformal class (P_G / Z_G / N_G):
@@ -37,10 +39,11 @@ trichotomy.
 
 This module imports numpy only, so `import curvlab` loads no scipy at all.
 Each scipy subpackage is imported inside the functions that use it:
-`scipy.sparse` in `_bordered_newton`, `minimize_on_constraint` and
-`classify_conformal_class` (a mesh imports it with its first sparse matrix;
-its stencils, and so `conformal_scal` and `el_residual`, need numpy only);
-`scipy.sparse.linalg` in `minimize_on_constraint`; `scipy.linalg` in
+`scipy.sparse` in `minimize_on_constraint` and `classify_conformal_class`
+(a mesh imports it with its first sparse matrix, such as the Laplacian of
+`_bordered_newton`; its stencils, and so `conformal_scal` and `el_residual`,
+need numpy only); `scipy.sparse.linalg` in `minimize_on_constraint`;
+`scipy.linalg` in `_bordered_solve`, the Newton step of both regimes, and in
 `classify_conformal_class`.  Together they cost more to import than the rest
 of curvlab, and most commands never call those functions.
 """
@@ -173,17 +176,55 @@ _POSITIVITY_FLOOR = 1e-10  # min u of every Newton iterate, the start included
 _MAX_STEP = 1.0  # first and largest descent step
 
 
+def _bordered_solve(A, shift, column, row, rhs):
+    """Solve [[A - diag(shift), column], [row, 0]] x = rhs in O(N) by one-separator
+    condensation.
+
+    ``A`` is an (N, N) canonical CSR array whose block on nodes 1..N-1 is
+    tridiagonal, as a mesh Laplacian's is: the corners of a circle touch node
+    0 only.  Node 0 and the border unknown x_N form the separator (George,
+    *Nested dissection of a regular finite element mesh*, SIAM J. Numer.
+    Anal. 10, 1973).  One banded LU with partial pivoting solves the interior
+    block for three right-hand sides, so an indefinite block is fine;
+    `np.linalg.solve` solves the 2x2 Schur complement for (x_0, x_N), and
+    back-substitution gives the interior.  Its relative error is about eps
+    times the larger condition number of the bordered matrix and of the
+    interior block.  A singular interior block or Schur complement raises
+    `LinAlgError`.
+    """
+    import scipy.linalg
+
+    n = A.shape[0]
+    i, j, a = np.repeat(np.arange(n), np.diff(A.indptr)), A.indices, A.data
+    inner = (i > 0) & (j > 0)
+    if np.any(np.abs(i - j)[inner] > 1):
+        raise ValueError("the block of A on nodes 1..N-1 must be tridiagonal")
+    band = np.zeros((3, n - 1))
+    band[1 + i[inner] - j[inner], j[inner] - 1] = a[inner]
+    band[1] -= shift[1:]
+    first_col, first_row = j == 0, i == 0
+    a_col, a_row = np.zeros(n), np.zeros(n)
+    a_col[i[first_col]] = a[first_col]
+    a_row[j[first_row]] = a[first_row]
+    # interior responses to node 0, to the border unknown and to the right side
+    z = scipy.linalg.solve_banded((1, 1), band, np.column_stack((a_col[1:], column[1:], rhs[1:n])),
+                                  overwrite_ab=True, overwrite_b=True, check_finite=False)
+    schur = np.array([[a_col[0] - shift[0] - a_row[1:] @ z[:, 0], column[0] - a_row[1:] @ z[:, 1]],
+                      [row[0] - row[1:] @ z[:, 0], -(row[1:] @ z[:, 1])]])
+    x0, xn = np.linalg.solve(schur, [rhs[0] - a_row[1:] @ z[:, 2], rhs[n] - row[1:] @ z[:, 2]])
+    return np.concatenate(([x0], z[:, 2] - x0 * z[:, 0] - xn * z[:, 1], [xn]))
+
+
 def _bordered_newton(p: ConformalProblem, u, s, border, tol, border_scale):
     """Solve el_residual(p, u, s) = 0 in (u, s), bordered by one side condition.
 
     ``border(u)`` returns the side condition's value and its gradient row.
     Damped Newton on x = (u, s) with the Euclidean norm of the bordered
-    residual as merit, u above `_POSITIVITY_FLOOR` and a dense bordered solve
-    per step; converged when the weighted-L2 defect is below ``tol`` and
-    |border| below tol * max(1, border_scale).  Returns (u, s, steps).
+    residual as merit, u above `_POSITIVITY_FLOOR` and one O(N)
+    `_bordered_solve` per step; converged when the weighted-L2 defect is below
+    ``tol`` and |border| below tol * max(1, border_scale).  Returns (u, s,
+    steps).
     """
-    import scipy.sparse as sp
-
     mesh, g, n = p.mesh, p.constants, p.mesh.node_count
     scaled_lap = 4.0 * g.b_n * mesh.laplacian_matrix()
 
@@ -196,12 +237,8 @@ def _bordered_newton(p: ConformalProblem, u, s, border, tol, border_scale):
 
     def solve(x, state):
         (res, row), u_ = state, x[:n]
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = (scaled_lap
-                     - sp.diags_array(p.scal - x[n] * g.gamma_n * u_**(g.gamma_n - 1))).toarray()
-        J[:n, n] = u_**g.gamma_n
-        J[n, :n] = row
-        return np.linalg.solve(J, -res)
+        shift = p.scal - x[n] * g.gamma_n * u_**(g.gamma_n - 1)
+        return _bordered_solve(scaled_lap, shift, u_**g.gamma_n, row, -res)
 
     def converged(state, merit):
         res = state[0]
@@ -372,10 +409,13 @@ def conformal_scal(metric: WarpedProductMetric, u) -> np.ndarray:
 def classify_conformal_class(metric: WarpedProductMetric, tol: float = 1e-8):
     """Sign of the first eigenvalue of u -> -4 b_n lap u + scal u.
 
-    Returns (verdict, lambda_1).  The eigenvalue problem is the generalized
-    symmetric problem (4 b_n S + M scal) x = lambda M x for the stiffness S
-    and quadrature masses M, so the zero mode of a vanishing potential is
-    resolved exactly.  ``tol`` must be finite and non-negative.
+    Returns (verdict, lambda_1).  The eigenvalue problem is the symmetric
+    pencil (4 b_n S + M scal) x = lambda M x for the stiffness S and the
+    quadrature masses M.  M is diagonal, so it is solved in standard form,
+    as the smallest eigenvalue of M^{-1/2} (4 b_n S + M scal) M^{-1/2} =
+    4 b_n M^{-1/2} S M^{-1/2} + diag(scal), whose zero mode M^{1/2} 1 of a
+    vanishing potential is resolved to rounding.  ``tol`` must be finite and
+    non-negative.
     """
     if not 0 <= tol < np.inf:
         raise ValueError("tol must be finite and non-negative")
@@ -384,11 +424,10 @@ def classify_conformal_class(metric: WarpedProductMetric, tol: float = 1e-8):
 
     g = YamabeConstants.for_dimension(metric.dim)
     mesh = metric.mesh
-    scal = scal_warped(metric)
-    m = mesh.mass_vector()
-    A = (4.0 * g.b_n * mesh.stiffness_matrix() + sp.diags_array(m * scal)).toarray()
-    lam1 = float(scipy.linalg.eigh(A, np.diag(m), eigvals_only=True,
-                                   subset_by_index=[0, 0])[0])
+    root = sp.diags_array(1.0 / np.sqrt(mesh.mass_vector()))
+    C = (root @ (4.0 * g.b_n * mesh.stiffness_matrix()) @ root
+         + sp.diags_array(scal_warped(metric))).toarray()
+    lam1 = float(scipy.linalg.eigh(C, eigvals_only=True, subset_by_index=[0, 0])[0])
     if lam1 > tol:
         verdict = ConformalClass.POSITIVE
     elif lam1 < -tol:

@@ -12,10 +12,11 @@ the adjoint's 1-norm from the orthonormal adjoint itself, the per-candidate
 loop `_window_constant` once ran, the per-cell loops that
 `approximate_by_diffeo` once ran for its greedy walk and its monotone-run
 split, the whole-array wrap `_periodic_interp` once took, the hand-written
-Newton loop `solve_negative_constant` once ran, the roll-and-slice stencils
-`QuotientMesh` once evaluated its derivatives, Laplacian and Dirichlet form
-with, and the closed-form warped-product curvature `scal_warped` once
-evaluated.
+Newton loop `solve_negative_constant` once ran (on the library's bordered
+solve), the generalized dense eigenproblem `classify_conformal_class` once
+solved, the roll-and-slice stencils `QuotientMesh` once evaluated its
+derivatives, Laplacian and Dirichlet form with, and the closed-form
+warped-product curvature `scal_warped` once evaluated.
 Five small functions that only tests read live here too: the nodewise
 pinching test of a window constant, the coercive energy of the negative
 regime, the representation-independent curvature operator, the shrink map
@@ -26,6 +27,7 @@ acceptance criteria 5 and 10).
 
 import numpy as np
 import scipy.interpolate
+import scipy.linalg
 import scipy.sparse as sp
 
 from curvlab.cheeger import OrbitData, TangentSplit
@@ -36,7 +38,7 @@ from curvlab.models import (DiagonalInvariantMetric, WarpedProductMetric,
 from curvlab.prescribe import (MetricPerturbation, _scal_jacobian_components, _scaled_transpose,
                                linearize_scal_matrix)
 from curvlab.yamabe import (_POSITIVITY_FLOOR, ConformalProblem, ConformalSolution,
-                            SolverConfig, negative_constant_bound)
+                            SolverConfig, _bordered_solve, negative_constant_bound)
 
 
 def curvature_tensor_scal(m) -> float:
@@ -381,8 +383,9 @@ def negative_newton_loop(metric: WarpedProductMetric, cfg: SolverConfig | None =
 
     A hand-written bordered Newton iteration in (u, c') with the mass
     normalization as the border, a budget of `cfg.max_iter` steps and a line
-    search that accepts any step below tau = 1e-8.  Same arguments, return
-    value and exceptions as `solve_negative_constant`.
+    search that accepts any step below tau = 1e-8.  Each step solves with the
+    library's `_bordered_solve`, so the comparison is bit for bit.  Same
+    arguments, return value and exceptions as `solve_negative_constant`.
     """
     cfg = cfg or SolverConfig(tol_residual=1e-8)
     mesh = metric.mesh
@@ -414,13 +417,9 @@ def negative_newton_loop(metric: WarpedProductMetric, cfg: SolverConfig | None =
     converged = False
     newton_iterations = 0
     for newton_iterations in range(1, cfg.max_iter + 1):
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = (scaled_lap
-                     - sp.diags_array(scal + cprime * g.gamma_n * u**(g.gamma_n - 1))).toarray()
-        J[:n, n] = -(u**g.gamma_n)
-        J[n, :n] = 2.0 * u * m
+        shift = scal + cprime * g.gamma_n * u**(g.gamma_n - 1)
         try:
-            delta = np.linalg.solve(J, -res)
+            delta = _bordered_solve(scaled_lap, shift, -(u**g.gamma_n), 2.0 * u * m, -res)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular Newton system: {exc}") from exc
         tau = 1.0
@@ -455,6 +454,17 @@ def negative_newton_loop(metric: WarpedProductMetric, cfg: SolverConfig | None =
     solution = ConformalSolution(u=u, lagrange=lam, achieved_constant=cprime,
                                  residual_norm=pde_norm, iterations=newton_iterations)
     return solution, float(c)
+
+
+def dense_generalized_lambda1(metric: WarpedProductMetric) -> float:
+    """The first eigenvalue `classify_conformal_class` once computed: the
+    generalized dense problem (4 b_n S + M scal) x = lambda M x, with M as a
+    dense diagonal matrix."""
+    g = YamabeConstants.for_dimension(metric.dim)
+    mesh = metric.mesh
+    m = mesh.mass_vector()
+    A = (4.0 * g.b_n * mesh.stiffness_matrix() + sp.diags_array(m * scal_warped(metric))).toarray()
+    return float(scipy.linalg.eigh(A, np.diag(m), eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
 # ---------------------------------------------------------------------------

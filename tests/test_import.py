@@ -20,7 +20,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 IMPORTS = ("import numpy as np\n"
            "from curvlab import (ConformalProblem, approximate_by_diffeo, circle_mesh,\n"
            "    classify_conformal_class, conformal_scal, get_preset,\n"
-           "    kernel_min_singular, minimize_on_constraint, scal_warped)\n"
+           "    kernel_min_singular, minimize_on_constraint, scal_warped,\n"
+           "    solve_negative_constant)\n"
            "from curvlab.runner import ScenarioConfig, run_scenario\n")
 
 
@@ -48,8 +49,10 @@ def test_import_loads_no_heavy_scipy_subpackage():
      "assert s.residual_norm < 1e-6",
      "scipy.sparse.linalg"),
     ("assert kernel_min_singular(get_preset('bumpy', n=32)) > 1e-3", "scipy.sparse.linalg"),
+    ("assert solve_negative_constant(get_preset('hyperbolic-fiber', n=32))[0].achieved_constant > 0",
+     "scipy.linalg"),
 ], ids=["first_matrix_call", "classify_conformal_class",
-        "minimize_on_constraint", "kernel_min_singular"])
+        "minimize_on_constraint", "kernel_min_singular", "solve_negative_constant"])
 def test_deferred_imports_load_in_their_function(call, loads):
     assert loads in _fresh_modules(IMPORTS + call)
 

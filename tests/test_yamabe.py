@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,9 +13,11 @@ from curvlab import (ConformalClass, ConformalProblem, ObstructionError,
                      el_residual, energy_gradient, get_preset,
                      minimize_on_constraint, negative_constant_bound,
                      project_to_constraint, scal_warped, solve_negative_constant)
-from curvlab.yamabe import _bordered_newton
+from curvlab.mesh import build_mesh
+from curvlab.yamabe import _bordered_newton, _bordered_solve
 
-from oracles import coercive_energy, conformal_warped_metric, negative_newton_loop
+from oracles import (coercive_energy, conformal_warped_metric, dense_generalized_lambda1,
+                     negative_newton_loop)
 
 
 def round_problem(c=6.0, n=64, eps=1.0):
@@ -327,6 +330,7 @@ def test_negative_constant_flat_obstruction():
     r = metric.mesh.nodes
     with pytest.raises(ObstructionError) as info:
         solve_negative_constant(metric, u0=1.0 + 0.2 * np.cos(r))
+    assert info.value.condition == "negative-class-obstruction"
     assert info.value.residual < 1e-6
     assert abs(info.value.constant) < 1e-8
 
@@ -381,6 +385,76 @@ def test_negative_solve_matches_hand_written_loop(n, fiber_scal, harmonic, ampli
             == (ref.lagrange, ref.achieved_constant, ref.residual_norm, ref.iterations, ref_c)
 
 
+@settings(max_examples=60, deadline=None)
+@given(topology=st.sampled_from(["circle", "interval"]), n=st.integers(16, 256),
+       amplitude=st.floats(0.0, 0.5), scale=st.sampled_from([0.0, 1.0, 30.0, 1e3]),
+       offset=st.floats(-1.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_bordered_solve_matches_the_dense_bordered_system(topology, n, amplitude, scale,
+                                                          offset, seed):
+    # L - diag(shift) with L the mesh Laplacian; shifts of either sign make
+    # it indefinite, as in the positive-regime polish
+    rng = np.random.default_rng(seed)
+    mesh = build_mesh(topology, n, 2 * np.pi, lambda r: 1.0 + amplitude * np.sin(r))
+    shift = scale * (offset + rng.uniform(-1.0, 1.0, n))
+    column, row, rhs = rng.normal(size=n), rng.normal(size=n), rng.normal(size=n + 1)
+    dense = np.zeros((n + 1, n + 1))
+    dense[:n, :n] = mesh.laplacian_matrix().toarray() - np.diag(shift)
+    dense[:n, n], dense[n, :n] = column, row
+    expected = np.linalg.solve(dense, rhs)
+    x = _bordered_solve(mesh.laplacian_matrix(), shift, column, row, rhs)
+    # both solves err by about eps times a condition number: the dense one by
+    # the bordered matrix's, the condensation also by the interior block's
+    # (at most 0.26 eps kappa on 8000 draws); 1e-10 holds while kappa < 1.1e5
+    kappa = max(np.linalg.cond(dense), np.linalg.cond(dense[1:n, 1:n]))
+    bound = max(1e-10, 4.0 * np.finfo(float).eps * kappa)
+    assert np.linalg.norm(x - expected) <= bound * np.linalg.norm(expected)
+
+
+def test_bordered_solve_raises_on_a_singular_interior_block():
+    # the zero operator: the block on nodes 1..N-1 has no pivot at all
+    with pytest.raises(np.linalg.LinAlgError):
+        _bordered_solve(sp.csr_array((16, 16)), np.zeros(16), np.ones(16), np.ones(16),
+                        np.ones(17))
+
+
+def test_bordered_solve_rejects_a_coupling_beyond_the_band():
+    A = sp.csr_array(([1.0], ([3], [9])), shape=(16, 16))
+    with pytest.raises(ValueError, match="tridiagonal"):
+        _bordered_solve(A, -np.ones(16), np.ones(16), np.ones(16), np.ones(17))
+
+
+def test_negative_solve_makes_only_2x2_dense_solves(monkeypatch):
+    # each Newton step condenses onto node 0 and c': no (N+1)^2 system is left
+    shapes = []
+    solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        shapes.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    sol, _ = solve_negative_constant(hyperbolic_bumpy(n=4096))
+    assert shapes and set(shapes) == {(2, 2)}
+    assert len(shapes) == sol.iterations
+
+
+def test_flat_torus_obstruction_holds_at_n_4096():
+    # at c' = 0 the Newton matrix's Laplacian block is singular; its Dirichlet
+    # block on nodes 1..N-1 is not, so the condensed solve reaches c' = 0
+    metric = get_preset("flat-torus", n=4096)
+    with pytest.raises(ObstructionError) as info:
+        solve_negative_constant(metric, u0=1.0 + 0.2 * np.cos(metric.mesh.nodes))
+    assert info.value.condition == "negative-class-obstruction"
+    assert abs(info.value.constant) <= 1e-8
+
+
+def test_negative_solve_converges_at_n_8192():
+    metric = hyperbolic_bumpy(n=8192)
+    sol, c = solve_negative_constant(metric)
+    p = ConformalProblem(metric, c)
+    assert metric.mesh.lp_norm(el_residual(p, sol.u, -sol.achieved_constant), 2) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # conformal curvature and resampling
 # ---------------------------------------------------------------------------
@@ -433,6 +507,20 @@ def test_classifier_three_verdicts():
     assert verdict is ConformalClass.ZERO and abs(lam) < 1e-8
     verdict, lam = classify_conformal_class(get_preset("hyperbolic-fiber"))
     assert verdict is ConformalClass.NEGATIVE and lam < 0
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("preset", ["round-fiber", "hyperbolic-fiber", "bumpy", "flat-torus"])
+def test_classifier_matches_the_generalized_dense_problem(preset, n):
+    metric = get_preset(preset, n=n)
+    _, lam = classify_conformal_class(metric)
+    expected = dense_generalized_lambda1(metric)
+    assert abs(lam - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+def test_classifier_flat_torus_zero_mode_at_n_2048():
+    verdict, lam = classify_conformal_class(get_preset("flat-torus", n=2048))
+    assert verdict is ConformalClass.ZERO and abs(lam) < 1e-8
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8])
