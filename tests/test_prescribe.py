@@ -1,6 +1,8 @@
 """Linearization, exact adjoint, Newton prescription, reparametrizations."""
 
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,13 +18,15 @@ from curvlab import (DiagonalInvariantMetric, Diffeo1D, MetricPerturbation,
                      newton_prescribe, ricci_warped,
                      scal_warped, tensor_inner)
 from curvlab.mesh import INTERVAL, build_mesh
-from curvlab.prescribe import (_KERNEL_FLOOR, _SUP_TOL, _greedy_walk, _monotone_runs,
-                               _periodic_interp, _window_constant)
+from curvlab.prescribe import (_KERNEL_FLOOR, _SUP_TOL, _adjoint_matrix, _cyclic_solve,
+                               _greedy_walk, _monotone_runs, _periodic_interp,
+                               _window_constant)
 
 from oracles import (adjoint_formula, adjoint_norm1, dense_kernel_min_singular,
-                     dense_scal_jacobian, fine_circle_norm, greedy_walk_loop, linearize_scal,
-                     monotone_runs_loop, periodic_interp_mod, perturbed_scal, pinching_check,
-                     scal_operator, sparse_product_jacobian, window_constant_loop)
+                     dense_scal_jacobian, exact_window, fine_circle_norm, greedy_walk_loop,
+                     linearize_scal, monotone_runs_loop, periodic_interp_mod, perturbed_scal,
+                     pinching_check, scal_operator, sparse_product_jacobian,
+                     window_constant_loop)
 
 
 def bumpy(amplitude=0.2, n=64):
@@ -373,6 +377,84 @@ def test_newton_contraction_in_quadratic_regime():
             assert hist[i + 1] / hist[i] < 0.3
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(16, 512), fiber_scal=st.sampled_from([-2.0, 2.0, 6.0]),
+       amplitude=st.floats(0.0, 0.3), harmonic=st.integers(1, 3), phase=st.floats(0.0, 6.3),
+       scale=st.sampled_from([0.0, 1e-6, 1e-3, 1.0]), offset=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_cyclic_solve_matches_the_dense_system(n, fiber_scal, amplitude, harmonic, phase,
+                                               scale, offset, seed):
+    # J.Q of a random warping minus a random diagonal shift of either sign,
+    # relative to J.Q's largest entry.  The flat torus, whose J.Q is
+    # singular, is left out (fiber_scal 0 and a constant warping).
+    rng = np.random.default_rng(seed)
+    metric = WarpedProductMetric.from_profile(
+        n, 2 * np.pi, 3, fiber_scal, lambda r: 1.0 + amplitude * np.sin(harmonic * r + phase))
+    JQ = linearize_scal_matrix(metric) @ _adjoint_matrix(metric).tocsr()
+    shift = scale * np.max(np.abs(JQ.data)) * (offset + rng.uniform(-1.0, 1.0, n))
+    A = (JQ - sp.diags_array(shift)).tocsr()
+    rhs = rng.normal(size=n)
+    dense = A.toarray()
+    expected = np.linalg.solve(dense, rhs)
+    x = _cyclic_solve(A, rhs)
+    # both solves err by about eps times a condition number: the dense one by
+    # A's, the condensation also by the interior block's on nodes 2..N-1
+    kappa = max(np.linalg.cond(dense), np.linalg.cond(dense[2:, 2:]))
+    bound = max(1e-10, 4.0 * np.finfo(float).eps * kappa)
+    assert np.linalg.norm(x - expected) <= bound * np.linalg.norm(expected)
+
+
+def test_cyclic_solve_rejects_a_coupling_beyond_the_band():
+    A = sp.csr_array(([1.0], ([3], [9])), shape=(16, 16))
+    with pytest.raises(ValueError, match="pentadiagonal"):
+        _cyclic_solve(A, np.ones(16))
+
+
+def test_newton_prescribe_singular_schur_complement_is_a_solver_error(monkeypatch):
+    # each step Jacobian gets row 1 equal to row 0, so J.Q has two equal
+    # separator rows and a singular 2x2 Schur complement, while its block on
+    # nodes 2..N-1 stays regular
+    import curvlab.prescribe as prescribe
+    jacobian = prescribe.linearize_scal_matrix
+
+    def equal_separator_rows(metric, A=None, B=None):
+        J = jacobian(metric, A=A, B=B)
+        return J if A is None else sp.vstack([J[[0]], J[[0]], J[2:]], format="csr")
+
+    monkeypatch.setattr(prescribe, "linearize_scal_matrix", equal_separator_rows)
+    metric = get_preset("hyperbolic-fiber", n=64)
+    target = scal_warped(metric) * (1.0 + 0.05 * np.sin(metric.mesh.nodes))
+    with pytest.raises(SolverError, match="^singular .*rank-deficient Schur complement"):
+        newton_prescribe(metric, target)
+
+
+def test_newton_prescribe_forms_no_dense_n_by_n_system(monkeypatch):
+    # every SVD and dense solve of a step is on the 2x2 Schur complement, one
+    # of each per step
+    shapes = {"svd": [], "solve": []}
+
+    def recording(name):
+        routine = getattr(np.linalg, name)
+
+        def record(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return routine(a, *args, **kwargs)
+        return record
+
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, recording(name))
+
+    def dense_route(*args, **kwargs):
+        raise AssertionError("the Newton step formed a dense matrix")
+    for array in (sp.csr_array, sp.csc_array, sp.coo_array):
+        monkeypatch.setattr(array, "toarray", dense_route)
+    metric = get_preset("round-fiber", n=4096)
+    result = newton_prescribe(metric, 6.0 * (1.0 + 0.1 * np.sin(metric.mesh.nodes)))
+    steps = len(result.residuals) - 1
+    assert steps > 0
+    assert shapes == {"svd": [(2, 2)] * steps, "solve": [(2, 2)] * steps}
+
+
 # ---------------------------------------------------------------------------
 # pinching window
 # ---------------------------------------------------------------------------
@@ -410,41 +492,93 @@ window_samples = st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40)
 @settings(max_examples=300, deadline=None)
 @given(window_samples, window_samples)
 def test_pinching_window_matches_pinching_check(target, scal):
-    # `_window_constant` rejects exactly when no grid constant passes
-    # pinching_check, and otherwise returns one that passes.  The window
-    # depends on target and scal only through their extremes, so the
-    # two-point stand-ins below probe it while the lengths may differ.
+    # `_window_constant` returns a grid constant that passes pinching_check
+    # when there is one; otherwise it rejects, or returns a constant off the
+    # grid that passes.  The window depends on target and scal only through
+    # their extremes, so the two-point stand-ins below probe it while the
+    # lengths may differ.
     grid = np.logspace(-3.0, 3.0, 61)
     window = [float(c) for c in grid if pinching_check(target, scal, c)]
     probe = [min(target), max(target)]
     bounds = [min(scal), max(scal)]
-    if not window:
-        assert window_rejection(probe, bounds) == "pinching-window"
-    else:
+    try:
         c = _window_constant(probe, bounds)
-        assert c in window
+    except PreconditionError as err:
+        assert err.condition == "pinching-window" and not window
+    else:
+        assert c in window if window else c not in grid
         assert pinching_check(target, scal, c)
 
 
 @st.composite
-def window_pairs(draw):
+def window_pairs(draw, values=st.floats(-50.0, 50.0)):
     """A target and a curvature sampled at the same nodes."""
     n = draw(st.integers(1, 40))
-    sample = st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)
+    sample = st.lists(values, min_size=n, max_size=n)
     return draw(sample), draw(sample)
 
 
 @settings(max_examples=300, deadline=None)
 @given(window_pairs())
 def test_window_constant_matches_per_candidate_loop(pair):
-    # a rejection exactly when no grid constant passes pinching_check, and
-    # otherwise the loop's constant, bit for bit
+    # the loop's constant, bit for bit, whenever a grid constant passes
+    # pinching_check; otherwise a rejection, or a constant off the grid that
+    # passes
     target, scal = pair
     expected = window_constant_loop(target, scal)
-    if expected is None:
-        assert window_rejection(target, scal) == "pinching-window"
-    else:
+    if expected is not None:
         assert _window_constant(target, scal).hex() == expected.hex()
+        return
+    try:
+        c = _window_constant(target, scal)
+    except PreconditionError as err:
+        assert err.condition == "pinching-window"
+    else:
+        assert c not in np.logspace(-3.0, 3.0, 61) and pinching_check(target, scal, c)
+
+
+@settings(max_examples=500, deadline=None)
+@given(window_pairs(st.floats(-50.0, 50.0, allow_subnormal=False)))
+def test_pinching_window_is_rejected_only_when_the_exact_window_is_empty(pair):
+    # whenever the constant is rejected, the exact window, from the oracle's
+    # rational arithmetic, is empty, too thin for floating point (relative
+    # width below 1e-12) or beyond the largest double; a returned constant
+    # passes the strict test.  Subnormal samples are left out: their
+    # products with a constant keep too few digits for a strict test near
+    # the window's ends.
+    target, scal = pair
+    window = exact_window(target, scal)
+    try:
+        c = _window_constant(target, scal)
+    except PreconditionError as err:
+        assert err.condition == "pinching-window"
+        assert (window is None or window[0] >= Fraction(sys.float_info.max)
+                or (window[1] is not None and window[1] <= window[0] * (1 + Fraction(1, 10**12))))
+    else:
+        assert window is not None
+        assert pinching_check(target, scal, c)
+
+
+def test_window_constant_between_grid_points_is_the_geometric_midpoint():
+    # the window (1, 1.1) holds no grid constant: 1 is its open end, and the
+    # next one is 10^0.1 = 1.26
+    target = np.array([1.0, 1.05, 1.1])
+    c = _window_constant(target, np.full(3, 1.1))
+    assert c == pytest.approx(np.sqrt(1.1), rel=1e-15)
+    assert pinching_check(target, np.full(3, 1.1), c)
+    # unbounded above, from 2e3: twice its lower end
+    assert _window_constant(np.array([-1.0, 1e-3]), np.array([1.0, 2.0])) == pytest.approx(4e3)
+
+
+def test_full_prescribe_solves_in_a_window_between_grid_points():
+    # round fiber, scal = 6: the window (1.12 / 1.02, 1.12 / 0.98) lies
+    # between the grid constants 1 and 1.26, so the grid alone rejected it
+    metric = get_preset("round-fiber", n=64)
+    target = 6.0 / 1.12 * (1.0 + 0.02 * np.sin(metric.mesh.nodes))
+    result = full_prescribe(metric, target)
+    assert 1.12 / 1.02 < result.c < 1.12 / 0.98
+    assert result.path == "identity"
+    assert np.max(np.abs(result.metric_out.scal() - target)) <= _SUP_TOL
 
 
 def test_pinching_window_on_sign_changing_targets():
@@ -784,6 +918,20 @@ def test_full_prescribe_round_product_sine_target():
     assert any(b / a < 0.3 for a, b in zip(hist, hist[1:]))
 
 
+@pytest.mark.parametrize("background", ["round-fiber", "hyperbolic-fiber"])
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+def test_full_prescribe_takes_the_identity_path_up_to_n_4096(background, n):
+    # Newton accumulates the metric perturbation, not only the potential u,
+    # whose rounding the fourth-order J.Q amplifies by its norm, about N^4:
+    # with u alone the round fiber from N = 512 and the hyperbolic fiber from
+    # 1024 stalled and fell back to reparametrization
+    metric = get_preset(background, n=n)
+    target = scal_warped(metric) * (1.0 + 0.1 * np.sin(metric.mesh.nodes))
+    result = full_prescribe(metric, target)
+    assert result.path == "identity"
+    assert np.max(np.abs(result.metric_out.scal() - target)) <= _SUP_TOL
+
+
 def test_full_prescribe_negative_target_rejected():
     metric = get_preset("round-fiber")
     with pytest.raises(PreconditionError) as info:
@@ -844,18 +992,15 @@ def escape_bumped(flat):
 
 
 def test_newton_prescribe_reports_stalled_line_search(monkeypatch):
-    # escape-bumped flat torus, first harmonic at amplitude 0.08: the Newton
-    # residual floors near 1.5e-8, above newton_tol, and no step lowers it
-    flat = get_preset("flat-torus", n=256)
-    mesh = flat.mesh
-    bumped = escape_bumped(flat)
-    target = 0.08 * np.sin(mesh.nodes)
-    c = _window_constant(target, scal_warped(bumped))
+    # a tolerance below the rounding floor: on the hyperbolic fiber at N = 64
+    # the residual stops near 1.5e-13, and no step lowers it further
+    metric = get_preset("hyperbolic-fiber", n=64)
+    target = scal_warped(metric) * (1.0 + 0.05 * np.sin(metric.mesh.nodes))
     svd, steps = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: steps.append(a) or svd(*a, **k))
-    cfg = PrescribeConfig()
+    cfg = PrescribeConfig(newton_tol=1e-16)
     with pytest.raises(SolverError, match="line search stalled"):
-        newton_prescribe(bumped, c * target, cfg)
+        newton_prescribe(metric, target, cfg)
     assert len(steps) < cfg.newton_max_iter
 
 
@@ -873,13 +1018,13 @@ def test_newton_prescribe_singular_system_is_a_solver_error(monkeypatch):
 
 def test_full_prescribe_falls_back_from_a_singular_direct_system():
     # escape-bumped flat torus, second harmonic at amplitude 0.2: the direct
-    # Newton reaches a J.Q that LU finds exactly singular (smallest singular
-    # value 5e-11 at norm 8e6, above the Tikhonov floor), and the
-    # reparametrized path realizes the target
+    # Newton reaches a J.Q that is singular in double precision (smallest
+    # singular value 5e-11 at norm 8e6), whose 2x2 Schur complement fails
+    # the rank test, and the reparametrized path realizes the target
     flat = get_preset("flat-torus", n=128)
     target = 0.2 * np.sin(2 * flat.mesh.nodes + 0.3)
     bumped = escape_bumped(flat)
-    with pytest.raises(SolverError, match="singular"):
+    with pytest.raises(SolverError, match="^singular .*rank-deficient Schur complement"):
         newton_prescribe(bumped, _window_constant(target, scal_warped(bumped)) * target)
     result = full_prescribe(flat, target)
     assert result.path == "reparametrized"
