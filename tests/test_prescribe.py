@@ -256,12 +256,19 @@ def test_kernel_min_singular_repeats_bit_for_bit(name):
     assert kernel_min_singular(metric).hex() == kernel_min_singular(metric).hex()
 
 
-def test_kernel_min_singular_forms_no_dense_matrix(monkeypatch):
+def forbid_dense_matrices(monkeypatch, *routines):
+    """Make `toarray` on every sparse array, and each (module, name) routine
+    given, raise."""
     def dense_route(*args, **kwargs):
-        raise AssertionError("the kernel test formed a dense matrix")
-    monkeypatch.setattr(np.linalg, "svd", dense_route)
+        raise AssertionError("a dense matrix was formed")
     for array in (sp.csr_array, sp.csc_array, sp.coo_array):
         monkeypatch.setattr(array, "toarray", dense_route)
+    for module, name in routines:
+        monkeypatch.setattr(module, name, dense_route)
+
+
+def test_kernel_min_singular_forms_no_dense_matrix(monkeypatch):
+    forbid_dense_matrices(monkeypatch, (np.linalg, "svd"))
     assert kernel_min_singular(bumpy(n=4096)) > 1e-3
 
 
@@ -443,11 +450,7 @@ def test_newton_prescribe_forms_no_dense_n_by_n_system(monkeypatch):
 
     for name in shapes:
         monkeypatch.setattr(np.linalg, name, recording(name))
-
-    def dense_route(*args, **kwargs):
-        raise AssertionError("the Newton step formed a dense matrix")
-    for array in (sp.csr_array, sp.csc_array, sp.coo_array):
-        monkeypatch.setattr(array, "toarray", dense_route)
+    forbid_dense_matrices(monkeypatch)
     metric = get_preset("round-fiber", n=4096)
     result = newton_prescribe(metric, 6.0 * (1.0 + 0.1 * np.sin(metric.mesh.nodes)))
     steps = len(result.residuals) - 1
