@@ -19,10 +19,11 @@ sparse LU of the augmented system, in O(N) work and memory.
 `newton_prescribe` tests the kernel once per metric, then solves
 F(g + adjoint(u)) = K by Newton iterations whose linear systems use the
 composition jacobian . adjoint.  That composition is cyclic pentadiagonal,
-so each step is O(N): one banded LU (`scipy.linalg.solve_banded`, imported
-on first use) and a 2x2 Schur complement.  `full_prescribe` chains the
-pinching window, the escape from a kernel background, an optional
-measure-concentrating reparametrization phi, and the Newton solve.
+so each step is O(N): `_newton.condensed_solve` makes one banded LU
+(`scipy.linalg`, imported on first use) and a 2x2 Schur complement.
+`full_prescribe` chains the pinching window, the escape from a kernel
+background, an optional measure-concentrating reparametrization phi, and
+the Newton solve.
 
 The result is a statement in the Newton chart, as in the Kazdan-Warner route
 through an approximation lemma and local surjectivity: the returned metric
@@ -273,46 +274,6 @@ class NewtonResult:
     residuals: tuple
 
 
-def _cyclic_solve(A, rhs):
-    """Solve A x = rhs in O(N) by two-node condensation, A cyclic pentadiagonal.
-
-    ``A`` is an (N, N) CSR array without duplicate entries whose block on
-    nodes 2..N-1 is pentadiagonal, as J.Q is on a circle: its corners touch
-    nodes 0 and 1 only.  Those two nodes form the separator (George, *Nested
-    dissection of a regular finite element mesh*, SIAM J. Numer. Anal. 10,
-    1973).  One banded LU with partial pivoting solves the interior block for
-    three right-hand sides: the two separator columns and ``rhs``.  The 2x2
-    Schur complement then gets a rank test by its singular values, and one
-    `np.linalg.solve` gives x_0 and x_1; back-substitution gives the
-    interior.  A singular interior block, or a Schur complement whose
-    smallest singular value is at most N eps times its largest, raises
-    `LinAlgError`.
-    """
-    import scipy.linalg
-
-    n = A.shape[0]
-    i, j, a = np.repeat(np.arange(n), np.diff(A.indptr)), A.indices, A.data
-    inner = (i > 1) & (j > 1)
-    if np.any(np.abs(i - j)[inner] > 2):
-        raise ValueError("the block of A on nodes 2..N-1 must be pentadiagonal")
-    band = np.zeros((5, n - 2))
-    band[2 + i[inner] - j[inner], j[inner] - 2] = a[inner]
-    # the separator's two columns and two rows
-    cols, rows = np.zeros((n, 2)), np.zeros((2, n))
-    sep_col, sep_row = j < 2, i < 2
-    cols[i[sep_col], j[sep_col]] = a[sep_col]
-    rows[i[sep_row], j[sep_row]] = a[sep_row]
-    z = scipy.linalg.solve_banded((2, 2), band, np.column_stack((cols[2:], rhs[2:])),
-                                  overwrite_ab=True, overwrite_b=True, check_finite=False)
-    schur = rows[:, :2] - rows[:, 2:] @ z[:, :2]
-    sigma = np.linalg.svd(schur, compute_uv=False)
-    if not sigma[1] > n * np.finfo(float).eps * sigma[0]:
-        raise np.linalg.LinAlgError(f"rank-deficient Schur complement (singular values "
-                                    f"{sigma[0]:.3e}, {sigma[1]:.3e})")
-    x = np.linalg.solve(schur, rhs[:2] - rows[:, 2:] @ z[:, 2])
-    return np.concatenate((x, z[:, 2] - z[:, :2] @ x))
-
-
 def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None = None
                      ) -> NewtonResult:
     """Solve F(g + adjoint(u)) = K for the potential u by damped Newton.
@@ -324,7 +285,8 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
     instead would amplify the rounding of u by the fourth-order J.Q, whose
     norm grows like N^4, and stall the iteration from N ~ 512.  Each system,
     the current Jacobian composed with the base-point adjoint, is cyclic
-    pentadiagonal and solved by `_cyclic_solve` in O(N).  A step makes
+    pentadiagonal, its corners touching nodes 0 and 1 only, and is solved by
+    `_newton.condensed_solve` with separator (0, 1) in O(N).  A step makes
     exactly one `np.linalg.svd` (the rank test) and one `np.linalg.solve`,
     both on the 2x2 Schur complement, so the benchmark's per-step counts of
     those calls still equal the Newton steps.
@@ -362,7 +324,9 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
 
     def solve(x, state):
         r, A, B = state
-        delta = _cyclic_solve(linearize_scal_matrix(metric, A=A, B=B) @ Ast, -r)
+        JQ = linearize_scal_matrix(metric, A=A, B=B) @ Ast
+        delta = _newton.condensed_solve(np.repeat(np.arange(n), np.diff(JQ.indptr)),
+                                        JQ.indices, JQ.data, -r, (0, 1))
         return np.concatenate((delta, Ast @ delta))
 
     x, (_, A, B), history = _newton.damped_newton(

@@ -21,16 +21,16 @@ mode of the discrete Laplacian, so the step count does not grow with N.
 
 Both regimes end in the same equation 4 b_n lap(u) - scal u + s u^gamma = 0,
 and one bordered Newton iteration in (u, s) solves it for each (Keller's
-bordering, 1977).  Each step costs O(N): it eliminates nodes 1..N-1, a
-tridiagonal block, and leaves a 2x2 system in (u_0, s).  In the positive
-regime it polishes the descent iterate with s = c' and the constraint level
-as the border; the Lagrange multiplier lam recovered at convergence shifts
-the constant to c' = (1 + lam) c and the residual reported is the
-Euler-Lagrange defect at c'.  In the negative regime it solves with s = -c'
-from a start profile, bordered by a mass normalization that excludes the
-trivial solution.  On backgrounds whose conformal class admits no negative
-constant the iteration converges to c' = 0; that state is reported as an
-obstruction rather than returned.
+bordering, 1977).  Each step costs O(N): the condensed solve of `_newton`
+eliminates nodes 1..N-1, a tridiagonal block, and leaves a 2x2 system in
+(u_0, s).  In the positive regime it polishes the descent iterate with
+s = c' and the constraint level as the border; the Lagrange multiplier lam
+recovered at convergence shifts the constant to c' = (1 + lam) c and the
+residual reported is the Euler-Lagrange defect at c'.  In the negative
+regime it solves with s = -c' from a start profile, bordered by a mass
+normalization that excludes the trivial solution.  On backgrounds whose
+conformal class admits no negative constant the iteration converges to
+c' = 0; that state is reported as an obstruction rather than returned.
 
 The sign of the smallest eigenvalue of the conformal Laplacian
 u -> -4 b_n lap(u) + scal u classifies the conformal class (P_G / Z_G / N_G):
@@ -43,9 +43,10 @@ Each scipy subpackage is imported inside the functions that use it:
 (a mesh imports it with its first sparse matrix, such as the Laplacian of
 `_bordered_newton`; its stencils, and so `conformal_scal` and `el_residual`,
 need numpy only); `scipy.sparse.linalg` in `minimize_on_constraint`;
-`scipy.linalg` in `_bordered_solve`, the Newton step of both regimes, and in
-`classify_conformal_class`.  Together they cost more to import than the rest
-of curvlab, and most commands never call those functions.
+`scipy.linalg` in `classify_conformal_class` and in
+`_newton.condensed_solve`, the Newton step of both regimes.  Together they
+cost more to import than the rest of curvlab, and most commands never call
+those functions.
 """
 
 from __future__ import annotations
@@ -176,57 +177,27 @@ _POSITIVITY_FLOOR = 1e-10  # min u of every Newton iterate, the start included
 _MAX_STEP = 1.0  # first and largest descent step
 
 
-def _bordered_solve(A, shift, column, row, rhs):
-    """Solve [[A - diag(shift), column], [row, 0]] x = rhs in O(N) by one-separator
-    condensation.
-
-    ``A`` is an (N, N) canonical CSR array whose block on nodes 1..N-1 is
-    tridiagonal, as a mesh Laplacian's is: the corners of a circle touch node
-    0 only.  Node 0 and the border unknown x_N form the separator (George,
-    *Nested dissection of a regular finite element mesh*, SIAM J. Numer.
-    Anal. 10, 1973).  One banded LU with partial pivoting solves the interior
-    block for three right-hand sides, so an indefinite block is fine;
-    `np.linalg.solve` solves the 2x2 Schur complement for (x_0, x_N), and
-    back-substitution gives the interior.  Its relative error is about eps
-    times the larger condition number of the bordered matrix and of the
-    interior block.  A singular interior block or Schur complement raises
-    `LinAlgError`.
-    """
-    import scipy.linalg
-
-    n = A.shape[0]
-    i, j, a = np.repeat(np.arange(n), np.diff(A.indptr)), A.indices, A.data
-    inner = (i > 0) & (j > 0)
-    if np.any(np.abs(i - j)[inner] > 1):
-        raise ValueError("the block of A on nodes 1..N-1 must be tridiagonal")
-    band = np.zeros((3, n - 1))
-    band[1 + i[inner] - j[inner], j[inner] - 1] = a[inner]
-    band[1] -= shift[1:]
-    first_col, first_row = j == 0, i == 0
-    a_col, a_row = np.zeros(n), np.zeros(n)
-    a_col[i[first_col]] = a[first_col]
-    a_row[j[first_row]] = a[first_row]
-    # interior responses to node 0, to the border unknown and to the right side
-    z = scipy.linalg.solve_banded((1, 1), band, np.column_stack((a_col[1:], column[1:], rhs[1:n])),
-                                  overwrite_ab=True, overwrite_b=True, check_finite=False)
-    schur = np.array([[a_col[0] - shift[0] - a_row[1:] @ z[:, 0], column[0] - a_row[1:] @ z[:, 1]],
-                      [row[0] - row[1:] @ z[:, 0], -(row[1:] @ z[:, 1])]])
-    x0, xn = np.linalg.solve(schur, [rhs[0] - a_row[1:] @ z[:, 2], rhs[n] - row[1:] @ z[:, 2]])
-    return np.concatenate(([x0], z[:, 2] - x0 * z[:, 0] - xn * z[:, 1], [xn]))
-
-
 def _bordered_newton(p: ConformalProblem, u, s, border, tol, border_scale):
     """Solve el_residual(p, u, s) = 0 in (u, s), bordered by one side condition.
 
     ``border(u)`` returns the side condition's value and its gradient row.
     Damped Newton on x = (u, s) with the Euclidean norm of the bordered
-    residual as merit, u above `_POSITIVITY_FLOOR` and one O(N)
-    `_bordered_solve` per step; converged when the weighted-L2 defect is below
-    ``tol`` and |border| below tol * max(1, border_scale).  Returns (u, s,
-    steps).
+    residual as merit and u above `_POSITIVITY_FLOOR`; converged when the
+    weighted-L2 defect is below ``tol`` and |border| below
+    tol * max(1, border_scale).  Each step is one O(N)
+    `_newton.condensed_solve` of [[4 b_n L - diag(shift), u^gamma], [row, 0]]
+    with separator (0, N): a circle's corners touch node 0 only.  Returns
+    (u, s, steps).
     """
     mesh, g, n = p.mesh, p.constants, p.mesh.node_count
-    scaled_lap = 4.0 * g.b_n * mesh.laplacian_matrix()
+    # that matrix's entry pattern, built once: the Laplacian's entries off
+    # its diagonal, the diagonal, the border column at index n, the border row
+    lap, nodes = mesh.laplacian_matrix(), np.arange(n)
+    lap_i = np.repeat(nodes, np.diff(lap.indptr))
+    off = np.flatnonzero(lap_i != lap.indices)
+    i = np.concatenate((lap_i[off], nodes, nodes, np.full(n, n)))
+    j = np.concatenate((lap.indices[off], nodes, np.full(n, n), nodes))
+    scaled_off, scaled_diagonal = 4.0 * g.b_n * lap.data[off], 4.0 * g.b_n * lap.diagonal()
 
     def evaluate(x):
         if np.min(x[:n]) <= _POSITIVITY_FLOOR:
@@ -238,7 +209,8 @@ def _bordered_newton(p: ConformalProblem, u, s, border, tol, border_scale):
     def solve(x, state):
         (res, row), u_ = state, x[:n]
         shift = p.scal - x[n] * g.gamma_n * u_**(g.gamma_n - 1)
-        return _bordered_solve(scaled_lap, shift, u_**g.gamma_n, row, -res)
+        a = np.concatenate((scaled_off, scaled_diagonal - shift, u_**g.gamma_n, row))
+        return _newton.condensed_solve(i, j, a, -res, (0, n))
 
     def converged(state, merit):
         res = state[0]

@@ -12,18 +12,18 @@ the adjoint's 1-norm from the orthonormal adjoint itself, the per-candidate
 loop `_window_constant` once ran, the per-cell loops that
 `approximate_by_diffeo` once ran for its greedy walk and its monotone-run
 split, the whole-array wrap `_periodic_interp` once took, the hand-written
-Newton loop `solve_negative_constant` once ran (on the library's bordered
+Newton loop `solve_negative_constant` once ran (on the library's condensed
 solve), the generalized dense eigenproblem `classify_conformal_class` once
 solved, the roll-and-slice stencils `QuotientMesh` once evaluated its
 derivatives, Laplacian and Dirichlet form with, and the closed-form
 warped-product curvature `scal_warped` once evaluated.
-Six small functions that only tests read live here too: the nodewise
+Seven small functions that only tests read live here too: the nodewise
 pinching test of a window constant, the exact window of such constants in
-rational arithmetic, the coercive energy of the negative
-regime, the representation-independent curvature operator, the shrink map
-C_t of a Cheeger deformation, and the spline resampling of a conformal
-warped metric over its own arclength circle (the independent route of
-acceptance criteria 5 and 10).
+rational arithmetic, the entries of a bordered matrix, the coercive energy
+of the negative regime, the representation-independent curvature operator,
+the shrink map C_t of a Cheeger deformation, and the spline resampling of a
+conformal warped metric over its own arclength circle (the independent
+route of acceptance criteria 5 and 10).
 """
 
 from fractions import Fraction
@@ -33,6 +33,7 @@ import scipy.interpolate
 import scipy.linalg
 import scipy.sparse as sp
 
+from curvlab._newton import condensed_solve
 from curvlab.cheeger import OrbitData, TangentSplit
 from curvlab.errors import ObstructionError, PreconditionError, SolverError
 from curvlab.mesh import CIRCLE
@@ -41,7 +42,7 @@ from curvlab.models import (DiagonalInvariantMetric, WarpedProductMetric,
 from curvlab.prescribe import (MetricPerturbation, _scal_jacobian_components, _scaled_transpose,
                                linearize_scal_matrix)
 from curvlab.yamabe import (_POSITIVITY_FLOOR, ConformalProblem, ConformalSolution,
-                            SolverConfig, _bordered_solve, negative_constant_bound)
+                            SolverConfig, negative_constant_bound)
 
 
 def curvature_tensor_scal(m) -> float:
@@ -402,6 +403,15 @@ def coercive_energy(p: ConformalProblem, u) -> float:
             + (p.c / g.two_star) * mesh.integrate(np.abs(u) ** g.two_star))
 
 
+def bordered_entries(A, column, row):
+    """Entries (i, j, a) of the bordered matrix [[A, column], [row, 0]], A sparse."""
+    A = sp.coo_array(A)
+    n = A.shape[0]
+    return (np.concatenate((A.row, np.arange(n), np.full(n, n))),
+            np.concatenate((A.col, np.full(n, n), np.arange(n))),
+            np.concatenate((A.data, column, row)))
+
+
 def negative_newton_loop(metric: WarpedProductMetric, cfg: SolverConfig | None = None,
                          c: float | None = None, u0=None):
     """`solve_negative_constant` as it was before its loop became `_bordered_newton`.
@@ -409,8 +419,9 @@ def negative_newton_loop(metric: WarpedProductMetric, cfg: SolverConfig | None =
     A hand-written bordered Newton iteration in (u, c') with the mass
     normalization as the border, a budget of `cfg.max_iter` steps and a line
     search that accepts any step below tau = 1e-8.  Each step solves with the
-    library's `_bordered_solve`, so the comparison is bit for bit.  Same
-    arguments, return value and exceptions as `solve_negative_constant`.
+    library's `condensed_solve` on the same entries, so the comparison is bit
+    for bit.  Same arguments, return value and exceptions as
+    `solve_negative_constant`.
     """
     cfg = cfg or SolverConfig(tol_residual=1e-8)
     mesh = metric.mesh
@@ -444,7 +455,9 @@ def negative_newton_loop(metric: WarpedProductMetric, cfg: SolverConfig | None =
     for newton_iterations in range(1, cfg.max_iter + 1):
         shift = scal + cprime * g.gamma_n * u**(g.gamma_n - 1)
         try:
-            delta = _bordered_solve(scaled_lap, shift, -(u**g.gamma_n), 2.0 * u * m, -res)
+            delta = condensed_solve(*bordered_entries(scaled_lap - sp.diags_array(shift),
+                                                      -(u**g.gamma_n), 2.0 * u * m),
+                                    -res, (0, n))
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular Newton system: {exc}") from exc
         tau = 1.0

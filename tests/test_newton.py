@@ -1,9 +1,10 @@
-"""The damped Newton driver on scalar toy problems, one per exit."""
+"""The damped Newton driver on scalar toy problems, one per exit, and the
+condensed solve of its O(N) steps."""
 
 import numpy as np
 import pytest
 
-from curvlab._newton import damped_newton
+from curvlab._newton import condensed_solve, damped_newton
 from curvlab.errors import SolverError
 
 
@@ -116,3 +117,11 @@ def test_singular_solve_is_a_solver_error():
     with pytest.raises(SolverError, match="^singular toy system: Singular matrix$") as info:
         damped_newton(np.array([1.0]), evaluate, solve, below(1e-12), 5, "toy")
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("n, sep", [(16, (0, 1)), (17, (0, 16))], ids=["cyclic", "bordered"])
+def test_condensed_solve_rejects_a_coupling_beyond_the_band(n, sep):
+    # the identity plus one entry (3, 9): six places apart off the separator
+    i, j = np.append(np.arange(n), 3), np.append(np.arange(n), 9)
+    with pytest.raises(ValueError, match="half-bandwidth 6, more than 2"):
+        condensed_solve(i, j, np.ones(n + 1), np.ones(n), sep)

@@ -18,9 +18,9 @@ from curvlab import (DiagonalInvariantMetric, Diffeo1D, MetricPerturbation,
                      newton_prescribe, ricci_warped,
                      scal_warped, tensor_inner)
 from curvlab.mesh import INTERVAL, build_mesh
-from curvlab.prescribe import (_KERNEL_FLOOR, _SUP_TOL, _adjoint_matrix, _cyclic_solve,
-                               _greedy_walk, _monotone_runs, _periodic_interp,
-                               _window_constant)
+from curvlab._newton import condensed_solve
+from curvlab.prescribe import (_KERNEL_FLOOR, _SUP_TOL, _adjoint_matrix, _greedy_walk,
+                               _monotone_runs, _periodic_interp, _window_constant)
 
 from oracles import (adjoint_formula, adjoint_norm1, dense_kernel_min_singular,
                      dense_scal_jacobian, exact_window, fine_circle_norm, greedy_walk_loop,
@@ -403,18 +403,13 @@ def test_cyclic_solve_matches_the_dense_system(n, fiber_scal, amplitude, harmoni
     rhs = rng.normal(size=n)
     dense = A.toarray()
     expected = np.linalg.solve(dense, rhs)
-    x = _cyclic_solve(A, rhs)
+    x = condensed_solve(np.repeat(np.arange(n), np.diff(A.indptr)), A.indices, A.data, rhs,
+                        (0, 1))
     # both solves err by about eps times a condition number: the dense one by
     # A's, the condensation also by the interior block's on nodes 2..N-1
     kappa = max(np.linalg.cond(dense), np.linalg.cond(dense[2:, 2:]))
     bound = max(1e-10, 4.0 * np.finfo(float).eps * kappa)
     assert np.linalg.norm(x - expected) <= bound * np.linalg.norm(expected)
-
-
-def test_cyclic_solve_rejects_a_coupling_beyond_the_band():
-    A = sp.csr_array(([1.0], ([3], [9])), shape=(16, 16))
-    with pytest.raises(ValueError, match="pentadiagonal"):
-        _cyclic_solve(A, np.ones(16))
 
 
 def test_newton_prescribe_singular_schur_complement_is_a_solver_error(monkeypatch):
@@ -693,6 +688,23 @@ def test_diffeo_winding_obstruction_detected():
     with pytest.raises(PreconditionError) as info:
         approximate_by_diffeo(mesh, f, g, p=2.0, eps=1e-2)
     assert info.value.condition in ("winding-obstruction", "resolution-bound")
+
+
+_FALSE_OBSTRUCTION = pytest.mark.xfail(
+    strict=True, raises=PreconditionError,
+    reason="false winding-obstruction: the greedy walk finds no degree-one map")
+
+
+@pytest.mark.parametrize("shift", [3, pytest.param(9, marks=_FALSE_OBSTRUCTION),
+                                   pytest.param(10, marks=_FALSE_OBSTRUCTION)])
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+def test_approximation_follows_a_rotation_of_the_source(shift, p):
+    # a rotation by whole node steps is a monotone degree-one map with error 0
+    mesh = circle_mesh(17, 2 * np.pi)
+    r = mesh.nodes
+    f = 0.99 * np.sin(r + 0.403) + 0.552 * np.sin(2 * r + 4.267)
+    result = approximate_by_diffeo(mesh, f, np.roll(f, shift), p=p)
+    assert result.achieved_error < result.requested_eps
 
 
 def test_interval_quotient_uses_double_cover():

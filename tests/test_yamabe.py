@@ -14,10 +14,11 @@ from curvlab import (ConformalClass, ConformalProblem, ObstructionError,
                      minimize_on_constraint, negative_constant_bound,
                      project_to_constraint, scal_warped, solve_negative_constant)
 from curvlab.mesh import build_mesh
-from curvlab.yamabe import _bordered_newton, _bordered_solve
+from curvlab._newton import condensed_solve
+from curvlab.yamabe import _bordered_newton
 
-from oracles import (coercive_energy, conformal_warped_metric, dense_generalized_lambda1,
-                     negative_newton_loop)
+from oracles import (bordered_entries, coercive_energy, conformal_warped_metric,
+                     dense_generalized_lambda1, negative_newton_loop)
 
 
 def round_problem(c=6.0, n=64, eps=1.0):
@@ -214,6 +215,22 @@ def test_bordered_newton_raises_on_singular_border():
         _bordered_newton(p, 1.0 + 0.2 * np.sin(p.mesh.nodes), 6.0, flat_border, 1e-10, 1.0)
 
 
+def test_bordered_newton_rank_tests_its_schur_complement():
+    # the constraint border of the positive regime with its gradient row
+    # scaled by 1e-20: the system is singular to double precision, and was
+    # once solved anyway, ending in "step has no admissible trial point"
+    p = round_problem(c=6.0)
+    g, m = p.constants, p.mesh.mass_vector()
+
+    def faint_constraint(u):
+        return ((p.c / g.two_star) * float(np.dot(u**g.two_star, m)) - p.epsilon,
+                1e-20 * p.c * u**g.gamma_n * m)
+
+    with pytest.raises(SolverError, match="rank-deficient Schur complement"):
+        _bordered_newton(p, 1.0 + 0.2 * np.sin(p.mesh.nodes), 6.0, faint_constraint, 1e-10,
+                         1.0)
+
+
 @pytest.mark.parametrize("n", [64, 512])
 def test_minimize_step_count_does_not_grow_with_n(n):
     # the weighted-L2 descent direction needed about N^2 steps on this
@@ -401,7 +418,8 @@ def test_bordered_solve_matches_the_dense_bordered_system(topology, n, amplitude
     dense[:n, :n] = mesh.laplacian_matrix().toarray() - np.diag(shift)
     dense[:n, n], dense[n, :n] = column, row
     expected = np.linalg.solve(dense, rhs)
-    x = _bordered_solve(mesh.laplacian_matrix(), shift, column, row, rhs)
+    x = condensed_solve(*bordered_entries(mesh.laplacian_matrix() - sp.diags_array(shift),
+                                          column, row), rhs, (0, n))
     # both solves err by about eps times a condition number: the dense one by
     # the bordered matrix's, the condensation also by the interior block's
     # (at most 0.26 eps kappa on 8000 draws); 1e-10 holds while kappa < 1.1e5
@@ -413,14 +431,8 @@ def test_bordered_solve_matches_the_dense_bordered_system(topology, n, amplitude
 def test_bordered_solve_raises_on_a_singular_interior_block():
     # the zero operator: the block on nodes 1..N-1 has no pivot at all
     with pytest.raises(np.linalg.LinAlgError):
-        _bordered_solve(sp.csr_array((16, 16)), np.zeros(16), np.ones(16), np.ones(16),
-                        np.ones(17))
-
-
-def test_bordered_solve_rejects_a_coupling_beyond_the_band():
-    A = sp.csr_array(([1.0], ([3], [9])), shape=(16, 16))
-    with pytest.raises(ValueError, match="tridiagonal"):
-        _bordered_solve(A, -np.ones(16), np.ones(16), np.ones(16), np.ones(17))
+        condensed_solve(*bordered_entries(sp.csr_array((16, 16)), np.ones(16), np.ones(16)),
+                        np.ones(17), (0, 16))
 
 
 def test_negative_solve_makes_only_2x2_dense_solves(monkeypatch):
