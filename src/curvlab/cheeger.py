@@ -267,20 +267,13 @@ def isotropy_term(iso: IsotropyData | None, normal_dim: int | None = None) -> fl
         return 0.0
     m = iso.normal_dim if normal_dim is None else normal_dim
     total = 0.0
-    for i in range(m):
-        rho = iso.rho_maps[i]
-        if np.max(np.abs(rho)) == 0.0:
-            continue
+    for rho in iso.rho_maps[:m]:
         pinv = np.linalg.pinv(rho)
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = 1.0
-            pre = pinv @ e
-            h = rho @ pre
-            h2 = float(h @ h)
-            if h2 < 1e-26:
-                continue
-            total += h2**2 / float(pre @ pre)
+        # column j: squared norms of proj e_j = rho rho^+ e_j and of rho^+ e_j
+        h2 = np.sum((rho @ pinv) ** 2, axis=0)
+        pre2 = np.sum(pinv**2, axis=0)
+        keep = h2 >= 1e-26
+        total += float(np.sum(h2[keep] ** 2 / pre2[keep]))
     return total
 
 

@@ -493,7 +493,7 @@ def _greedy_walk(table: np.ndarray, L: float, mu: float, starts):
     return None
 
 
-_FINE_FACTOR = 16  # the fine grid has at least this many points per mesh node
+_FINE_FACTOR = 16  # the grid that checks the error has at least this many points per node
 _MAX_CELLS = 4096  # cap on the cell count of the slope rule
 
 
@@ -508,13 +508,14 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
     points.  The cell count is the smallest power of two from 64 to
     ``_MAX_CELLS`` at which the target, at its steepest node slope, changes
     by at most 0.6 eps V^(-1/p) across one cell (V the total volume), and
-    the only one evaluated.  Each cell value is clipped into the range of the
-    source's fine samples, which its monotone runs cover, so every cell has a
-    candidate.  The forward greedy pick keeps the lift within one period, so
-    the map has winding one; when the source oscillates less than the target
-    that is impossible and a winding obstruction is reported.  An error not
-    below eps is a resolution bound that quotes it.  The walk costs O(m R)
-    for m cells and R monotone runs of the source, per start tried.
+    the only one evaluated.  The monotone runs of the source polyline cover
+    [min f, max f], so every cell value has a candidate; a fine grid only
+    checks the error.  The forward greedy pick keeps the lift within one
+    period, so the map has winding one; when the source oscillates less than
+    the target that is impossible and a winding obstruction is reported.  An
+    error not below eps is a resolution bound that quotes it.  The walk
+    costs O(m R) for m cells and R monotone runs of the source, per start
+    tried.
 
     Interval quotients are handled on the mirrored double cover and the
     returned map lives there.
@@ -561,22 +562,13 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
     ell = L / m_cells
     mu = 1e-9 * ell  # the walk's reserve (m + 2) mu stays about 1e-9 L
 
-    m_fine = max(4096, _FINE_FACTOR * n, 8 * m_cells)
-    hf = L / m_fine
-    xf = hf * np.arange(m_fine)
-    f_fine = _periodic_interp(xf, mesh.nodes, f, L)
-    # the fine source and |f'|, closed at L for periodic lookups
-    x_closed, f_closed = np.append(xf, L), np.append(f_fine, f_fine[0])
-    f_slope = np.abs(np.gradient(f_fine, hf))
-    slope_table = (x_closed, np.append(f_slope, f_slope[0]))
-
-    # positions (n_runs, m) where each monotone run of the source attains each
-    # cell value; the runs cover the fine source's range and the values are
-    # clipped into it, so every cell has a candidate
+    # positions (n_runs, m) where each run of the source polyline attains each
+    # cell value; the runs cover [min f, max f], which holds the clipped target
+    x_closed, f_closed = np.append(mesh.nodes, L), np.append(f, f[0])
     centers = ell * (np.arange(m_cells) + 0.5)
-    gbar = np.clip(_periodic_interp(centers, mesh.nodes, g, L), np.min(f_fine), np.max(f_fine))
+    gbar = _periodic_interp(centers, mesh.nodes, g, L)
     table = []
-    for start, stop in _monotone_runs(f_fine):
+    for start, stop in _monotone_runs(f):
         seg, xseg = f_closed[start:stop + 1], x_closed[start:stop + 1]
         if seg[0] > seg[-1]:
             seg, xseg = seg[::-1], xseg[::-1]
@@ -598,7 +590,9 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
     Xc = np.append(X, X[0] + L)
     gaps = np.diff(Xc)
     eps1 = eps * V ** (-1.0 / p) / 6.0
-    slope_at = np.interp(_wrap(X, L), *slope_table) + 1e-12
+    # |f'| on the polyline piece that holds each position
+    piece = np.minimum(_wrap(X, L) // mesh.h, n - 1).astype(int)
+    slope_at = np.abs(np.diff(f_closed))[piece] / mesh.h + 1e-12
     eta = np.minimum.reduce([
         np.full(m_cells, ell / 8.0),
         eps1 / slope_at,
@@ -619,6 +613,9 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
     by[0::2] = Xc - eta_c
     by[1::2] = Xc[:-1] + eta_c[:-1]
 
+    m_fine = max(4096, _FINE_FACTOR * n, 8 * m_cells)
+    hf = L / m_fine
+    xf = hf * np.arange(m_fine)
     phi_fine = np.interp(xf, bx, by)
     err_fine = (_periodic_interp(phi_fine, mesh.nodes, f, L)
                 - _periodic_interp(xf, mesh.nodes, g, L))

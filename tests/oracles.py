@@ -113,6 +113,24 @@ def twist_term_sampled(orbit, t, x, y, iso=None, samples=100_000, rng=None) -> f
     return 3.0 * t * float(np.max(num / den))
 
 
+def isotropy_term_loop(iso, m) -> float:
+    """`curvlab.cheeger.isotropy_term` with one unit vector e_j at a time:
+    |rho rho^+ e_j|^4 / |rho^+ e_j|^2 over the first m rho maps and the
+    normal indices j, skipping all-zero maps and |rho rho^+ e_j|^2 < 1e-26."""
+    total = 0.0
+    for rho in iso.rho_maps[:m]:
+        if np.max(np.abs(rho)) == 0.0:
+            continue
+        pinv = np.linalg.pinv(rho)
+        for j in range(m):
+            pre = pinv @ np.eye(m)[j]
+            h = rho @ pre
+            h2 = float(h @ h)
+            if h2 >= 1e-26:
+                total += h2**2 / float(pre @ pre)
+    return total
+
+
 def ratio_max_sampled_refined(lvec, S, t, samples=100_000, rng=None, iters=80):
     """Max of 3t (l.Z)^2 / (t Z.S.Z + 1) over the unit sphere.
 

@@ -12,7 +12,8 @@ from curvlab import (IsotropyData, OrbitData, PreconditionError, TangentSplit,
                      su2_plus_line_structure, su2_structure, twist_term)
 from curvlab.models import LeftInvariantMetric, abelian_metric
 
-from oracles import ratio_max_sampled_refined, shrink_map_apply, twist_term_sampled
+from oracles import (isotropy_term_loop, ratio_max_sampled_refined, shrink_map_apply,
+                     twist_term_sampled)
 
 T_GRID = (0.0, 0.1, 1.0, 10.0, 100.0)
 
@@ -360,6 +361,24 @@ def test_isotropy_term_scales_quadratically():
     _, iso1 = singular_point(alpha=1.0)
     _, iso2 = singular_point(alpha=3.0)
     assert isotropy_term(iso2) == pytest.approx(9.0 * isotropy_term(iso1), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 5), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       zero_maps=st.lists(st.booleans(), min_size=3, max_size=3))
+def test_isotropy_term_matches_the_unit_vector_loop(m, d, seed, zero_maps):
+    # skew data: omega_b = rho[:, :, b].T is skew for each isotropy direction b;
+    # some directions vanish, so some rho maps have lower rank or are zero
+    rng = np.random.default_rng(seed)
+    rho = np.zeros((m, m, d))
+    for b in range(d):
+        if not zero_maps[b]:
+            a = rng.normal(size=(m, m))
+            rho[:, :, b] = a - a.T
+    iso = IsotropyData(isotropy_dim=d, rho_maps=rho)
+    # sums of at most m^2 terms from 2 pinv products: rounding well below 1e-12
+    assert isotropy_term(iso) == pytest.approx(isotropy_term_loop(iso, m), rel=1e-12, abs=1e-300)
+    assert isotropy_term(iso, 0) == 0.0
 
 
 def test_pinching_limit_identical_points_is_one():

@@ -690,21 +690,35 @@ def test_diffeo_winding_obstruction_detected():
     assert info.value.condition in ("winding-obstruction", "resolution-bound")
 
 
-_FALSE_OBSTRUCTION = pytest.mark.xfail(
-    strict=True, raises=PreconditionError,
-    reason="false winding-obstruction: the greedy walk finds no degree-one map")
-
-
-@pytest.mark.parametrize("shift", [3, pytest.param(9, marks=_FALSE_OBSTRUCTION),
-                                   pytest.param(10, marks=_FALSE_OBSTRUCTION)])
+@pytest.mark.parametrize("shift", range(17))
 @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
 def test_approximation_follows_a_rotation_of_the_source(shift, p):
-    # a rotation by whole node steps is a monotone degree-one map with error 0
+    # a rotation by whole node steps is a monotone degree-one map with error 0;
+    # shifts 9 and 10 were refused as winding-obstruction while the candidate
+    # table came from fine resamples of the source, which miss its node extrema
     mesh = circle_mesh(17, 2 * np.pi)
     r = mesh.nodes
     f = 0.99 * np.sin(r + 0.403) + 0.552 * np.sin(2 * r + 4.267)
     result = approximate_by_diffeo(mesh, f, np.roll(f, shift), p=p)
     assert result.achieved_error < result.requested_eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(16, 400), shift=st.integers(0, 399), p=st.sampled_from([1.0, 2.0, 4.0]),
+       amplitudes=st.tuples(st.floats(0.2, 1.5), st.floats(0.0, 1.0)),
+       phases=st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi)),
+       offset=st.floats(-2.0, 2.0))
+def test_node_step_rotations_of_the_source_are_never_refused(n, shift, p, amplitudes, phases,
+                                                             offset):
+    mesh = circle_mesh(n, 2 * np.pi)
+    r = mesh.nodes
+    f = (amplitudes[0] * np.sin(r + phases[0]) + amplitudes[1] * np.sin(2 * r + phases[1])
+         + offset)
+    g = np.roll(f, shift % n)
+    result = approximate_by_diffeo(mesh, f, g, p=p)
+    assert result.achieved_error < result.requested_eps
+    assert fine_circle_norm(result.phi, mesh.nodes, f, g, mesh.weights, mesh.length,
+                            p) < result.requested_eps
 
 
 def test_interval_quotient_uses_double_cover():
@@ -755,8 +769,8 @@ def test_criterion9_draw3_rotated_succeeds_below_4096_cells(monkeypatch):
 
 @pytest.mark.parametrize("n", [17, 333])
 def test_rotated_copy_of_the_source_is_approximable(n):
-    # cell values near the source's maximum lie above every fine sample of
-    # the source; clipped into the samples' range, each has a candidate
+    # cell values near the source's maximum lie above every resample of the
+    # source between its nodes; the runs of the polyline reach its node values
     mesh = circle_mesh(n, 2 * np.pi)
     f = np.sin(mesh.nodes)
     g = np.roll(f, 5)
