@@ -14,8 +14,10 @@ A metric is locally surjective onto nearby curvature functions whenever the
 adjoint has trivial kernel (quantified by `kernel_min_singular`: exactly zero
 on the flat model, where constants are annihilated, and bounded away from
 zero on generic backgrounds).  That test forms no dense matrix: Lanczos
-iterates on the inverse Gram operator of the adjoint, applied through one
-sparse LU of the augmented system, in O(N) work and memory.
+iterates on the inverse Gram operator of the adjoint, applied through the
+augmented system.  Numbered in fold order 0, N-1, 1, N-2, ..., that system
+is a band without corners: one banded LU (`dgbtrf`) factors it, and each
+Lanczos step is one banded solve (`dgbtrs`), in O(N) work and memory.
 `newton_prescribe` tests the kernel once per metric, then solves
 F(g + adjoint(u)) = K by Newton iterations whose linear systems use the
 composition jacobian . adjoint.  That composition is cyclic pentadiagonal,
@@ -181,40 +183,51 @@ def kernel_min_singular(metric: WarpedProductMetric) -> float:
     which is the quantitative form of the kernel dichotomy.
 
     With B = M_h^{-1/2} J^T M^{1/2}, the (2N, N) adjoint in orthonormal
-    coordinates, the sparse augmented matrix K = [[I, B], [B^T, 0]] is
-    factored once by `splu`: the solve of K (y, x) = (0, -v) gives
-    x = (B^T B)^{-1} v (Bjorck, *Numerical Methods for Least Squares
-    Problems*, 1996, on the augmented system).  Lanczos (`eigsh`, ARPACK;
-    Lehoucq, Sorensen and Yang, *ARPACK Users' Guide*, 1998) finds the largest
-    eigenvalue of that inverse, starting from a fixed seeded vector so that
-    two calls return the same float, and the value returned is
-    ||B x|| / ||x|| at its eigenvector x.  O(N) work and memory; no dense
-    matrix is formed.  An exactly singular K has a kernel and returns 0.0; a
-    Lanczos run that does not converge is a `SolverError`.
+    coordinates, the augmented matrix K = [[I, B], [B^T, 0]] is factored
+    once: the solve of K (y, x) = (0, -v) gives x = (B^T B)^{-1} v (Bjorck,
+    *Numerical Methods for Least Squares Problems*, 1996, on the augmented
+    system).  Numbered in fold order 0, N-1, 1, N-2, ..., with node j's
+    unknowns (y_a, y_b, x) side by side, K is a band of half-bandwidth 8
+    without corner entries, so one `dgbtrf` (banded LU with partial
+    pivoting) factors it and each solve is one `dgbtrs`.  Lanczos (`eigsh`,
+    ARPACK; Lehoucq, Sorensen and Yang, *ARPACK Users' Guide*, 1998) finds
+    the largest eigenvalue of that inverse, starting from a fixed seeded
+    vector so that two calls return the same float, and the value returned
+    is ||B x|| / ||x|| at its eigenvector x.  O(N) work and memory; no dense
+    matrix is formed.  An exact zero pivot means K has a kernel and returns
+    0.0; a Lanczos run that does not converge is a `SolverError`.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     m = metric.mesh.mass_vector()
     mh = np.concatenate([m, metric.fiber_dim * m])
     B = _scaled_transpose(linearize_scal_matrix(metric), 1.0 / np.sqrt(mh), np.sqrt(m))
     rows, n = B.shape
-    # K from B's CSC arrays as three COO blocks: I, B and its transpose
-    col = np.repeat(np.arange(n), np.diff(B.indptr))
-    eye = np.arange(rows)
-    K = sp.csc_array((np.concatenate([np.ones(rows), B.data, B.data]),
-                      (np.concatenate([eye, B.indices, rows + col]),
-                       np.concatenate([eye, rows + col, B.indices]))),
-                     shape=(rows + n, rows + n))
-    try:
-        lu = splu(K)
-    except RuntimeError:  # "Factor is exactly singular"
+    # fold order: node j in place p(j) of 0, N-1, 1, N-2, ..., so stencil
+    # neighbours, nodes 0 and N-1 too, are at most 2 places apart; its
+    # unknowns y_a, y_b and x are rows 3p, 3p + 1 and 3p + 2 of K
+    node = np.arange(n)
+    place = np.where(2 * node <= n - 1, 2 * node, 2 * (n - node) - 1)
+    y_at = np.concatenate([3 * place, 3 * place + 1])
+    x_at = 3 * place + 2
+    i, j = y_at[B.indices], x_at[np.repeat(node, np.diff(B.indptr))]
+    k = int(np.abs(i - j).max())
+    # LAPACK band storage of K, column-major with k more rows for the fill
+    # of pivoting: K[a, b] is entry 2k + a + b (ldab - 1) of the flat array
+    size, ldab = rows + n, 3 * k + 1
+    band = np.zeros(size * ldab)
+    band[2 * k + y_at * ldab] = 1.0
+    band[2 * k + i + j * (ldab - 1)] = B.data
+    band[2 * k + j + i * (ldab - 1)] = B.data
+    lu, pivots, info = dgbtrf(band.reshape(size, ldab).T, k, k, overwrite_ab=True)
+    if info > 0:  # an exact zero pivot: K is singular
         return 0.0
-    rhs = np.zeros(rows + n)
+    rhs = np.zeros(size)
 
     def inverse_gram(v):
-        rhs[rows:] = -v.ravel()
-        return lu.solve(rhs)[rows:]
+        rhs[x_at] = -v.ravel()
+        return dgbtrs(lu, k, k, rhs, pivots)[0][x_at]
 
     # a constant start is an exact eigenvector of B^T B on the homogeneous
     # backgrounds, not the extreme one.  "LM", not "LA": near a kernel the

@@ -250,6 +250,15 @@ def test_kernel_min_singular_matches_dense_svd(metric):
         assert abs(sparse - dense) <= 1e-9 * dense
 
 
+@pytest.mark.parametrize("n", [16, 17, 32, 33])
+@pytest.mark.parametrize("name", ["round-fiber", "hyperbolic-fiber", "bumpy"])
+def test_kernel_min_singular_matches_dense_svd_at_both_parities(name, n):
+    # the middle of the fold order differs for odd and even N
+    metric = get_preset(name, n=n)
+    dense = dense_kernel_min_singular(metric)
+    assert abs(kernel_min_singular(metric) - dense) <= 1e-9 * dense
+
+
 @pytest.mark.parametrize("name", ["round-fiber", "hyperbolic-fiber", "flat-torus", "bumpy"])
 def test_kernel_min_singular_repeats_bit_for_bit(name):
     metric = get_preset(name, n=256)
@@ -281,21 +290,22 @@ def test_flat_torus_is_a_kernel_background_at_large_n(n):
     assert info.value.condition == "kernel-dichotomy"
 
 
-def test_kernel_min_singular_of_an_exactly_singular_system_is_zero(monkeypatch):
-    # at N = 16 LU finds the flat torus's augmented matrix exactly singular
-    import scipy.sparse.linalg as spla
-    splu, raised = spla.splu, []
+@pytest.mark.parametrize("name,bumped,lower,upper", [
+    ("flat-torus", False, 0.0, 1e-16), ("flat-torus", True, 1.1e-11, np.inf),
+    ("round-fiber", False, 6e-9, np.inf), ("hyperbolic-fiber", False, 6e-9, np.inf),
+    ("bumpy", False, 6e-9, np.inf)])
+def test_kernel_floor_table_at_n_4096(name, bumped, lower, upper):
+    # the relative margins the README states for N up to 32768
+    metric = get_preset(name, n=4096)
+    metric = escape_bumped(metric) if bumped else metric
+    assert lower <= kernel_min_singular(metric) / adjoint_norm1(metric) < upper
 
-    def recording_splu(matrix):
-        try:
-            return splu(matrix)
-        except RuntimeError as err:
-            raised.append(str(err))
-            raise
-    monkeypatch.setattr(spla, "splu", recording_splu)
-    flat = get_preset("flat-torus", n=16)
+
+def test_kernel_min_singular_of_an_exactly_singular_system_is_zero():
+    # at N = 17 the band LU of the flat torus's augmented matrix meets an
+    # exact zero pivot, its last one
+    flat = get_preset("flat-torus", n=17)
     assert kernel_min_singular(flat) == 0.0
-    assert raised == ["Factor is exactly singular"]
     assert dense_kernel_min_singular(flat) < _KERNEL_FLOOR * adjoint_norm1(flat)
 
 
