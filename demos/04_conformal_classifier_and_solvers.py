@@ -1,9 +1,11 @@
 """Constant curvature in a conformal class and the P/Z/N trichotomy
 ====================================================================
 
-The sign of the first eigenvalue of u -> -4 b_n lap(u) + scal u decides
-which functions the conformal class can realize as scalar curvatures.  The
-constrained descent solver produces positive-constant conformal factors in
+The conformal class decides which functions it can realize as scalar
+curvatures.  A warped product is conformal to a cylinder of constant scalar
+curvature c_F, so the class is the sign of c_F; the classifier also reports
+the discrete first eigenvalue of u -> -4 b_n lap(u) + scal u, which has
+that sign up to an O(h^2) error.  The constrained descent solver produces positive-constant conformal factors in
 the positive class; the bordered Newton solver produces negative constants
 everywhere they exist.
 """

@@ -63,7 +63,7 @@ def cv_sectional(data: SubmersionPointData, s: float, plane: str, i: int = 0,
     plane "hv": s^2 K_mixed(i,j)
     plane "vv": s * fiber_k, with fiber_k the undeformed fiber sectional
     """
-    if s <= 0:
+    if not s > 0:
         raise ValueError("fiber scale must be positive")
     if plane == "hh":
         return float(data.K_base[i, j] * (1.0 - s) + s * data.K_tot_hh[i, j])
@@ -87,7 +87,7 @@ def cv_scal(data: SubmersionPointData, s: float) -> float:
     plus the mixed term 2 s sum K_mixed and the fiber term fiber_scal / s.
     At s = 1 this is the plain orthonormal double sum of the undeformed data.
     """
-    if s <= 0:
+    if not s > 0:
         raise ValueError("fiber scale must be positive")
     sb, st, sm = _sums(data)
     horiz = sb * (1.0 - s) + s * ((1.0 - s) * sb + s * st)

@@ -225,7 +225,7 @@ class QuotientMesh:
         return float(np.dot(u * v, self.mass_vector()))
 
     def lp_norm(self, u, p: float) -> float:
-        if p < 1:
+        if not p >= 1:
             raise ValueError(f"p must be >= 1, got {p}")
         u = _as_values(u, self.node_count)
         return float(self.integrate(np.abs(u) ** p) ** (1.0 / p))

@@ -119,7 +119,7 @@ class WarpedProductMetric:
 
     def scaled(self, c: float) -> "WarpedProductMetric":
         """The homothety c*g: warping and length scale by sqrt(c)."""
-        if c <= 0:
+        if not c > 0:
             raise ValueError("scale factor must be positive")
         s = np.sqrt(c)
         return WarpedProductMetric.from_profile(
@@ -163,15 +163,15 @@ class DiagonalInvariantMetric:
         n = self.mesh.node_count
         for name in ("radial", "fiber"):
             a = _frozen.store(self, name, (n,))
-            if np.any(a <= 0):
-                raise ValueError(f"{name} component must stay positive definite")
+            if not np.all((a > 0) & (a < np.inf)):
+                raise ValueError(f"{name} component must be finite and positive")
 
     def scal(self) -> np.ndarray:
         return scal_diagonal(self.mesh, self.radial, self.fiber,
                              self.fiber_dim, self.fiber_scal)
 
     def scaled(self, c: float) -> "DiagonalInvariantMetric":
-        if c <= 0:
+        if not c > 0:
             raise ValueError("scale factor must be positive")
         return DiagonalInvariantMetric(self.mesh, self.fiber_dim, self.fiber_scal,
                                        c * self.radial, c * self.fiber)
@@ -194,7 +194,7 @@ def scal_diagonal(mesh: QuotientMesh, A, B, fiber_dim: int, fiber_scal: float) -
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if np.any(A <= 0) or np.any(B <= 0):
+    if not (np.all(A > 0) and np.all(B > 0)):
         raise ValueError("metric components must be positive")
     k = fiber_dim
     F = np.sqrt(B)

@@ -330,7 +330,7 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
     def evaluate(x):
         A = 1.0 + x[n:2 * n]
         B = base_fiber * (1.0 + x[2 * n:])
-        if np.any(A <= 0) or np.any(B <= 0):
+        if not (np.all(A > 0) and np.all(B > 0)):
             return None
         r = scal_diagonal(mesh, A, B, metric.fiber_dim, metric.fiber_scal) - K
         return (r, A, B), mesh.lp_norm(r, 2)

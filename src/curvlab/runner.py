@@ -56,7 +56,7 @@ _MODEL_KEYS = ("model.preset", "model.N", "model.L", "model.k", "model.cF", "mod
 # The keys each command reads; every command also reads run.outdir.  The
 # group presets (cheeger) and the canonical presets take no mesh or profile.
 COMMAND_KEYS = {command: (*keys, "run.outdir") for command, keys in {
-    "classify": (*_MODEL_KEYS, "solver.tol"),
+    "classify": _MODEL_KEYS,
     "yamabe": (*_MODEL_KEYS, "solver.tol", "solver.max_iter", "yamabe.c", "yamabe.negative"),
     "prescribe": (*_MODEL_KEYS, "solver.tol", "solver.max_iter",
                   "prescribe.target", "prescribe.p", "prescribe.eps"),
@@ -327,8 +327,7 @@ def _write_report(outdir: Path, report: RunReport) -> None:
 
 def _run_classify(cfg, outdir):
     model = _resolve_model(cfg, WarpedProductMetric)
-    with _library_checks():  # the classifier checks its tolerance before it computes
-        verdict, lam1 = classify_conformal_class(model, **_given(tol=cfg.get("solver.tol")))
+    verdict, lam1 = classify_conformal_class(model)
     scal = scal_warped(model)
     emit_csv(outdir / "scal.csv", ["r", "scal"], zip(model.mesh.nodes, scal))
     emit_plotdata(outdir / "plotdata" / "scal.dat", model.mesh.nodes, scal)

@@ -32,10 +32,10 @@ normalization that excludes the trivial solution.  On backgrounds whose
 conformal class admits no negative constant the iteration converges to
 c' = 0; that state is reported as an obstruction rather than returned.
 
-The sign of the smallest eigenvalue of the conformal Laplacian
-u -> -4 b_n lap(u) + scal u classifies the conformal class (P_G / Z_G / N_G):
-which basic functions are realizable as scalar curvatures is decided by this
-trichotomy.
+The conformal class (P_G / Z_G / N_G) decides which basic functions are
+realizable as scalar curvatures.  It is the sign of c_F: with ds = dr/f,
+g = f^2 (ds^2 + g_F) is conformal to a cylinder S^1 x F of constant scalar
+curvature c_F (Schoen, LNM 1365, 1989).
 
 This module imports numpy only, so `import curvlab` loads no scipy at all.
 Each scipy subpackage is imported inside the functions that use it:
@@ -378,19 +378,18 @@ def conformal_scal(metric: WarpedProductMetric, u) -> np.ndarray:
     return (-4.0 * g.b_n * metric.mesh.laplacian(u) + scal * u) / u**g.gamma_n
 
 
-def classify_conformal_class(metric: WarpedProductMetric, tol: float = 1e-8):
-    """Sign of the first eigenvalue of u -> -4 b_n lap u + scal u.
+def classify_conformal_class(metric: WarpedProductMetric):
+    """The conformal class and the discrete first eigenvalue lambda_1.
 
-    Returns (verdict, lambda_1).  The eigenvalue problem is the symmetric
-    pencil (4 b_n S + M scal) x = lambda M x for the stiffness S and the
-    quadrature masses M.  M is diagonal, so it is solved in standard form,
-    as the smallest eigenvalue of M^{-1/2} (4 b_n S + M scal) M^{-1/2} =
+    Returns (verdict, lambda_1).  The verdict is the sign of ``fiber_scal``,
+    exact by the cylinder argument of the module docstring.  lambda_1, of
+    the pencil (4 b_n S + M scal) x = lambda M x for the stiffness S and the
+    quadrature masses M, carries an O(h^2) error, so its sign can differ from
+    the verdict when |c_F| is that small.  M is diagonal, so the pencil is
+    solved in standard form, as the smallest eigenvalue of
     4 b_n M^{-1/2} S M^{-1/2} + diag(scal), whose zero mode M^{1/2} 1 of a
-    vanishing potential is resolved to rounding.  ``tol`` must be finite and
-    non-negative.
+    vanishing potential is resolved to rounding.
     """
-    if not 0 <= tol < np.inf:
-        raise ValueError("tol must be finite and non-negative")
     import scipy.linalg
     import scipy.sparse as sp
 
@@ -400,10 +399,6 @@ def classify_conformal_class(metric: WarpedProductMetric, tol: float = 1e-8):
     C = (root @ (4.0 * g.b_n * mesh.stiffness_matrix()) @ root
          + sp.diags_array(scal_warped(metric))).toarray()
     lam1 = float(scipy.linalg.eigh(C, eigvals_only=True, subset_by_index=[0, 0])[0])
-    if lam1 > tol:
-        verdict = ConformalClass.POSITIVE
-    elif lam1 < -tol:
-        verdict = ConformalClass.NEGATIVE
-    else:
-        verdict = ConformalClass.ZERO
+    verdict = {1.0: ConformalClass.POSITIVE, 0.0: ConformalClass.ZERO,
+               -1.0: ConformalClass.NEGATIVE}[np.sign(metric.fiber_scal)]
     return verdict, lam1

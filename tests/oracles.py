@@ -17,13 +17,14 @@ solve), the generalized dense eigenproblem `classify_conformal_class` once
 solved, the roll-and-slice stencils `QuotientMesh` once evaluated its
 derivatives, Laplacian and Dirichlet form with, and the closed-form
 warped-product curvature `scal_warped` once evaluated.
-Seven small functions that only tests read live here too: the nodewise
+Eight small functions that only tests read live here too: the nodewise
 pinching test of a window constant, the exact window of such constants in
 rational arithmetic, the entries of a bordered matrix, the coercive energy
 of the negative regime, the representation-independent curvature operator,
-the shrink map C_t of a Cheeger deformation, and the spline resampling of a
+the shrink map C_t of a Cheeger deformation, the spline resampling of a
 conformal warped metric over its own arclength circle (the independent
-route of acceptance criteria 5 and 10).
+route of acceptance criteria 5 and 10), and the closed-form conformal
+factor that flattens a warped product onto its cylinder.
 """
 
 from fractions import Fraction
@@ -650,3 +651,14 @@ def conformal_warped_metric(metric: WarpedProductMetric, u, n_out: int | None = 
     new_nodes = new_length / n_out * np.arange(n_out)
     return WarpedProductMetric.from_profile(
         n_out, new_length, metric.fiber_dim, metric.fiber_scal, spline_f(new_nodes))
+
+
+def flattened_solution(metric: WarpedProductMetric) -> np.ndarray:
+    """The conformal factor u = f^{-(n-2)/2} at the nodes.
+
+    u^(4/(n-2)) g = f^-2 (dr^2 + f^2 g_F) = ds^2 + g_F with ds = dr/f, a
+    cylinder of constant scalar curvature c_F.  So it solves the conformal
+    equation in the continuum, and in the classes Z and N every solution is a
+    constant multiple of it.
+    """
+    return metric.warping ** (-(metric.dim - 2) / 2.0)

@@ -180,3 +180,8 @@ def test_rejects_nonpositive_scale():
         cv_scal(d, 0.0)
     with pytest.raises(ValueError):
         cv_sectional(d, -1.0, "hh", 0, 1)
+    # each used to return NaN
+    with pytest.raises(ValueError, match="^fiber scale must be positive$"):
+        cv_scal(d, np.nan)
+    with pytest.raises(ValueError, match="^fiber scale must be positive$"):
+        cv_sectional(d, np.nan, "hv", 0, 1)

@@ -6,9 +6,13 @@ differences estimates that factor without knowing the limit (Richardson).
 """
 
 import numpy as np
+import pytest
 
 from curvlab import (ConformalProblem, WarpedProductMetric, classify_conformal_class,
-                     full_prescribe, get_preset, minimize_on_constraint)
+                     full_prescribe, get_preset, minimize_on_constraint,
+                     solve_negative_constant)
+
+from oracles import flattened_solution
 
 
 def assert_second_order(changes):
@@ -20,6 +24,28 @@ def assert_second_order(changes):
 def test_classifier_eigenvalue_converges_at_second_order():
     lam1 = [classify_conformal_class(get_preset("bumpy", n=n))[1] for n in (128, 256, 512, 1024)]
     assert_second_order(np.diff(lam1))
+
+
+def test_flat_fiber_eigenvalue_falls_to_zero_at_second_order():
+    # the class is Z (the metric is conformal to a flat cylinder), so the
+    # continuum lambda_1 is 0 and the discrete one is its error
+    lam1 = [classify_conformal_class(WarpedProductMetric.from_profile(
+        n, 2 * np.pi, 3, 0.0, lambda r: 1.0 + 0.2 * np.sin(r)))[1] for n in (128, 256, 512, 1024)]
+    assert_second_order(lam1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_negative_solution_converges_to_the_flattened_factor_at_second_order(k):
+    # u / flattened_solution is constant in the continuum; its relative
+    # spread is the discretization error
+    spreads = []
+    for n in (64, 128, 256, 512, 1024):
+        metric = WarpedProductMetric.from_profile(
+            n, 2 * np.pi, k, -k * (k - 1.0),
+            lambda r: 1.0 + 0.2 * np.sin(r) + 0.05 * np.cos(3 * r))
+        ratio = solve_negative_constant(metric)[0].u / flattened_solution(metric)
+        spreads.append((np.max(ratio) - np.min(ratio)) / np.mean(ratio))
+    assert_second_order(spreads)
 
 
 def test_positive_constant_converges_at_second_order():

@@ -118,6 +118,8 @@ def test_lp_norm_rejects_p_below_one():
     mesh = circle_mesh(64, 2 * np.pi)
     with pytest.raises(ValueError):
         mesh.lp_norm(np.ones(64), 0.5)
+    with pytest.raises(ValueError, match="p must be >= 1"):  # it used to return NaN
+        mesh.lp_norm(np.ones(64), np.nan)
 
 
 def test_lp_norm_triangle_inequality():

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvlab import (LeftInvariantMetric, WarpedProductMetric, YamabeConstants,
-                     abelian_metric, get_preset, ricci_warped,
-                     scal_left_invariant, scal_warped, sectional_left_invariant,
-                     su2_metric, su2_structure)
+from curvlab import (DiagonalInvariantMetric, LeftInvariantMetric, WarpedProductMetric,
+                     YamabeConstants, abelian_metric, as_diagonal, get_preset, ricci_warped,
+                     scal_diagonal, scal_left_invariant, scal_warped,
+                     sectional_left_invariant, su2_metric, su2_structure)
 from curvlab.models import WARPED_PRESETS
 
 from oracles import curvature_tensor_scal, scal_warped_formula
@@ -183,6 +183,33 @@ def test_warped_metric_rejects_nonfinite_warping(bad):
 def test_warped_metric_rejects_nonfinite_fiber_scal(bad):
     with pytest.raises(ValueError, match="^fiber scalar curvature must be finite$"):
         WarpedProductMetric.from_profile(64, 2 * np.pi, 3, bad, np.ones(64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["radial", "fiber"])
+def test_diagonal_metric_rejects_nonfinite_components(name, bad):
+    # each used to build a metric whose scal() is NaN
+    components = {"radial": np.ones(64), "fiber": np.ones(64)}
+    components[name][7] = bad
+    with pytest.raises(ValueError, match=f"^{name} component must be finite and positive$"):
+        DiagonalInvariantMetric(bumpy().mesh, 3, 6.0, **components)
+
+
+@pytest.mark.parametrize("metric", [bumpy(), as_diagonal(bumpy())], ids=["warped", "diagonal"])
+def test_scaled_rejects_a_nan_factor(metric):
+    # the diagonal metric used to scale to one whose scal() is NaN; the
+    # warped one failed later, with "length must be finite and positive"
+    with pytest.raises(ValueError, match="^scale factor must be positive$"):
+        metric.scaled(np.nan)
+
+
+@pytest.mark.parametrize("name", ["A", "B"])
+def test_scal_diagonal_rejects_nan_components(name):
+    # it used to return NaN
+    components = {"A": np.ones(64), "B": np.ones(64)}
+    components[name][7] = np.nan
+    with pytest.raises(ValueError, match="^metric components must be positive$"):
+        scal_diagonal(bumpy().mesh, components["A"], components["B"], 3, 6.0)
 
 
 def test_from_profile_rejects_a_profile_that_divides_by_zero_without_warning():

@@ -440,6 +440,17 @@ def test_newton_prescribe_singular_schur_complement_is_a_solver_error(monkeypatc
         newton_prescribe(metric, target)
 
 
+def test_newton_prescribe_nan_trial_point_is_inadmissible(monkeypatch):
+    # a NaN metric used to pass the positivity test of evaluate, so scal_diagonal
+    # saw it; a NaN trial point is outside the admissible set, like a negative one
+    import curvlab._newton as newton
+    monkeypatch.setattr(newton, "condensed_solve", lambda i, j, a, rhs, sep: np.full(64, np.nan))
+    metric = get_preset("hyperbolic-fiber", n=64)
+    target = scal_warped(metric) * (1.0 + 0.05 * np.sin(metric.mesh.nodes))
+    with pytest.raises(SolverError, match="^prescription Newton step has no admissible trial"):
+        newton_prescribe(metric, target)
+
+
 def test_newton_prescribe_forms_no_dense_n_by_n_system(monkeypatch):
     # every SVD and dense solve of a step is on the 2x2 Schur complement, one
     # of each per step

@@ -501,6 +501,18 @@ def test_main_rejects_unknown_key(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_main_rejects_solver_tol_in_a_classify_config_file(tmp_path, capsys):
+    # the verdict is the sign of model.cF, so classify reads no tolerance
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text("command = classify\nmodel.preset = flat-torus\nsolver.tol = 1e-8\n")
+    outdir = tmp_path / "o"
+    code = main(["classify", "--config", str(cfg_file), "--outdir", str(outdir)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == (
+        "configuration error: unknown configuration key(s): solver.tol")
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("args,reason", [
     # each used to exit 0 (or 4 with "model.N must be at least 16") although
     # the command never reads the key
@@ -565,7 +577,7 @@ def test_main_usage_errors_are_config_errors(capsys, args, reason):
 
 def test_main_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["classify", "--help"])
+        main(["yamabe", "--help"])
     assert exc.value.code == 0
     assert "--tol" in capsys.readouterr().out
 
@@ -661,9 +673,10 @@ def test_main_rejects_malformed_numbers(tmp_path, capsys, command, flag, number)
 
 INVALID_SETTINGS = [
     # exit 0 with a wrong verdict (Z_G, lambda1 = -2.1) or achieved_error = nan
-    ("classify --set model.cF=-2 --tol nan", "tol must be finite and non-negative"),
-    ("classify --tol inf", "tol must be finite and non-negative"),
-    ("classify --tol -1", "tol must be finite and non-negative"),
+    # classify reads no solver.tol: its verdict is the sign of model.cF
+    ("classify --set model.cF=-2 --tol nan", "unrecognized arguments: --tol nan"),
+    ("classify --tol inf", "unrecognized arguments: --tol inf"),
+    ("classify --tol -1", "unrecognized arguments: --tol -1"),
     ("approx --target 6+0.5*sin(r) --eps nan", "eps must be positive"),
     ("approx --target 6+0.5*sin(r) --p nan", "p must be >= 1"),
     ("prescribe --target 6*(1+0.1*sin(r)) --eps nan", "eps must be positive"),
