@@ -5,9 +5,11 @@ The conformal class decides which functions it can realize as scalar
 curvatures.  A warped product is conformal to a cylinder of constant scalar
 curvature c_F, so the class is the sign of c_F; the classifier also reports
 the discrete first eigenvalue of u -> -4 b_n lap(u) + scal u, which has
-that sign up to an O(h^2) error.  The constrained descent solver produces positive-constant conformal factors in
-the positive class; the bordered Newton solver produces negative constants
-everywhere they exist.
+that sign up to an O(h^2) error.  The constrained descent solver produces
+positive-constant conformal factors in the positive class; the bordered
+Newton solver produces negative constants in the negative class, the only
+class where they exist, and reports the others as obstructed before any
+step.
 """
 
 import numpy as np
@@ -45,11 +47,9 @@ print("  achieved -c'     :", -sol.achieved_constant)
 print("  residual         :", sol.residual_norm)
 print("  min of factor    :", sol.u.min())
 
-# On the flat model only the zero constant survives: the solve converges to
-# the degenerate constant and reports the obstruction.
-flat = get_preset("flat-torus")
+# The flat model is of class Z_G, which admits no negative constant: the
+# solve reads the class first and reports the obstruction without a step.
 try:
-    solve_negative_constant(flat, u0=1.0 + 0.2 * np.cos(flat.mesh.nodes))
+    solve_negative_constant(get_preset("flat-torus"))
 except ObstructionError as exc:
-    print("\nflat model obstruction:", exc)
-    print("  converged c'     :", exc.constant, " residual:", exc.residual)
+    print(f"\nflat model obstruction ({exc.condition}):", exc)

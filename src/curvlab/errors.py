@@ -23,17 +23,7 @@ class PreconditionError(CurvLabError):
 
 
 class ObstructionError(PreconditionError):
-    """A solve converged, but only to a configuration the theory obstructs.
-
-    The degenerate state is attached so callers can inspect how close the
-    solver got (``residual``, ``u``, ``constant``).
-    """
-
-    def __init__(self, message, condition=None, u=None, constant=None, residual=None):
-        super().__init__(message, condition=condition)
-        self.u = u
-        self.constant = constant
-        self.residual = residual
+    """The theory obstructs the requested solution, so no solve is attempted."""
 
 
 class SolverError(CurvLabError):

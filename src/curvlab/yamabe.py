@@ -28,9 +28,9 @@ s = c' and the constraint level as the border; the Lagrange multiplier lam
 recovered at convergence shifts the constant to c' = (1 + lam) c and the
 residual reported is the Euler-Lagrange defect at c'.  In the negative
 regime it solves with s = -c' from a start profile, bordered by a mass
-normalization that excludes the trivial solution.  On backgrounds whose
-conformal class admits no negative constant the iteration converges to
-c' = 0; that state is reported as an obstruction rather than returned.
+normalization that excludes the trivial solution.  `solve_negative_constant`
+reads the conformal class first: a class other than N_G admits no negative
+constant and is reported as an obstruction before any Newton step.
 
 The conformal class (P_G / Z_G / N_G) decides which basic functions are
 realizable as scalar curvatures.  It is the sign of c_F: with ds = dr/f,
@@ -70,6 +70,12 @@ class ConformalClass(Enum):
     POSITIVE = "P_G"
     ZERO = "Z_G"
     NEGATIVE = "N_G"
+
+
+def _conformal_class(metric: WarpedProductMetric) -> ConformalClass:
+    """The class of g = f^2 (ds^2 + g_F): the sign of c_F (module docstring)."""
+    return {1.0: ConformalClass.POSITIVE, 0.0: ConformalClass.ZERO,
+            -1.0: ConformalClass.NEGATIVE}[np.sign(metric.fiber_scal)]
 
 
 @dataclass(frozen=True)
@@ -156,8 +162,8 @@ def project_to_constraint(p: ConformalProblem, u) -> np.ndarray:
         raise PreconditionError("constraint projection needs c > 0", condition="positive-c")
     u = np.maximum(np.asarray(u, dtype=float), 0.0)
     mass = p.mesh.integrate(u ** p.constants.two_star)
-    if mass <= 0:
-        raise PreconditionError("profile vanishes after clamping", condition="nontrivial-profile")
+    if not mass > 0:
+        raise PreconditionError("clamped profile is zero or NaN", condition="nontrivial-profile")
     scale = (p.epsilon * p.constants.two_star / (p.c * mass)) ** (1.0 / p.constants.two_star)
     return scale * u
 
@@ -165,7 +171,7 @@ def project_to_constraint(p: ConformalProblem, u) -> np.ndarray:
 def el_residual(p: ConformalProblem, u, constant: float) -> np.ndarray:
     """Pointwise defect 4 b_n lap(u) - scal u + constant u^gamma for u > 0."""
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
+    if not np.all(u > 0):
         raise PreconditionError("conformal factor must be strictly positive",
                                 condition="positive-factor")
     g = p.constants
@@ -200,7 +206,7 @@ def _bordered_newton(p: ConformalProblem, u, s, border, tol, border_scale):
     scaled_off, scaled_diagonal = 4.0 * g.b_n * lap.data[off], 4.0 * g.b_n * lap.diagonal()
 
     def evaluate(x):
-        if np.min(x[:n]) <= _POSITIVITY_FLOOR:
+        if not np.min(x[:n]) > _POSITIVITY_FLOOR:
             return None
         value, row = border(x[:n])
         res = np.append(el_residual(p, x[:n], x[n]), value)
@@ -289,7 +295,7 @@ def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
         if not accepted:
             break
 
-    if np.min(u) <= _POSITIVITY_FLOOR:
+    if not np.min(u) > _POSITIVITY_FLOOR:
         raise SolverError(f"descent profile is not strictly positive (min u = {np.min(u):.3e})")
 
     def constraint(u_):
@@ -323,13 +329,17 @@ def solve_negative_constant(metric: WarpedProductMetric, cfg: SolverConfig | Non
                             c: float | None = None, u0=None):
     """Newton solve of 4 b_n lap(u) - scal u - c' u^gamma = 0 with mass normalization.
 
-    Unknowns are (u, c'), solved by the bordered Newton iteration with s = -c';
-    the normalization <u, u>_w = <u0, u0>_w borders it and excludes the
-    trivial solution.  Returns (ConformalSolution, c_used) with the multiplier
-    convention c' = (1 + lam) c_used.  When the class only admits the zero
-    constant the iteration converges to c' = 0 and an ObstructionError
-    carrying the degenerate state is raised.
+    The class is read first: outside N_G no negative constant exists, and an
+    ObstructionError naming the class is raised before any check or step.
+    Unknowns are (u, c'), solved by the bordered Newton iteration with
+    s = -c'; the normalization <u, u>_w = <u0, u0>_w borders it and excludes
+    the trivial solution.  Returns (ConformalSolution, c_used) with the
+    multiplier convention c' = (1 + lam) c_used.  A converged c' <= 0 means
+    the mesh does not resolve c_F, and raises SolverError.
     """
+    if (verdict := _conformal_class(metric)) is not ConformalClass.NEGATIVE:
+        raise ObstructionError(f"class {verdict.value} (c_F = {metric.fiber_scal:.6g}) admits no "
+                               "negative constant", condition="negative-class-obstruction")
     cfg = cfg or SolverConfig(tol_residual=1e-8)
     mesh = metric.mesh
     bound = negative_constant_bound(metric)
@@ -342,7 +352,7 @@ def solve_negative_constant(metric: WarpedProductMetric, cfg: SolverConfig | Non
 
     m = mesh.mass_vector()
     u = np.ones(mesh.node_count) if u0 is None else np.asarray(u0, dtype=float).copy()
-    if np.min(u) <= _POSITIVITY_FLOOR:
+    if not np.min(u) > _POSITIVITY_FLOOR:
         raise PreconditionError(f"start profile must stay above {_POSITIVITY_FLOOR:.0e}",
                                 condition="positive-start")
     mass0 = float(np.dot(u * u, m))
@@ -354,13 +364,10 @@ def solve_negative_constant(metric: WarpedProductMetric, cfg: SolverConfig | Non
     u, s, newton_iterations = _bordered_newton(p, u, -float(c), normalization,
                                                cfg.tol_residual, mass0)
     cprime = -s
+    if not cprime > 0:
+        raise SolverError(f"converged to c' = {cprime:.3e} in class N_G "
+                          f"(c_F = {metric.fiber_scal:.6g}): the mesh does not resolve c_F")
     pde_norm = mesh.lp_norm(el_residual(p, u, s), 2)
-    if cprime <= 1e-8:
-        reason = ("only the zero constant is attainable" if abs(cprime) <= 1e-8
-                  else "no negative constant exists")
-        raise ObstructionError(
-            f"{reason} in this conformal class (converged with c' = {cprime:.3e})",
-            condition="negative-class-obstruction", u=u, constant=cprime, residual=pde_norm)
     lam = cprime / c - 1.0
     solution = ConformalSolution(u=u, lagrange=lam, achieved_constant=cprime,
                                  residual_norm=pde_norm, iterations=newton_iterations)
@@ -370,7 +377,7 @@ def solve_negative_constant(metric: WarpedProductMetric, cfg: SolverConfig | Non
 def conformal_scal(metric: WarpedProductMetric, u) -> np.ndarray:
     """Scalar curvature of u^(4/(n-2)) g: u^{-gamma} (-4 b_n lap u + scal u)."""
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
+    if not np.all(u > 0):
         raise PreconditionError("conformal factor must be strictly positive",
                                 condition="positive-factor")
     g = YamabeConstants.for_dimension(metric.dim)
@@ -399,6 +406,4 @@ def classify_conformal_class(metric: WarpedProductMetric):
     C = (root @ (4.0 * g.b_n * mesh.stiffness_matrix()) @ root
          + sp.diags_array(scal_warped(metric))).toarray()
     lam1 = float(scipy.linalg.eigh(C, eigvals_only=True, subset_by_index=[0, 0])[0])
-    verdict = {1.0: ConformalClass.POSITIVE, 0.0: ConformalClass.ZERO,
-               -1.0: ConformalClass.NEGATIVE}[np.sign(metric.fiber_scal)]
-    return verdict, lam1
+    return _conformal_class(metric), lam1

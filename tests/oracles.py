@@ -17,14 +17,15 @@ solve), the generalized dense eigenproblem `classify_conformal_class` once
 solved, the roll-and-slice stencils `QuotientMesh` once evaluated its
 derivatives, Laplacian and Dirichlet form with, and the closed-form
 warped-product curvature `scal_warped` once evaluated.
-Eight small functions that only tests read live here too: the nodewise
+Nine small functions that only tests read live here too: the nodewise
 pinching test of a window constant, the exact window of such constants in
 rational arithmetic, the entries of a bordered matrix, the coercive energy
 of the negative regime, the representation-independent curvature operator,
 the shrink map C_t of a Cheeger deformation, the spline resampling of a
 conformal warped metric over its own arclength circle (the independent
-route of acceptance criteria 5 and 10), and the closed-form conformal
-factor that flattens a warped product onto its cylinder.
+route of acceptance criteria 5 and 10), the closed-form conformal factor
+that flattens a warped product onto its cylinder, and the closed-form
+constant of the negative regime that factor gives.
 """
 
 from fractions import Fraction
@@ -36,7 +37,7 @@ import scipy.sparse as sp
 
 from curvlab._newton import condensed_solve
 from curvlab.cheeger import OrbitData, TangentSplit
-from curvlab.errors import ObstructionError, PreconditionError, SolverError
+from curvlab.errors import PreconditionError, SolverError
 from curvlab.mesh import CIRCLE
 from curvlab.models import (DiagonalInvariantMetric, WarpedProductMetric,
                             YamabeConstants, ricci_warped, scal_diagonal, scal_warped)
@@ -440,7 +441,8 @@ def negative_newton_loop(metric: WarpedProductMetric, cfg: SolverConfig | None =
     search that accepts any step below tau = 1e-8.  Each step solves with the
     library's `condensed_solve` on the same entries, so the comparison is bit
     for bit.  Same arguments, return value and exceptions as
-    `solve_negative_constant`.
+    `solve_negative_constant` on a class N_G background; it does not read the
+    class.
     """
     cfg = cfg or SolverConfig(tol_residual=1e-8)
     mesh = metric.mesh
@@ -500,13 +502,9 @@ def negative_newton_loop(metric: WarpedProductMetric, cfg: SolverConfig | None =
     if not converged:
         raise SolverError(f"negative-constant Newton did not converge (residual {res_norm:.3e})")
 
+    if not cprime > 0:
+        raise SolverError(f"converged to c' = {cprime:.3e}")
     pde_norm = mesh.lp_norm(res[:n], 2)
-    if cprime <= 1e-8:
-        reason = ("only the zero constant is attainable" if abs(cprime) <= 1e-8
-                  else "no negative constant exists")
-        raise ObstructionError(
-            f"{reason} in this conformal class (converged with c' = {cprime:.3e})",
-            condition="negative-class-obstruction", u=u, constant=cprime, residual=pde_norm)
     lam = cprime / c - 1.0
     solution = ConformalSolution(u=u, lagrange=lam, achieved_constant=cprime,
                                  residual_norm=pde_norm, iterations=newton_iterations)
@@ -662,3 +660,18 @@ def flattened_solution(metric: WarpedProductMetric) -> np.ndarray:
     constant multiple of it.
     """
     return metric.warping ** (-(metric.dim - 2) / 2.0)
+
+
+def negative_constant_exact(metric: WarpedProductMetric) -> float:
+    """The constant c' of `solve_negative_constant` from the start u0 = 1.
+
+    In class N the solution is u = a f^{-(n-2)/2} (`flattened_solution`),
+    whose metric a^(4/(n-2)) (ds^2 + g_F) has scalar curvature
+    c_F a^(-4/(n-2)) = -c'.  The mass normalization int u^2 f^k dr =
+    int f^k dr fixes a^2 = int f^k dr / int f dr, with n = k + 1.  The
+    integrals are plain means over the uniform circle nodes, a periodic
+    trapezoid rule that is exact to rounding for these smooth warpings.
+    """
+    f = metric.warping
+    ratio = np.mean(f) / np.mean(f**metric.fiber_dim)
+    return -metric.fiber_scal * ratio ** (2.0 / (metric.dim - 2))

@@ -12,7 +12,7 @@ from curvlab import (ConformalProblem, WarpedProductMetric, classify_conformal_c
                      full_prescribe, get_preset, minimize_on_constraint,
                      solve_negative_constant)
 
-from oracles import flattened_solution
+from oracles import flattened_solution, negative_constant_exact
 
 
 def assert_second_order(changes):
@@ -46,6 +46,18 @@ def test_negative_solution_converges_to_the_flattened_factor_at_second_order(k):
         ratio = solve_negative_constant(metric)[0].u / flattened_solution(metric)
         spreads.append((np.max(ratio) - np.min(ratio)) / np.mean(ratio))
     assert_second_order(spreads)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_negative_constant_converges_to_its_closed_form_at_second_order(k):
+    errors = []
+    for n in (64, 128, 256, 512, 1024):
+        metric = WarpedProductMetric.from_profile(
+            n, 2 * np.pi, k, -k * (k - 1.0),
+            lambda r: 1.0 + 0.2 * np.sin(r) + 0.05 * np.cos(3 * r))
+        errors.append(abs(solve_negative_constant(metric)[0].achieved_constant
+                          - negative_constant_exact(metric)))
+    assert_second_order(errors)
 
 
 def test_positive_constant_converges_at_second_order():
