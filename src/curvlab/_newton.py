@@ -1,6 +1,7 @@
 """The one backtracking Newton loop of curvlab.  A solver states its problem in
 three callbacks; the driver owns the budget, the line search and the errors.
-`condensed_solve` is the O(N) linear solve of every Newton step.
+`condensed_solver` plans the O(N) linear solve of every Newton step once per
+pattern; each step then does numeric work only.
 """
 
 import numpy as np
@@ -48,11 +49,12 @@ def damped_newton(x, evaluate, solve, converged, max_steps: int, name: str):
         history.append(merit)
 
 
-def condensed_solve(i, j, a, rhs, sep):
-    """Solve A x = rhs in O(N) by condensation onto the nodes ``sep`` = (s, t), s < t.
+def condensed_solver(i, j, n, sep):
+    """Plan the O(n) solve of A x = rhs by condensation onto the nodes ``sep`` = (s, t), s < t.
 
-    A is given by its entries ``a`` at (``i``, ``j``), each position at most
-    once.  Its block on the other nodes, in index order, must be banded, as a
+    A is n x n with entries at (``i``, ``j``), each position at most once; the
+    returned ``solve(a, rhs)`` only places the entries ``a``, in that order.
+    A's block on the other nodes, in index order, must be banded, as a
     stencil operator's is on a circle once the nodes its corners touch are
     separators (George, *Nested dissection of a regular finite element mesh*,
     SIAM J. Numer. Anal. 10, 1973); a half-bandwidth above 2 is a
@@ -62,44 +64,44 @@ def condensed_solve(i, j, a, rhs, sep):
     back-substitution gives the other nodes.  The relative error is about eps
     times the larger condition number of A and of the banded block.  A
     singular banded block, or a Schur complement whose smallest singular value
-    is at most N eps times its largest (N the order of A), is a `LinAlgError`.
+    is at most n eps times its largest, is a `LinAlgError`.
     """
     import scipy.linalg
 
-    n, m = len(rhs), len(rhs) - 2
-    s, t = sep
+    m, (s, t) = n - 2, sep
     # each node's place in the condensed order: the other nodes in index
     # order, then the two separator nodes
-    place = np.arange(n)
-    place[s + 1:] -= 1
-    place[t + 1:] -= 1
-    place[s], place[t] = m, m + 1
+    place = np.arange(n) - (np.arange(n) > s) - (np.arange(n) > t)
+    place[[s, t]] = m, m + 1
     pi, pj = place[i], place[j]
     inner = np.maximum(pi, pj) < m
-    col = pj[inner]
-    off = pi[inner] - col
+    off = pi[inner] - pj[inner]
     k = int(np.abs(off).max(initial=0))
     if k > 2:
         raise ValueError(f"the block off the separator has half-bandwidth {k}, more than 2")
-    band = np.zeros((2 * k + 1) * m)
-    band[(off + k) * m + col] = a[inner]
-    # one buffer: the separator columns and rhs as (n, 3), then the separator
-    # rows as (2, n), all in the condensed order.  An entry off the band is in
-    # a separator column if its row is another node, else in a separator row,
-    # so its slot is start[row] + column.
-    start = 3 * np.arange(n) - m
-    start[m:] = 3 * n, 4 * n
-    outer = ~inner
-    buffer = np.zeros(5 * n)
-    buffer[start[pi[outer]] + pj[outer]] = a[outer]
-    cols, rows = buffer[:3 * n].reshape(n, 3), buffer[3 * n:].reshape(2, n)
-    cols[:, 2][place] = rhs
-    z = scipy.linalg.solve_banded((k, k), band.reshape(2 * k + 1, m), cols[:m],
-                                  overwrite_ab=True, check_finite=False)
-    schur = rows[:, m:] - rows[:, :m] @ z[:, :2]
-    sigma = np.linalg.svd(schur, compute_uv=False)
-    if not sigma[1] > n * np.finfo(float).eps * sigma[0]:
-        raise np.linalg.LinAlgError(f"rank-deficient Schur complement (singular values "
-                                    f"{sigma[0]:.3e}, {sigma[1]:.3e})")
-    y = np.linalg.solve(schur, cols[m:, 2] - rows[:, :m] @ z[:, 2])
-    return np.concatenate((z[:, 2] - z[:, :2] @ y, y))[place]
+    # one buffer: the band, then the separator columns and rhs as (n, 3), then
+    # the separator rows as (2, n), all in the condensed order.  An entry off
+    # the band is in a separator column if its row is another node, else in a
+    # separator row, so its slot is start[row] + column.
+    size = (2 * k + 1) * m
+    start = size + 3 * np.arange(n) - m
+    start[m:] = size + 3 * n, size + 4 * n
+    at = start[pi] + pj
+    at[inner] = (off + k) * m + pj[inner]
+
+    def solve(a, rhs):
+        buffer = np.zeros(size + 5 * n)
+        buffer[at] = a
+        cols, rows = buffer[size:size + 3 * n].reshape(n, 3), buffer[size + 3 * n:].reshape(2, n)
+        cols[:, 2][place] = rhs
+        z = scipy.linalg.solve_banded((k, k), buffer[:size].reshape(2 * k + 1, m), cols[:m],
+                                      overwrite_ab=True, check_finite=False)
+        schur = rows[:, m:] - rows[:, :m] @ z[:, :2]
+        sigma = np.linalg.svd(schur, compute_uv=False)
+        if not sigma[1] > n * np.finfo(float).eps * sigma[0]:
+            raise np.linalg.LinAlgError(f"rank-deficient Schur complement (singular values "
+                                        f"{sigma[0]:.3e}, {sigma[1]:.3e})")
+        y = np.linalg.solve(schur, cols[m:, 2] - rows[:, :m] @ z[:, 2])
+        return np.concatenate((z[:, 2] - z[:, :2] @ y, y))[place]
+
+    return solve

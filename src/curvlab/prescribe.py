@@ -8,7 +8,9 @@ work on the mesh's cached stencil pattern.  The formal adjoint
 `linearize_scal_adjoint` is the exact transpose of that Jacobian in the mesh
 inner products, so adjointness holds at the level of matrices; the continuum
 expression -(lap u) g + Hess u - u Ric becomes an O(h^2) consistency check
-instead of the implementation.
+instead of the implementation.  Every sparsity pattern here depends on N
+only; its index side is built once per N, in bounded caches of read-only
+tables, and a call does only gathers, scatters and solves.
 
 A metric is locally surjective onto nearby curvature functions whenever the
 adjoint has trivial kernel (quantified by `kernel_min_singular`: exactly zero
@@ -21,8 +23,8 @@ Lanczos step is one banded solve (`dgbtrs`), in O(N) work and memory.
 `newton_prescribe` tests the kernel once per metric, then solves
 F(g + adjoint(u)) = K by Newton iterations whose linear systems use the
 composition jacobian . adjoint.  That composition is cyclic pentadiagonal,
-so each step is O(N): `_newton.condensed_solve` makes one banded LU
-(`scipy.linalg`, imported on first use) and a 2x2 Schur complement.
+so each step is O(N): one `np.bincount` forms it, and a planned condensed
+solve makes one banded LU (`scipy.linalg`) and a 2x2 Schur complement.
 `full_prescribe` chains the pinching window, the escape from a kernel
 background, an optional measure-concentrating reparametrization phi, and
 the Newton solve.
@@ -37,15 +39,16 @@ returned metric against target o phi, and an error above ``_SUP_TOL`` is a
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _frozen, _newton
 from .errors import PreconditionError, SolverError
-from .mesh import CIRCLE, INTERVAL, QuotientMesh, build_mesh
+from .mesh import CIRCLE, INTERVAL, QuotientMesh, _as_values, _stencils, build_mesh
 from .models import (DiagonalInvariantMetric, WarpedProductMetric, as_diagonal,
                      scal_diagonal, scal_warped)
 
@@ -114,10 +117,10 @@ def linearize_scal_matrix(metric, A=None, B=None) -> sp.csr_array:
     """
     import scipy.sparse as sp
 
-    mesh, k, c_f = metric.mesh, metric.fiber_dim, metric.fiber_scal
+    mesh, n, k, c_f = metric.mesh, metric.mesh.node_count, metric.fiber_dim, metric.fiber_scal
     if isinstance(metric, WarpedProductMetric):
         base_fiber = metric.warping**2
-        A = np.ones(mesh.node_count) if A is None else A
+        A = np.ones(n) if A is None else A
         B = base_fiber if B is None else B
     else:
         if A is None or B is None:
@@ -137,30 +140,60 @@ def linearize_scal_matrix(metric, A=None, B=None) -> sp.csr_array:
     block_b *= (0.5 / F)[col]
     block_b[diagonal] += dB
     block_b *= base_fiber[col]
-    # row j of J holds row j of the a block, then row j of the b block
-    n, entry = mesh.node_count, np.arange(len(row))
-    slots = np.concatenate([entry + pattern.indptr[row], entry + pattern.indptr[row + 1]])
-    data = np.empty(2 * len(row))
-    data[slots] = np.concatenate([block_a, block_b])
-    indices = np.empty(2 * len(row), dtype=col.dtype)
-    indices[slots] = np.concatenate([col, col + n])
-    return sp.csr_array((data, indices, 2 * pattern.indptr), shape=(n, 2 * n))
+    indices, indptr, gather, _, _ = _jacobian_layout(mesh.topology, n)
+    data = np.concatenate([block_a, block_b])[gather]
+    return sp.csr_array((data, indices, indptr), shape=(n, 2 * n))
 
 
-def _scaled_transpose(J: sp.csr_array, left, right) -> sp.csc_array:
-    """diag(left) J^T diag(right), a CSC array on J's own index arrays."""
-    import scipy.sparse as sp
+@lru_cache(maxsize=32)
+def _jacobian_layout(topology: str, n: int):
+    """J's CSR indices and indptr (int32, as scipy keeps them), the order that
+    gathers its a block's entries, then its b block's, into CSR order, and
+    each entry's row and column.  Both blocks have D2's `StencilPattern`."""
+    d2 = _stencils(topology, n).diff2.cols.T
+    row, term = np.nonzero(d2 < n)
+    keys = np.concatenate([2 * n * row + d2[row, term], 2 * n * row + d2[row, term] + n])
+    gather = np.argsort(keys)
+    rows, indices = np.divmod(keys[gather], 2 * n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    layout = indices.astype(np.int32), indptr.astype(np.int32), gather, rows, indices
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
 
-    rows = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
-    return sp.csc_array((left[J.indices] * J.data * right[rows], J.indices, J.indptr),
-                        shape=J.shape[::-1])
+
+_Plan = namedtuple("_Plan", "rows cols first partner slot solve k ldab unit pair x_at start")
 
 
-def _adjoint_matrix(metric: WarpedProductMetric) -> sp.csc_array:
-    """The exact adjoint as a (2N, N) CSC array: M_h^{-1} A^T M_u."""
-    m = metric.mesh.mass_vector()
-    mh = np.concatenate([m, metric.fiber_dim * m])
-    return _scaled_transpose(linearize_scal_matrix(metric), 1.0 / mh, m)
+@lru_cache(maxsize=32)
+def _plan(n: int) -> _Plan:
+    """The read-only index side of `newton_prescribe` and `kernel_min_singular`
+    on a circle of ``n`` nodes, with Q = M_h^{-1} J^T M and B as their entries
+    in J's order.  J.Q's entry slot[t], of the pattern `solve` is planned for,
+    sums J[first[t]] Q[partner[t]] in the order of scipy's csr_matmat; the
+    kernel test's band holds 1.0 at `unit` and B's entries at `pair`, twice."""
+    _, _, _, rows, cols = _jacobian_layout(CIRCLE, n)
+    # J[e] meets the entries of Q's row cols[e], which are the 3 entries of
+    # J's column cols[e] on a circle; csr_matmat takes the e in order
+    first = np.repeat(np.arange(len(cols)), 3)
+    partner = np.argsort(cols, kind="stable").reshape(2 * n, 3)[cols].ravel()
+    keys, slot = np.unique(n * rows[first] + rows[partner], return_inverse=True)
+    # fold order 0, N-1, 1, N-2, ...: stencil neighbours are at most 2 places
+    # apart, and node j's y_a, y_b and x are rows 3p, 3p + 1, 3p + 2 of K
+    place = np.minimum(2 * np.arange(n), 2 * (n - np.arange(n)) - 1)
+    y_at, x_at = np.concatenate([3 * place, 3 * place + 1]), 3 * place + 2
+    i, j = y_at[cols], x_at[rows]
+    k = int(np.abs(i - j).max())
+    # LAPACK band storage of K, column-major with k more rows for the fill
+    # of pivoting: K[a, b] is entry 2k + a + b (ldab - 1) of the flat array
+    ldab = 3 * k + 1
+    plan = _Plan(rows, cols, first, partner, slot,
+                 _newton.condensed_solver(keys // n, keys % n, n, (0, 1)), k, ldab,
+                 2 * k + y_at * ldab, 2 * k + np.concatenate([i + j * ldab - j, j + i * ldab - i]),
+                 x_at, np.random.default_rng(0).standard_normal(n))
+    for arr in plan[:5] + plan[-4:]:
+        arr.setflags(write=False)
+    return plan
 
 
 def linearize_scal_adjoint(metric: WarpedProductMetric, u) -> MetricPerturbation:
@@ -169,9 +202,10 @@ def linearize_scal_adjoint(metric: WarpedProductMetric, u) -> MetricPerturbation
     Exact transpose of the discrete Jacobian; agrees with the invariant
     reduction of -(lap u) g + Hess u - u Ric to second order in h.
     """
-    u = np.asarray(u, dtype=float)
-    full = _adjoint_matrix(metric) @ u
-    n = metric.mesh.node_count
+    n, m, plan = metric.mesh.node_count, metric.mesh.mass_vector(), _plan(metric.mesh.node_count)
+    mh = np.concatenate([m, metric.fiber_dim * m])
+    Q = (1.0 / mh)[plan.cols] * linearize_scal_matrix(metric).data * m[plan.rows]
+    full = np.bincount(plan.cols, Q * _as_values(u, n)[plan.rows], 2 * n)
     return MetricPerturbation(a=full[:n], b=full[n:])
 
 
@@ -189,7 +223,8 @@ def kernel_min_singular(metric: WarpedProductMetric) -> float:
     system).  Numbered in fold order 0, N-1, 1, N-2, ..., with node j's
     unknowns (y_a, y_b, x) side by side, K is a band of half-bandwidth 8
     without corner entries, so one `dgbtrf` (banded LU with partial
-    pivoting) factors it and each solve is one `dgbtrs`.  Lanczos (`eigsh`,
+    pivoting) factors it and each solve is one `dgbtrs`; where B's entries go
+    in the band is read from a table built once per N.  Lanczos (`eigsh`,
     ARPACK; Lehoucq, Sorensen and Yang, *ARPACK Users' Guide*, 1998) finds
     the largest eigenvalue of that inverse, starting from a fixed seeded
     vector so that two calls return the same float, and the value returned
@@ -200,48 +235,34 @@ def kernel_min_singular(metric: WarpedProductMetric) -> float:
     from scipy.linalg.lapack import dgbtrf, dgbtrs
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    m = metric.mesh.mass_vector()
+    n, m, plan = metric.mesh.node_count, metric.mesh.mass_vector(), _plan(metric.mesh.node_count)
     mh = np.concatenate([m, metric.fiber_dim * m])
-    B = _scaled_transpose(linearize_scal_matrix(metric), 1.0 / np.sqrt(mh), np.sqrt(m))
-    rows, n = B.shape
-    # fold order: node j in place p(j) of 0, N-1, 1, N-2, ..., so stencil
-    # neighbours, nodes 0 and N-1 too, are at most 2 places apart; its
-    # unknowns y_a, y_b and x are rows 3p, 3p + 1 and 3p + 2 of K
-    node = np.arange(n)
-    place = np.where(2 * node <= n - 1, 2 * node, 2 * (n - node) - 1)
-    y_at = np.concatenate([3 * place, 3 * place + 1])
-    x_at = 3 * place + 2
-    i, j = y_at[B.indices], x_at[np.repeat(node, np.diff(B.indptr))]
-    k = int(np.abs(i - j).max())
-    # LAPACK band storage of K, column-major with k more rows for the fill
-    # of pivoting: K[a, b] is entry 2k + a + b (ldab - 1) of the flat array
-    size, ldab = rows + n, 3 * k + 1
-    band = np.zeros(size * ldab)
-    band[2 * k + y_at * ldab] = 1.0
-    band[2 * k + i + j * (ldab - 1)] = B.data
-    band[2 * k + j + i * (ldab - 1)] = B.data
-    lu, pivots, info = dgbtrf(band.reshape(size, ldab).T, k, k, overwrite_ab=True)
+    B = (1.0 / np.sqrt(mh))[plan.cols] * linearize_scal_matrix(metric).data * np.sqrt(m)[plan.rows]
+    k, size = plan.k, 3 * n
+    band = np.zeros(size * plan.ldab)
+    band[plan.unit] = 1.0
+    band[plan.pair] = np.concatenate([B, B])
+    lu, pivots, info = dgbtrf(band.reshape(size, plan.ldab).T, k, k, overwrite_ab=True)
     if info > 0:  # an exact zero pivot: K is singular
         return 0.0
     rhs = np.zeros(size)
 
     def inverse_gram(v):
-        rhs[x_at] = -v.ravel()
-        return dgbtrs(lu, k, k, rhs, pivots)[0][x_at]
+        rhs[plan.x_at] = -v.ravel()
+        return dgbtrs(lu, k, k, rhs, pivots)[0][plan.x_at]
 
     # a constant start is an exact eigenvector of B^T B on the homogeneous
     # backgrounds, not the extreme one.  "LM", not "LA": near a kernel the
     # rounding of the solve can give the huge eigenvalue either sign.  ncv = 6,
     # not scipy's 20: the larger basis measured slower, and slowed the dense
     # SVDs run after it.
-    start = np.random.default_rng(0).standard_normal(n)
     try:
         _, vectors = eigsh(LinearOperator((n, n), matvec=inverse_gram, dtype=float),
-                           k=1, which="LM", v0=start, ncv=6)
+                           k=1, which="LM", v0=plan.start, ncv=6)
     except ArpackNoConvergence as err:
         raise SolverError(f"kernel test: Lanczos did not converge ({err})") from err
     x = vectors[:, 0]
-    return float(np.linalg.norm(B @ x) / np.linalg.norm(x))
+    return float(np.linalg.norm(np.bincount(plan.cols, B * x[plan.rows])) / np.linalg.norm(x))
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +308,34 @@ class NewtonResult:
     residuals: tuple
 
 
+def _nodal(values, n: int, name: str) -> np.ndarray:
+    """``values`` as n floats; another length, a NaN or an infinity is a `ValueError`."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"{name} length mismatch")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
+def _newton_step(metric: WarpedProductMetric):
+    """||B||_1 (largest column sum) of the adjoint B that `kernel_min_singular`
+    tests, and the step (x, (r, A, B)) -> (delta, Q delta) of `newton_prescribe`
+    solving (J Q) delta = -r, J the Jacobian at (A, B), Q the base adjoint."""
+    n, m, plan = metric.mesh.node_count, metric.mesh.mass_vector(), _plan(metric.mesh.node_count)
+    mh = np.concatenate([m, metric.fiber_dim * m])
+    Q = (1.0 / mh)[plan.cols] * linearize_scal_matrix(metric).data * m[plan.rows]
+    norm = float(np.max(np.bincount(plan.rows, abs(Q) * np.sqrt(mh)[plan.cols], n) / np.sqrt(m)))
+    Q_partner = Q[plan.partner]
+
+    def step(x, state):
+        J = linearize_scal_matrix(metric, A=state[1], B=state[2])
+        delta = plan.solve(np.bincount(plan.slot, J.data[plan.first] * Q_partner), -state[0])
+        return np.concatenate((delta, np.bincount(plan.cols, Q * delta[plan.rows], 2 * n)))
+
+    return norm, step
+
+
 def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None = None
                      ) -> NewtonResult:
     """Solve F(g + adjoint(u)) = K for the potential u by damped Newton.
@@ -298,25 +347,19 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
     instead would amplify the rounding of u by the fourth-order J.Q, whose
     norm grows like N^4, and stall the iteration from N ~ 512.  Each system,
     the current Jacobian composed with the base-point adjoint, is cyclic
-    pentadiagonal, its corners touching nodes 0 and 1 only, and is solved by
-    `_newton.condensed_solve` with separator (0, 1) in O(N).  A step makes
-    exactly one `np.linalg.svd` (the rank test) and one `np.linalg.solve`,
-    both on the 2x2 Schur complement, so the benchmark's per-step counts of
-    those calls still equal the Newton steps.
+    pentadiagonal, its corners touching nodes 0 and 1 only: one `np.bincount`
+    over the mesh size's `_Plan` forms it, as scipy's sparse product would,
+    and the planned `_newton.condensed_solver` with separator (0, 1) solves it
+    in O(N).  A step makes exactly one `np.linalg.svd` (the rank test) and
+    one `np.linalg.solve`, both on the 2x2 Schur complement, so the
+    benchmark's per-step counts of those calls still equal the Newton steps.
+    A NaN or infinite ``K`` is a `ValueError`.
     """
     cfg = cfg or PrescribeConfig()
-    mesh = metric.mesh
-    n = mesh.node_count
-    K = np.asarray(K, dtype=float)
-    if K.shape != (n,):
-        raise ValueError("target length mismatch")
+    mesh, n = metric.mesh, metric.mesh.node_count
+    K = _nodal(K, n, "target K")
 
-    Ast = _adjoint_matrix(metric).tocsr()
-    # ||B||_1 of the adjoint that kernel_min_singular tests,
-    # B = M_h^{1/2} Ast M^{-1/2}: its largest column sum
-    m = mesh.mass_vector()
-    norm = float(np.max(abs(Ast).T @ np.sqrt(np.concatenate([m, metric.fiber_dim * m]))
-                        / np.sqrt(m)))
+    norm, step = _newton_step(metric)
     sigma = kernel_min_singular(metric)
     if sigma < _KERNEL_FLOOR * norm:
         raise PreconditionError(
@@ -335,15 +378,8 @@ def newton_prescribe(metric: WarpedProductMetric, K, cfg: PrescribeConfig | None
         r = scal_diagonal(mesh, A, B, metric.fiber_dim, metric.fiber_scal) - K
         return (r, A, B), mesh.lp_norm(r, 2)
 
-    def solve(x, state):
-        r, A, B = state
-        JQ = linearize_scal_matrix(metric, A=A, B=B) @ Ast
-        delta = _newton.condensed_solve(np.repeat(np.arange(n), np.diff(JQ.indptr)),
-                                        JQ.indices, JQ.data, -r, (0, 1))
-        return np.concatenate((delta, Ast @ delta))
-
     x, (_, A, B), history = _newton.damped_newton(
-        np.zeros(3 * n), evaluate, solve, lambda state, merit: merit < cfg.newton_tol,
+        np.zeros(3 * n), evaluate, step, lambda state, merit: merit < cfg.newton_tol,
         cfg.newton_max_iter, "prescription Newton")
     out = DiagonalInvariantMetric(mesh=mesh, fiber_dim=metric.fiber_dim,
                                   fiber_scal=metric.fiber_scal, radial=A, fiber=B)
@@ -534,11 +570,8 @@ def approximate_by_diffeo(mesh: QuotientMesh, source, target, p: float = 2.0,
     returned map lives there.
     """
     _check_lp_tolerance(p, eps)
-    f = np.asarray(source, dtype=float)
-    g = np.asarray(target, dtype=float)
     n = mesh.node_count
-    if f.shape != (n,) or g.shape != (n,):
-        raise ValueError("function length mismatch")
+    f, g = _nodal(source, n, "source"), _nodal(target, n, "target")
 
     if mesh.topology == INTERVAL:
         doubled = build_mesh(CIRCLE, 2 * (n - 1), 2 * mesh.length,
@@ -744,7 +777,7 @@ def full_prescribe(metric: WarpedProductMetric, target,
     """
     cfg = cfg or PrescribeConfig()
     mesh = metric.mesh
-    target = np.asarray(target, dtype=float)
+    target = _nodal(target, mesh.node_count, "target")
     scal0 = scal_warped(metric)
     scale0 = max(1.0, float(np.max(np.abs(scal0))))
 

@@ -39,6 +39,7 @@ import numpy as np
 from . import canonical as cv
 from .cheeger import OrbitData, homogeneous_scal, scal_cheeger
 from .errors import ConfigError, CurvLabError, PreconditionError, SolverError
+from .mesh import sample_profile
 from .models import (LeftInvariantMetric, WarpedProductMetric, get_preset,
                      scal_warped)
 from .prescribe import PrescribeConfig, approximate_by_diffeo, full_prescribe
@@ -274,7 +275,10 @@ def _target(cfg: ScenarioConfig, model) -> np.ndarray:
     key = f"{cfg.command}.target"
     if cfg.get(key) is None:
         raise ConfigError(f"{key} is required")
-    return parse_profile_expr(cfg.get(key))(model.mesh.nodes)
+    values = sample_profile(parse_profile_expr(cfg.get(key)), model.mesh.nodes)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{key} is not finite at every node")
+    return values
 
 
 # ---------------------------------------------------------------------------

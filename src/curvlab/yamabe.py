@@ -44,7 +44,7 @@ Each scipy subpackage is imported inside the functions that use it:
 `_bordered_newton`; its stencils, and so `conformal_scal` and `el_residual`,
 need numpy only); `scipy.sparse.linalg` in `minimize_on_constraint`;
 `scipy.linalg` in `classify_conformal_class` and in
-`_newton.condensed_solve`, the Newton step of both regimes.  Together they
+`_newton.condensed_solver`, the Newton step of both regimes.  Together they
 cost more to import than the rest of curvlab, and most commands never call
 those functions.
 """
@@ -190,13 +190,13 @@ def _bordered_newton(p: ConformalProblem, u, s, border, tol, border_scale):
     Damped Newton on x = (u, s) with the Euclidean norm of the bordered
     residual as merit and u above `_POSITIVITY_FLOOR`; converged when the
     weighted-L2 defect is below ``tol`` and |border| below
-    tol * max(1, border_scale).  Each step is one O(N)
-    `_newton.condensed_solve` of [[4 b_n L - diag(shift), u^gamma], [row, 0]]
-    with separator (0, N): a circle's corners touch node 0 only.  Returns
-    (u, s, steps).
+    tol * max(1, border_scale).  Each step is one O(N) solve of
+    [[4 b_n L - diag(shift), u^gamma], [row, 0]] by a `_newton.condensed_solver`
+    planned once per call, with separator (0, N): a circle's corners touch
+    node 0 only.  Returns (u, s, steps).
     """
     mesh, g, n = p.mesh, p.constants, p.mesh.node_count
-    # that matrix's entry pattern, built once: the Laplacian's entries off
+    # that matrix's entry pattern, planned once: the Laplacian's entries off
     # its diagonal, the diagonal, the border column at index n, the border row
     lap, nodes = mesh.laplacian_matrix(), np.arange(n)
     lap_i = np.repeat(nodes, np.diff(lap.indptr))
@@ -204,6 +204,7 @@ def _bordered_newton(p: ConformalProblem, u, s, border, tol, border_scale):
     i = np.concatenate((lap_i[off], nodes, nodes, np.full(n, n)))
     j = np.concatenate((lap.indices[off], nodes, np.full(n, n), nodes))
     scaled_off, scaled_diagonal = 4.0 * g.b_n * lap.data[off], 4.0 * g.b_n * lap.diagonal()
+    condensed = _newton.condensed_solver(i, j, n + 1, (0, n))
 
     def evaluate(x):
         if not np.min(x[:n]) > _POSITIVITY_FLOOR:
@@ -216,7 +217,7 @@ def _bordered_newton(p: ConformalProblem, u, s, border, tol, border_scale):
         (res, row), u_ = state, x[:n]
         shift = p.scal - x[n] * g.gamma_n * u_**(g.gamma_n - 1)
         a = np.concatenate((scaled_off, scaled_diagonal - shift, u_**g.gamma_n, row))
-        return _newton.condensed_solve(i, j, a, -res, (0, n))
+        return condensed(a, -res)
 
     def converged(state, merit):
         res = state[0]

@@ -7,8 +7,10 @@ twist-term maximum, plain high-resolution quadrature, a dense
 column-by-column assembly of the discrete curvature Jacobian, the
 sparse-product assembly `linearize_scal_matrix` once ran, a Richardson-
 extrapolated difference quotient of the curvature, the continuum formula of
-the Jacobian's adjoint, the dense SVD `kernel_min_singular` once ran and
-the adjoint's 1-norm from the orthonormal adjoint itself, the per-candidate
+the Jacobian's adjoint, the sparse adjoint matrix and the sparse-product
+Newton step `newton_prescribe` once built, the dense SVD
+`kernel_min_singular` once ran and the adjoint's 1-norm from the
+orthonormal adjoint itself, the per-candidate
 loop `_window_constant` once ran, the per-cell loops that
 `approximate_by_diffeo` once ran for its greedy walk and its monotone-run
 split, the whole-array wrap `_periodic_interp` once took, the hand-written
@@ -17,15 +19,16 @@ solve), the generalized dense eigenproblem `classify_conformal_class` once
 solved, the roll-and-slice stencils `QuotientMesh` once evaluated its
 derivatives, Laplacian and Dirichlet form with, and the closed-form
 warped-product curvature `scal_warped` once evaluated.
-Nine small functions that only tests read live here too: the nodewise
+Ten small functions that only tests read live here too: the nodewise
 pinching test of a window constant, the exact window of such constants in
 rational arithmetic, the entries of a bordered matrix, the coercive energy
 of the negative regime, the representation-independent curvature operator,
 the shrink map C_t of a Cheeger deformation, the spline resampling of a
 conformal warped metric over its own arclength circle (the independent
 route of acceptance criteria 5 and 10), the closed-form conformal factor
-that flattens a warped product onto its cylinder, and the closed-form
-constant of the negative regime that factor gives.
+that flattens a warped product onto its cylinder, the closed-form
+constant of the negative regime that factor gives, and that cylinder's
+length.
 """
 
 from fractions import Fraction
@@ -35,14 +38,13 @@ import scipy.interpolate
 import scipy.linalg
 import scipy.sparse as sp
 
-from curvlab._newton import condensed_solve
+from curvlab._newton import condensed_solver
 from curvlab.cheeger import OrbitData, TangentSplit
 from curvlab.errors import PreconditionError, SolverError
 from curvlab.mesh import CIRCLE
 from curvlab.models import (DiagonalInvariantMetric, WarpedProductMetric,
                             YamabeConstants, ricci_warped, scal_diagonal, scal_warped)
-from curvlab.prescribe import (MetricPerturbation, _scal_jacobian_components, _scaled_transpose,
-                               linearize_scal_matrix)
+from curvlab.prescribe import MetricPerturbation, _scal_jacobian_components, linearize_scal_matrix
 from curvlab.yamabe import (_POSITIVITY_FLOOR, ConformalProblem, ConformalSolution,
                             SolverConfig, negative_constant_bound)
 
@@ -290,11 +292,44 @@ def adjoint_formula(metric, u):
     )
 
 
+def scaled_transpose(J: sp.csr_array, left, right) -> sp.csc_array:
+    """diag(left) J^T diag(right), a CSC array on J's own index arrays."""
+    rows = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
+    return sp.csc_array((left[J.indices] * J.data * right[rows], J.indices, J.indptr),
+                        shape=J.shape[::-1])
+
+
+def adjoint_matrix(metric: WarpedProductMetric) -> sp.csc_array:
+    """The exact adjoint as a (2N, N) CSC array: M_h^{-1} J^T M, as the
+    library built it before it read the adjoint's entries in J's order."""
+    m = metric.mesh.mass_vector()
+    mh = np.concatenate([m, metric.fiber_dim * m])
+    return scaled_transpose(linearize_scal_matrix(metric), 1.0 / mh, m)
+
+
+def sparse_product_newton_step(metric: WarpedProductMetric, A, B, r):
+    """||B||_1 and the Newton step of `newton_prescribe` at the iterate (A, B)
+    with residual r, as the library computed them before its plans: the
+    adjoint Q as a CSR array, J.Q by scipy's sparse product (which drops the
+    entries that come out exactly zero), and one condensed solve planned on
+    that product's own pattern.  Returns (norm, concatenation of delta and
+    Q delta)."""
+    Q = adjoint_matrix(metric).tocsr()
+    m = metric.mesh.mass_vector()
+    norm = float(np.max(abs(Q).T @ np.sqrt(np.concatenate([m, metric.fiber_dim * m]))
+                        / np.sqrt(m)))
+    JQ = linearize_scal_matrix(metric, A=A, B=B) @ Q
+    n = metric.mesh.node_count
+    rows = np.repeat(np.arange(n), np.diff(JQ.indptr))
+    delta = condensed_solver(rows, JQ.indices, n, (0, 1))(JQ.data, -r)
+    return norm, np.concatenate((delta, Q @ delta))
+
+
 def _orthonormal_adjoint(metric: WarpedProductMetric) -> sp.csc_array:
     """B = M_h^{-1/2} J^T M^{1/2}, the (2N, N) adjoint in orthonormal coordinates."""
     m = metric.mesh.mass_vector()
     mh = np.concatenate([m, metric.fiber_dim * m])
-    return _scaled_transpose(linearize_scal_matrix(metric), 1.0 / np.sqrt(mh), np.sqrt(m))
+    return scaled_transpose(linearize_scal_matrix(metric), 1.0 / np.sqrt(mh), np.sqrt(m))
 
 
 def dense_kernel_min_singular(metric: WarpedProductMetric) -> float:
@@ -439,7 +474,7 @@ def negative_newton_loop(metric: WarpedProductMetric, cfg: SolverConfig | None =
     A hand-written bordered Newton iteration in (u, c') with the mass
     normalization as the border, a budget of `cfg.max_iter` steps and a line
     search that accepts any step below tau = 1e-8.  Each step solves with the
-    library's `condensed_solve` on the same entries, so the comparison is bit
+    library's `condensed_solver` on the same entries, so the comparison is bit
     for bit.  Same arguments, return value and exceptions as
     `solve_negative_constant` on a class N_G background; it does not read the
     class.
@@ -476,9 +511,9 @@ def negative_newton_loop(metric: WarpedProductMetric, cfg: SolverConfig | None =
     for newton_iterations in range(1, cfg.max_iter + 1):
         shift = scal + cprime * g.gamma_n * u**(g.gamma_n - 1)
         try:
-            delta = condensed_solve(*bordered_entries(scaled_lap - sp.diags_array(shift),
-                                                      -(u**g.gamma_n), 2.0 * u * m),
-                                    -res, (0, n))
+            i, j, a = bordered_entries(scaled_lap - sp.diags_array(shift),
+                                       -(u**g.gamma_n), 2.0 * u * m)
+            delta = condensed_solver(i, j, n + 1, (0, n))(a, -res)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular Newton system: {exc}") from exc
         tau = 1.0
@@ -675,3 +710,14 @@ def negative_constant_exact(metric: WarpedProductMetric) -> float:
     f = metric.warping
     ratio = np.mean(f) / np.mean(f**metric.fiber_dim)
     return -metric.fiber_scal * ratio ** (2.0 / (metric.dim - 2))
+
+
+def cylinder_length(metric: WarpedProductMetric) -> float:
+    """L' = int_0^L dr / f, the length of the cylinder S^1(L') x F that the
+    warped product is conformal to (g = f^2 (ds^2 + g_F) with ds = dr / f).
+
+    The mesh quadrature of 1/f: the plain sum h sum_j 1/f_j over the circle
+    nodes, a periodic trapezoid rule that is exact to rounding for smooth
+    warpings at the mesh sizes the tests use.
+    """
+    return float(metric.mesh.h * np.sum(1.0 / metric.warping))

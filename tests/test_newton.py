@@ -4,7 +4,7 @@ condensed solve of its O(N) steps."""
 import numpy as np
 import pytest
 
-from curvlab._newton import condensed_solve, damped_newton
+from curvlab._newton import condensed_solver, damped_newton
 from curvlab.errors import SolverError
 
 
@@ -124,4 +124,4 @@ def test_condensed_solve_rejects_a_coupling_beyond_the_band(n, sep):
     # the identity plus one entry (3, 9): six places apart off the separator
     i, j = np.append(np.arange(n), 3), np.append(np.arange(n), 9)
     with pytest.raises(ValueError, match="half-bandwidth 6, more than 2"):
-        condensed_solve(i, j, np.ones(n + 1), np.ones(n), sep)
+        condensed_solver(i, j, n, sep)

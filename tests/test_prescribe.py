@@ -2,6 +2,7 @@
 
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,15 +19,15 @@ from curvlab import (DiagonalInvariantMetric, Diffeo1D, MetricPerturbation,
                      newton_prescribe, ricci_warped,
                      scal_warped, tensor_inner)
 from curvlab.mesh import INTERVAL, build_mesh
-from curvlab._newton import condensed_solve
-from curvlab.prescribe import (_KERNEL_FLOOR, _SUP_TOL, _adjoint_matrix, _greedy_walk,
-                               _monotone_runs, _periodic_interp, _window_constant)
+from curvlab._newton import condensed_solver
+from curvlab.prescribe import (_KERNEL_FLOOR, _SUP_TOL, _greedy_walk, _monotone_runs,
+                               _newton_step, _periodic_interp, _window_constant)
 
-from oracles import (adjoint_formula, adjoint_norm1, dense_kernel_min_singular,
+from oracles import (adjoint_formula, adjoint_matrix, adjoint_norm1, dense_kernel_min_singular,
                      dense_scal_jacobian, exact_window, fine_circle_norm, greedy_walk_loop,
                      linearize_scal, monotone_runs_loop, periodic_interp_mod, perturbed_scal,
                      pinching_check, scal_operator, sparse_product_jacobian,
-                     window_constant_loop)
+                     sparse_product_newton_step, window_constant_loop)
 
 
 def bumpy(amplitude=0.2, n=64):
@@ -262,7 +263,10 @@ def test_kernel_min_singular_matches_dense_svd_at_both_parities(name, n):
 @pytest.mark.parametrize("name", ["round-fiber", "hyperbolic-fiber", "flat-torus", "bumpy"])
 def test_kernel_min_singular_repeats_bit_for_bit(name):
     metric = get_preset(name, n=256)
-    assert kernel_min_singular(metric).hex() == kernel_min_singular(metric).hex()
+    first = kernel_min_singular(metric).hex()
+    assert kernel_min_singular(metric).hex() == first
+    # a fresh metric of the same N reads the band layout built by the first
+    assert kernel_min_singular(get_preset(name, n=256)).hex() == first
 
 
 def forbid_dense_matrices(monkeypatch, *routines):
@@ -407,14 +411,14 @@ def test_cyclic_solve_matches_the_dense_system(n, fiber_scal, amplitude, harmoni
     rng = np.random.default_rng(seed)
     metric = WarpedProductMetric.from_profile(
         n, 2 * np.pi, 3, fiber_scal, lambda r: 1.0 + amplitude * np.sin(harmonic * r + phase))
-    JQ = linearize_scal_matrix(metric) @ _adjoint_matrix(metric).tocsr()
+    JQ = linearize_scal_matrix(metric) @ adjoint_matrix(metric).tocsr()
     shift = scale * np.max(np.abs(JQ.data)) * (offset + rng.uniform(-1.0, 1.0, n))
     A = (JQ - sp.diags_array(shift)).tocsr()
     rhs = rng.normal(size=n)
     dense = A.toarray()
     expected = np.linalg.solve(dense, rhs)
-    x = condensed_solve(np.repeat(np.arange(n), np.diff(A.indptr)), A.indices, A.data, rhs,
-                        (0, 1))
+    x = condensed_solver(np.repeat(np.arange(n), np.diff(A.indptr)), A.indices, n, (0, 1))(
+        A.data, rhs)
     # both solves err by about eps times a condition number: the dense one by
     # A's, the condensation also by the interior block's on nodes 2..N-1
     kappa = max(np.linalg.cond(dense), np.linalg.cond(dense[2:, 2:]))
@@ -423,17 +427,20 @@ def test_cyclic_solve_matches_the_dense_system(n, fiber_scal, amplitude, harmoni
 
 
 def test_newton_prescribe_singular_schur_complement_is_a_solver_error(monkeypatch):
-    # each step Jacobian gets row 1 equal to row 0, so J.Q has two equal
-    # separator rows and a singular 2x2 Schur complement, while its block on
-    # nodes 2..N-1 stays regular
+    # each step Jacobian gets a zero row 0, so J.Q has a zero separator row
+    # and a singular 2x2 Schur complement, while its block on nodes 2..N-1
+    # stays regular; the entries are zeroed in place, as the step's plan
+    # fixes J's pattern
     import curvlab.prescribe as prescribe
     jacobian = prescribe.linearize_scal_matrix
 
-    def equal_separator_rows(metric, A=None, B=None):
+    def zero_separator_row(metric, A=None, B=None):
         J = jacobian(metric, A=A, B=B)
-        return J if A is None else sp.vstack([J[[0]], J[[0]], J[2:]], format="csr")
+        if A is not None:
+            J.data[J.indptr[0]:J.indptr[1]] = 0.0
+        return J
 
-    monkeypatch.setattr(prescribe, "linearize_scal_matrix", equal_separator_rows)
+    monkeypatch.setattr(prescribe, "linearize_scal_matrix", zero_separator_row)
     metric = get_preset("hyperbolic-fiber", n=64)
     target = scal_warped(metric) * (1.0 + 0.05 * np.sin(metric.mesh.nodes))
     with pytest.raises(SolverError, match="^singular .*rank-deficient Schur complement"):
@@ -442,9 +449,15 @@ def test_newton_prescribe_singular_schur_complement_is_a_solver_error(monkeypatc
 
 def test_newton_prescribe_nan_trial_point_is_inadmissible(monkeypatch):
     # a NaN metric used to pass the positivity test of evaluate, so scal_diagonal
-    # saw it; a NaN trial point is outside the admissible set, like a negative one
+    # saw it; a NaN trial point is outside the admissible set, like a negative
+    # one.  Every step the driver is handed is replaced by NaNs.
     import curvlab._newton as newton
-    monkeypatch.setattr(newton, "condensed_solve", lambda i, j, a, rhs, sep: np.full(64, np.nan))
+    driver = newton.damped_newton
+
+    def nan_steps(x, evaluate, solve, *args):
+        return driver(x, evaluate, lambda x, state: np.full_like(x, np.nan), *args)
+
+    monkeypatch.setattr(newton, "damped_newton", nan_steps)
     metric = get_preset("hyperbolic-fiber", n=64)
     target = scal_warped(metric) * (1.0 + 0.05 * np.sin(metric.mesh.nodes))
     with pytest.raises(SolverError, match="^prescription Newton step has no admissible trial"):
@@ -472,6 +485,52 @@ def test_newton_prescribe_forms_no_dense_n_by_n_system(monkeypatch):
     steps = len(result.residuals) - 1
     assert steps > 0
     assert shapes == {"svd": [(2, 2)] * steps, "solve": [(2, 2)] * steps}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(16, 512), fiber_scal=st.sampled_from([-2.0, 0.0, 6.0]),
+       amplitude=st.floats(0.0, 0.3), harmonic=st.integers(1, 3), phase=st.floats(0.0, 6.3),
+       size=st.sampled_from([0.0, 1e-3, 0.1]), seed=st.integers(0, 2**32 - 1))
+def test_planned_newton_step_is_the_sparse_product_step(n, fiber_scal, amplitude, harmonic,
+                                                         phase, size, seed):
+    # the step at a random admissible iterate (A, B), bit for bit the one the
+    # sparse products J @ Q and a condensed solve on J.Q's own pattern give
+    rng = np.random.default_rng(seed)
+    metric = WarpedProductMetric.from_profile(
+        n, 2 * np.pi, 3, fiber_scal, lambda r: 1.0 + amplitude * np.sin(harmonic * r + phase))
+    A = 1.0 + size * rng.uniform(-1.0, 1.0, n)
+    B = metric.warping**2 * (1.0 + size * rng.uniform(-1.0, 1.0, n))
+    r = rng.normal(size=n)
+    norm, step = _newton_step(metric)
+    try:
+        expected_norm, expected = sparse_product_newton_step(metric, A, B, r)
+    except np.linalg.LinAlgError as err:  # the flat torus: J.Q is singular
+        with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(err))):
+            step(None, (r, A, B))
+        return
+    assert norm.hex() == expected_norm.hex()
+    assert step(None, (r, A, B)).tobytes() == expected.tobytes()
+
+
+def test_newton_prescribe_builds_one_sparse_array_per_jacobian(monkeypatch):
+    # k steps: the base-point Jacobian, the kernel test's and one per step,
+    # and no other CSR or CSC array (the adjoint, J.Q and B are plain arrays)
+    built = []
+    for array in (sp.csr_array, sp.csc_array):
+        init = array.__init__
+
+        def counting(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(array, "__init__", counting)
+    metric = get_preset("hyperbolic-fiber", n=64)
+    target = scal_warped(metric) * (1.0 + 0.05 * np.sin(metric.mesh.nodes))
+    newton_prescribe(metric, target)  # the mesh builds its stencil pattern once
+    built.clear()
+    result = newton_prescribe(metric, target)
+    steps = len(result.residuals) - 1
+    assert steps > 0
+    assert built == ["csr_array"] * (steps + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +700,39 @@ def test_approximation_rejects_nan_and_out_of_range_settings(name, value):
     f = np.sin(mesh.nodes)
     with pytest.raises(ValueError, match=f"^{SETTING_REJECTIONS[name]}$"):
         approximate_by_diffeo(mesh, f, 0.5 * f, **{name: value})
+
+
+def nonfinite_call(call, argument):
+    """Run ``call`` with warnings as errors; it must raise the ValueError that
+    says ``argument`` must be finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{argument} must be finite$"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_prescription_rejects_a_nonfinite_target(bad):
+    # a NaN target was refused as pinching-window, an infinite one ran Newton
+    # to "no admissible trial point (residual inf)"; newton_prescribe ended a
+    # NaN target in "(residual nan)"
+    metric = get_preset("round-fiber", n=64)
+    target = scal_warped(metric) * (1.0 + 0.05 * np.sin(metric.mesh.nodes))
+    target[7] = bad
+    nonfinite_call(lambda: full_prescribe(metric, target), "target")
+    nonfinite_call(lambda: newton_prescribe(metric, target), "target K")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("argument", ["source", "target"])
+def test_approximation_rejects_a_nonfinite_function(argument, bad):
+    # a NaN source was refused as winding-obstruction and an infinite one
+    # returned a map; a NaN target ended in the internal "cell 3 has no
+    # candidate position", an infinite one in range-hypothesis
+    mesh = get_preset("round-fiber", n=64).mesh
+    functions = {"source": np.sin(mesh.nodes), "target": 0.5 * np.sin(mesh.nodes)}
+    functions[argument][4] = bad
+    nonfinite_call(lambda: approximate_by_diffeo(mesh, **functions), argument)
 
 
 def test_range_hypothesis_rejected():

@@ -490,6 +490,20 @@ def test_main_prescribe_takes_a_target_that_starts_with_a_minus_sign(tmp_path, c
         "configuration error: argument --target: expected one argument"
 
 
+@pytest.mark.parametrize("command", ["prescribe", "approx"])
+@pytest.mark.parametrize("target", ["sin(r)^0.5", "10^400", "r^(0-1)"])
+def test_main_rejects_a_target_that_is_not_finite(tmp_path, capsys, command, target):
+    # ^ and overflow give a NaN or an infinity at some node.  prescribe was
+    # refused as pinching-window (exit 2) or ran Newton to "no admissible
+    # trial point (residual inf)" (exit 3); approx as range-hypothesis
+    outdir = tmp_path / "o"
+    code = main([command, "--model", "bumpy", f"--target={target}", "--outdir", str(outdir)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == \
+        f"configuration error: {command}.target is not finite at every node"
+    assert not outdir.exists()
+
+
 def test_main_rejects_unknown_key(tmp_path, capsys):
     # a misspelled key (model.n for model.N) used to be ignored: the run
     # exited 0 and wrote a 64-node scal.csv

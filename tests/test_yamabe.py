@@ -15,11 +15,11 @@ from curvlab import (ConformalClass, ConformalProblem, ObstructionError,
                      project_to_constraint, scal_warped, solve_negative_constant)
 from curvlab import _newton
 from curvlab.mesh import build_mesh
-from curvlab._newton import condensed_solve
+from curvlab._newton import condensed_solver
 from curvlab.yamabe import _bordered_newton
 
 from oracles import (bordered_entries, coercive_energy, conformal_warped_metric,
-                     dense_generalized_lambda1, negative_newton_loop)
+                     cylinder_length, dense_generalized_lambda1, negative_newton_loop)
 
 
 def round_problem(c=6.0, n=64, eps=1.0):
@@ -408,7 +408,7 @@ def test_negative_solve_takes_no_newton_step_outside_class_n(fiber_scal, monkeyp
     def no_step(*args):
         raise AssertionError("a Newton step was taken")
 
-    monkeypatch.setattr(_newton, "condensed_solve", no_step)
+    monkeypatch.setattr(_newton, "condensed_solver", no_step)
     metric = WarpedProductMetric.from_profile(64, 2 * np.pi, 3, fiber_scal,
                                               lambda r: 1.0 + 0.2 * np.sin(r))
     with pytest.raises(ObstructionError) as info:
@@ -484,8 +484,8 @@ def test_bordered_solve_matches_the_dense_bordered_system(topology, n, amplitude
     dense[:n, :n] = mesh.laplacian_matrix().toarray() - np.diag(shift)
     dense[:n, n], dense[n, :n] = column, row
     expected = np.linalg.solve(dense, rhs)
-    x = condensed_solve(*bordered_entries(mesh.laplacian_matrix() - sp.diags_array(shift),
-                                          column, row), rhs, (0, n))
+    i, j, a = bordered_entries(mesh.laplacian_matrix() - sp.diags_array(shift), column, row)
+    x = condensed_solver(i, j, n + 1, (0, n))(a, rhs)
     # both solves err by about eps times a condition number: the dense one by
     # the bordered matrix's, the condensation also by the interior block's
     # (at most 0.26 eps kappa on 8000 draws); 1e-10 holds while kappa < 1.1e5
@@ -497,8 +497,8 @@ def test_bordered_solve_matches_the_dense_bordered_system(topology, n, amplitude
 def test_bordered_solve_raises_on_a_singular_interior_block():
     # the zero operator: the block on nodes 1..N-1 has no pivot at all
     with pytest.raises(np.linalg.LinAlgError):
-        condensed_solve(*bordered_entries(sp.csr_array((16, 16)), np.ones(16), np.ones(16)),
-                        np.ones(17), (0, 16))
+        i, j, a = bordered_entries(sp.csr_array((16, 16)), np.ones(16), np.ones(16))
+        condensed_solver(i, j, 17, (0, 16))(a, np.ones(17))
 
 
 def test_negative_solve_makes_only_2x2_dense_solves(monkeypatch):
@@ -640,6 +640,24 @@ def test_classifier_verdict_is_the_sign_of_fiber_scal(n, fiber_dim, amplitude, w
                        6.0: ConformalClass.POSITIVE}[fiber_scal]
     expected = dense_generalized_lambda1(metric)
     assert abs(lam - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("amplitude", [0.05, 0.2, 0.5])
+def test_cylinder_length_of_a_sine_warping_is_its_closed_form(n, amplitude):
+    # int_0^{2 pi} dr / (1 + a sin r) = 2 pi / sqrt(1 - a^2); the periodic
+    # trapezoid rule converges geometrically in N
+    metric = WarpedProductMetric.from_profile(n, 2 * np.pi, 3, 6.0,
+                                              lambda r: 1.0 + amplitude * np.sin(r))
+    exact = 2 * np.pi / np.sqrt(1.0 - amplitude**2)
+    assert abs(cylinder_length(metric) - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("length", [1.0, 2 * np.pi, 17.5])
+@pytest.mark.parametrize("scale", [0.25, 1.0, 3.0])
+def test_cylinder_length_of_a_constant_warping_is_length_over_scale(length, scale):
+    metric = WarpedProductMetric.from_profile(64, length, 2, 0.0, lambda r: scale)
+    assert abs(cylinder_length(metric) - length / scale) <= 1e-14 * length / scale
 
 
 def test_classifier_invariant_under_scaling():
