@@ -52,21 +52,23 @@ def damped_newton(x, evaluate, solve, converged, max_steps: int, name: str):
 def condensed_solver(i, j, n, sep):
     """Plan the O(n) solve of A x = rhs by condensation onto the nodes ``sep`` = (s, t), s < t.
 
-    A is n x n with entries at (``i``, ``j``), each position at most once; the
-    returned ``solve(a, rhs)`` only places the entries ``a``, in that order.
-    A's block on the other nodes, in index order, must be banded, as a
-    stencil operator's is on a circle once the nodes its corners touch are
-    separators (George, *Nested dissection of a regular finite element mesh*,
-    SIAM J. Numer. Anal. 10, 1973); a half-bandwidth above 2 is a
-    `ValueError`.  One banded LU with partial pivoting solves that block for
-    the two separator columns and ``rhs``; the 2x2 Schur complement is
-    rank-tested by its singular values and solved by `np.linalg.solve`, and
-    back-substitution gives the other nodes.  The relative error is about eps
-    times the larger condition number of A and of the banded block.  A
-    singular banded block, or a Schur complement whose smallest singular value
-    is at most n eps times its largest, is a `LinAlgError`.
+    A is n x n, n > 2, with entries at (``i``, ``j``), each position at most
+    once; the returned ``solve(a, rhs)`` only places the entries ``a``, in
+    that order.  A's block on the other nodes, in index order, must be
+    banded, as a stencil operator's is on a circle once the nodes its corners
+    touch are separators (George, *Nested dissection of a regular finite
+    element mesh*, SIAM J. Numer. Anal. 10, 1973); a half-bandwidth above 2 is
+    a `ValueError`.  One banded LU with partial pivoting (LAPACK `gbsv`, or
+    `gtsv` for a tridiagonal block, called as `scipy.linalg.solve_banded`
+    calls them) solves that block for the two separator columns and ``rhs``;
+    the 2x2 Schur complement is rank-tested by its singular values and solved
+    by `np.linalg.solve`, and back-substitution gives the other nodes.  The
+    relative error is about eps times the larger condition number of A and of
+    the banded block.  A singular banded block, or a Schur complement whose
+    smallest singular value is at most n eps times its largest, is a
+    `LinAlgError`.
     """
-    import scipy.linalg
+    from scipy.linalg import get_lapack_funcs
 
     m, (s, t) = n - 2, sep
     # each node's place in the condensed order: the other nodes in index
@@ -79,23 +81,35 @@ def condensed_solver(i, j, n, sep):
     k = int(np.abs(off).max(initial=0))
     if k > 2:
         raise ValueError(f"the block off the separator has half-bandwidth {k}, more than 2")
-    # one buffer: the band, then the separator columns and rhs as (n, 3), then
-    # the separator rows as (2, n), all in the condensed order.  An entry off
-    # the band is in a separator column if its row is another node, else in a
+    # one buffer: the band in LAPACK's storage with k zero rows on top for the
+    # fill of pivoting, then the separator columns and rhs as (n, 3), then the
+    # separator rows as (2, n), all in the condensed order.  An entry off the
+    # band is in a separator column if its row is another node, else in a
     # separator row, so its slot is start[row] + column.
-    size = (2 * k + 1) * m
+    size = (3 * k + 1) * m
     start = size + 3 * np.arange(n) - m
     start[m:] = size + 3 * n, size + 4 * n
     at = start[pi] + pj
-    at[inner] = (off + k) * m + pj[inner]
+    at[inner] = (off + 2 * k) * m + pj[inner]
+    # solve_banded's own LAPACK calls without its wrapper's checks: a 1x1
+    # block is divided, a tridiagonal one goes to gtsv, any other to gbsv
+    gtsv, gbsv = get_lapack_funcs(("gtsv", "gbsv"), dtype=np.float64)
 
     def solve(a, rhs):
         buffer = np.zeros(size + 5 * n)
         buffer[at] = a
         cols, rows = buffer[size:size + 3 * n].reshape(n, 3), buffer[size + 3 * n:].reshape(2, n)
         cols[:, 2][place] = rhs
-        z = scipy.linalg.solve_banded((k, k), buffer[:size].reshape(2 * k + 1, m), cols[:m],
-                                      overwrite_ab=True, check_finite=False)
+        band = buffer[:size].reshape(3 * k + 1, m)
+        if m == 1:
+            z, info = cols[:1] / band[2 * k, 0], 0
+        elif k == 1:
+            z, info = gtsv(band[3, :-1], band[2], band[1, 1:], cols[:m], overwrite_dl=True,
+                           overwrite_d=True, overwrite_du=True)[3:]
+        else:
+            z, info = gbsv(k, k, band, cols[:m], overwrite_ab=True)[2:]
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
         schur = rows[:, m:] - rows[:, :m] @ z[:, :2]
         sigma = np.linalg.svd(schur, compute_uv=False)
         if not sigma[1] > n * np.finfo(float).eps * sigma[0]:

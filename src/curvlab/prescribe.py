@@ -15,11 +15,13 @@ tables, and a call does only gathers, scatters and solves.
 A metric is locally surjective onto nearby curvature functions whenever the
 adjoint has trivial kernel (quantified by `kernel_min_singular`: exactly zero
 on the flat model, where constants are annihilated, and bounded away from
-zero on generic backgrounds).  That test forms no dense matrix: Lanczos
-iterates on the inverse Gram operator of the adjoint, applied through the
-augmented system.  Numbered in fold order 0, N-1, 1, N-2, ..., that system
-is a band without corners: one banded LU (`dgbtrf`) factors it, and each
-Lanczos step is one banded solve (`dgbtrs`), in O(N) work and memory.
+zero on generic backgrounds).  That test forms no dense matrix: a short
+Lanczos run with full reorthogonalization iterates on the inverse Gram
+operator of the adjoint, applied through the augmented system.  Numbered in
+fold order 0, N-1, 1, N-2, ..., that system is a band without corners: one
+banded LU (`dgbtrf`) factors it, and each Lanczos step is one banded solve
+(`dgbtrs`), in O(N) work and memory; the Ritz values of the small
+tridiagonal matrix come from `dstev`, so the test needs no ARPACK.
 `newton_prescribe` tests the kernel once per metric, then solves
 F(g + adjoint(u)) = K by Newton iterations whose linear systems use the
 composition jacobian . adjoint.  That composition is cyclic pentadiagonal,
@@ -209,6 +211,9 @@ def linearize_scal_adjoint(metric: WarpedProductMetric, u) -> MetricPerturbation
     return MetricPerturbation(a=full[:n], b=full[n:])
 
 
+_LANCZOS_STEPS = 60  # step cap of the kernel test's Lanczos run
+
+
 def kernel_min_singular(metric: WarpedProductMetric) -> float:
     """Smallest singular value of the adjoint between the weighted spaces.
 
@@ -224,16 +229,21 @@ def kernel_min_singular(metric: WarpedProductMetric) -> float:
     unknowns (y_a, y_b, x) side by side, K is a band of half-bandwidth 8
     without corner entries, so one `dgbtrf` (banded LU with partial
     pivoting) factors it and each solve is one `dgbtrs`; where B's entries go
-    in the band is read from a table built once per N.  Lanczos (`eigsh`,
-    ARPACK; Lehoucq, Sorensen and Yang, *ARPACK Users' Guide*, 1998) finds
-    the largest eigenvalue of that inverse, starting from a fixed seeded
-    vector so that two calls return the same float, and the value returned
-    is ||B x|| / ||x|| at its eigenvector x.  O(N) work and memory; no dense
-    matrix is formed.  An exact zero pivot means K has a kernel and returns
-    0.0; a Lanczos run that does not converge is a `SolverError`.
+    in the band is read from a table built once per N.  A Lanczos run on that
+    inverse (Paige 1972; Parlett, *The Symmetric Eigenvalue Problem*, 1998,
+    ch. 13) starts from a fixed seeded vector, so that two calls return the
+    same float.  Each step makes one solve, orthogonalizes the new vector
+    against the whole basis twice, and takes the Ritz pair of largest |theta|
+    of the tridiagonal matrix from `dstev`.  The run stops once the residual
+    |beta_j s_j| of that pair is at most 1e-10 |theta|; one more solve, a
+    step of inverse iteration, purifies its Ritz vector x, and the value
+    returned is ||B x|| / ||x||.  A test makes 7 to 10 solves on the
+    presets at every N from 64 to 32768.  O(N) work and memory; no dense
+    matrix is formed.
+    An exact zero pivot means K has a kernel and returns 0.0; a run that
+    reaches its cap of `_LANCZOS_STEPS` steps is a `SolverError`.
     """
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    from scipy.linalg.lapack import dgbtrf, dgbtrs, dstev
 
     n, m, plan = metric.mesh.node_count, metric.mesh.mass_vector(), _plan(metric.mesh.node_count)
     mh = np.concatenate([m, metric.fiber_dim * m])
@@ -248,21 +258,33 @@ def kernel_min_singular(metric: WarpedProductMetric) -> float:
     rhs = np.zeros(size)
 
     def inverse_gram(v):
-        rhs[plan.x_at] = -v.ravel()
+        rhs[plan.x_at] = -v
         return dgbtrs(lu, k, k, rhs, pivots)[0][plan.x_at]
 
     # a constant start is an exact eigenvector of B^T B on the homogeneous
-    # backgrounds, not the extreme one.  "LM", not "LA": near a kernel the
-    # rounding of the solve can give the huge eigenvalue either sign.  ncv = 6,
-    # not scipy's 20: the larger basis measured slower, and slowed the dense
-    # SVDs run after it.
-    try:
-        _, vectors = eigsh(LinearOperator((n, n), matvec=inverse_gram, dtype=float),
-                           k=1, which="LM", v0=plan.start, ncv=6)
-    except ArpackNoConvergence as err:
-        raise SolverError(f"kernel test: Lanczos did not converge ({err})") from err
-    x = vectors[:, 0]
-    return float(np.linalg.norm(np.bincount(plan.cols, B * x[plan.rows])) / np.linalg.norm(x))
+    # backgrounds, not the extreme one.  The largest |theta|, not the largest
+    # theta: near a kernel the rounding of the solve can give the huge
+    # eigenvalue either sign.
+    basis = plan.start[None] / np.linalg.norm(plan.start)
+    alpha, beta = np.empty(0), np.empty(0)
+    for _ in range(_LANCZOS_STEPS):
+        w = inverse_gram(basis[-1])
+        alpha = np.append(alpha, basis[-1] @ w)
+        # full reorthogonalization; a second pass restores what rounding
+        # left of the first
+        w -= basis.T @ (basis @ w)
+        w -= basis.T @ (basis @ w)
+        beta = np.append(beta, np.linalg.norm(w))
+        # dstev reads j - 1 off-diagonal entries, and one, unread, when j = 1
+        theta, s, _ = dstev(alpha, beta[:max(len(beta) - 1, 1)])
+        top = 0 if abs(theta[0]) > abs(theta[-1]) else -1  # theta ascends
+        residual = abs(beta[-1] * s[-1, top])
+        if residual <= 1e-10 * abs(theta[top]):
+            x = inverse_gram(s[:, top] @ basis)
+            return float(np.linalg.norm(np.bincount(plan.cols, B * x[plan.rows])) / np.linalg.norm(x))
+        basis = np.vstack((basis, w / beta[-1]))
+    raise SolverError(f"kernel test: Lanczos did not converge (residual {residual:.3e} of "
+                      f"{abs(theta[top]):.3e} after {_LANCZOS_STEPS} steps)")
 
 
 # ---------------------------------------------------------------------------

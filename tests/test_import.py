@@ -40,21 +40,25 @@ def test_import_loads_no_heavy_scipy_subpackage():
     assert _fresh_modules("import curvlab, curvlab.runner") == set()
 
 
-@pytest.mark.parametrize("call,loads", [
+@pytest.mark.parametrize("call,loads,absent", [
     ("assert get_preset('round-fiber', n=32).mesh.stiffness_matrix().shape == (32, 32)",
-     "scipy.sparse"),
+     "scipy.sparse", ()),
     ("assert classify_conformal_class(get_preset('round-fiber', n=32))[0].value == 'P_G'",
-     "scipy.linalg"),
+     "scipy.linalg", ()),
     ("s = minimize_on_constraint(ConformalProblem(get_preset('round-fiber', n=32), c=1.0))\n"
      "assert s.residual_norm < 1e-6",
-     "scipy.sparse.linalg"),
-    ("assert kernel_min_singular(get_preset('bumpy', n=32)) > 1e-3", "scipy.sparse.linalg"),
+     "scipy.sparse.linalg", ()),
+    # the kernel test's Lanczos run is plain LAPACK: no ARPACK
+    ("assert kernel_min_singular(get_preset('bumpy', n=32)) > 1e-3", "scipy.linalg",
+     ("scipy.sparse.linalg",)),
     ("assert solve_negative_constant(get_preset('hyperbolic-fiber', n=32))[0].achieved_constant > 0",
-     "scipy.linalg"),
+     "scipy.linalg", ()),
 ], ids=["first_matrix_call", "classify_conformal_class",
         "minimize_on_constraint", "kernel_min_singular", "solve_negative_constant"])
-def test_deferred_imports_load_in_their_function(call, loads):
-    assert loads in _fresh_modules(IMPORTS + call)
+def test_deferred_imports_load_in_their_function(call, loads, absent):
+    loaded = _fresh_modules(IMPORTS + call)
+    assert loads in loaded
+    assert not loaded.intersection(absent)
 
 
 @pytest.mark.parametrize("call", [

@@ -125,3 +125,34 @@ def test_condensed_solve_rejects_a_coupling_beyond_the_band(n, sep):
     i, j = np.append(np.arange(n), 3), np.append(np.arange(n), 9)
     with pytest.raises(ValueError, match="half-bandwidth 6, more than 2"):
         condensed_solver(i, j, n, sep)
+
+
+def separated_band(n, k, rng):
+    """An n x n system, dense on the separator (0, 1), whose block on nodes
+    2..n-1 has half-bandwidth k and a dominant diagonal."""
+    dense = rng.uniform(-1.0, 1.0, (n, n))
+    dense[2:, 2:][np.abs(np.subtract.outer(np.arange(n - 2), np.arange(n - 2))) > k] = 0.0
+    dense[np.arange(n), np.arange(n)] += 4.0 * (k + 1) + n
+    return dense
+
+
+@pytest.mark.parametrize("n, k", [(3, 0), (16, 0), (16, 1), (17, 2)])
+def test_condensed_solve_matches_the_dense_system_at_each_band_width(n, k):
+    # a 1x1 block is divided; a tridiagonal one goes to LAPACK gtsv, the
+    # others to gbsv
+    rng = np.random.default_rng(n + k)
+    dense, rhs = separated_band(n, k, rng), rng.normal(size=n)
+    i, j = np.nonzero(dense)
+    x = condensed_solver(i, j, n, (0, 1))(dense[i, j], rhs)
+    expected = np.linalg.solve(dense, rhs)
+    assert np.linalg.norm(x - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_condensed_solve_of_a_singular_band_is_a_linalg_error(k):
+    # the block off the separator keeps its pattern but holds only zeros
+    dense = separated_band(17, k, np.random.default_rng(k))
+    i, j = np.nonzero(dense)
+    a = np.where((i > 1) & (j > 1), 0.0, dense[i, j])
+    with pytest.raises(np.linalg.LinAlgError, match="^singular matrix$"):
+        condensed_solver(i, j, 17, (0, 1))(a, np.ones(17))

@@ -314,14 +314,45 @@ def test_kernel_min_singular_of_an_exactly_singular_system_is_zero():
 
 
 def test_kernel_min_singular_without_lanczos_convergence_is_a_solver_error(monkeypatch):
-    import scipy.sparse.linalg as spla
+    import curvlab.prescribe as prescribe
 
-    def no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence",
-                                       np.empty(0), np.empty((0, 0)))
-    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    # the bumpy background takes 10 solves, more than 3 steps make
+    monkeypatch.setattr(prescribe, "_LANCZOS_STEPS", 3)
     with pytest.raises(SolverError, match="^kernel test: Lanczos did not converge"):
         kernel_min_singular(bumpy())
+
+
+def count_band_solves(monkeypatch):
+    """A list that gains one entry per `dgbtrs` solve made from now on."""
+    import scipy.linalg.lapack as lapack
+
+    solve, calls = lapack.dgbtrs, []
+    monkeypatch.setattr(lapack, "dgbtrs", lambda *args, **kw: calls.append(1) or solve(*args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("name,bumped", [
+    ("round-fiber", False), ("hyperbolic-fiber", False), ("bumpy", False), ("flat-torus", True)])
+def test_kernel_solve_count_does_not_grow_with_n(monkeypatch, name, bumped):
+    calls, counts = count_band_solves(monkeypatch), []
+    for n in (64, 512, 4096):
+        metric = get_preset(name, n=n)
+        calls.clear()
+        kernel_min_singular(escape_bumped(metric) if bumped else metric)
+        counts.append(len(calls))
+    assert counts[0] <= 14
+    assert counts == [counts[0]] * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(warped_backgrounds())
+def test_kernel_solve_count_is_small_on_random_backgrounds(metric):
+    # 20000 seeded draws of this distribution took at most 16 solves, and
+    # 99.9 % at most 14
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_band_solves(monkeypatch)
+        kernel_min_singular(metric)
+    assert len(calls) <= 18
 
 
 # ---------------------------------------------------------------------------
