@@ -27,9 +27,8 @@ only.
 
 The scaled matrices (first and second derivative, stiffness, Laplacian) are
 `scipy.sparse` CSR arrays.  Each mesh builds each of them from the shared
-stencils on its first request, next to D2's pattern, which holds those of
-I and D1 (`StencilPattern`); every caller shares them, read-only.  A mesh's
-first matrix is where `scipy.sparse` is imported.
+stencils on its first request, and every caller shares them, read-only.  A
+mesh's first matrix is where `scipy.sparse` is imported.
 
 Meshes are uniform.  On interval topology the weight may vanish at the two
 endpoint nodes only (singular orbits); the Laplacian closes the stencil there
@@ -64,12 +63,6 @@ def _as_values(u, n: int) -> np.ndarray:
     if u.shape != (n,):
         raise ValueError(f"discrete function has length {u.shape}, mesh has {n} nodes")
     return u
-
-
-# D2's pattern in sorted CSR order, which holds those of I and D1: entry e
-# sits at (row[e], col[e]) and holds the D1 and D2 values there (0 where
-# absent); diagonal[j] is the entry at (j, j).
-StencilPattern = namedtuple("StencilPattern", "indptr row col d1 d2 diagonal")
 
 
 # A stencil as a fixed-width row table: term t of row i is
@@ -225,8 +218,8 @@ class QuotientMesh:
         return float(np.dot(u * v, self.mass_vector()))
 
     def lp_norm(self, u, p: float) -> float:
-        if not p >= 1:
-            raise ValueError(f"p must be >= 1, got {p}")
+        if not 1 <= p < np.inf:
+            raise ValueError(f"p must be >= 1 and finite, got {p}")
         u = _as_values(u, self.node_count)
         return float(self.integrate(np.abs(u) ** p) ** (1.0 / p))
 
@@ -334,24 +327,6 @@ class QuotientMesh:
         """
         return self._laplacian
 
-    @cached_property
-    def stencil_pattern(self) -> StencilPattern:
-        """The `StencilPattern` of this mesh, built once from `d1_matrix` and
-        `d2_matrix`; read-only.  Interval closure rows hold 4 entries, others 3."""
-        n, d1, d2 = self.node_count, self.d1_matrix(), self.d2_matrix()
-        indptr, col = d2.indptr.astype(np.int64), d2.indices.astype(np.int64)
-        row = np.repeat(np.arange(n), np.diff(indptr))
-        # row-major entry keys, sorted as D2's canonical CSR arrays are
-        keys = n * row + col
-        d1_values = np.zeros(len(keys))
-        d1_values[np.searchsorted(keys, np.repeat(n * np.arange(n), np.diff(d1.indptr))
-                                  + d1.indices)] = d1.data
-        pattern = StencilPattern(indptr, row, col, d1_values, d2.data,
-                                 np.searchsorted(keys, (n + 1) * np.arange(n)))
-        for arr in pattern:
-            arr.setflags(write=False)
-        return pattern
-
 
 def sample_profile(profile, nodes: np.ndarray) -> np.ndarray:
     """A fresh array of ``profile`` at ``nodes``: per-node values, or a callable
@@ -369,7 +344,8 @@ def sample_profile(profile, nodes: np.ndarray) -> np.ndarray:
 
 def uniform_nodes(topology: str, n: int, length: float):
     """Spacing h and the ``n`` nodes of a uniform mesh of ``length``; circle
-    meshes omit the duplicate endpoint.  The length must be finite and positive."""
+    meshes omit the duplicate endpoint.  The length must be finite and positive,
+    and large enough that 1/h^2, by which the stencils scale, is a finite float."""
     if n < 16:
         raise ValueError(f"need at least 16 nodes, got {n}")
     if not (np.isfinite(length) and length > 0):
@@ -383,6 +359,8 @@ def uniform_nodes(topology: str, n: int, length: float):
         nodes[-1] = length
     else:
         raise ValueError(f"unknown topology {topology!r}")
+    if not (h * h > 0 and 1.0 / (h * h) < np.inf):
+        raise ValueError(f"length {length:g} is too small for the stencils: 1/h^2 is not finite")
     return h, nodes
 
 

@@ -147,7 +147,8 @@ def ricci_warped(metric: WarpedProductMetric):
 
 @dataclass(frozen=True)
 class DiagonalInvariantMetric:
-    """General invariant diagonal metric A(r) dr^2 + B(r) g_F over a circle.
+    """General invariant diagonal metric A(r) dr^2 + B(r) g_F over a circle;
+    a mesh of another topology is a `ValueError`.
 
     The warped family is the special case A == 1, B == f^2.  Perturbations
     produced by the prescription machinery live here.
@@ -160,6 +161,8 @@ class DiagonalInvariantMetric:
     fiber: np.ndarray    # B
 
     def __post_init__(self):
+        if self.mesh.topology != CIRCLE:
+            raise ValueError("diagonal invariant metrics live over a circle quotient")
         n = self.mesh.node_count
         for name in ("radial", "fiber"):
             a = _frozen.store(self, name, (n,))

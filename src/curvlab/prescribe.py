@@ -4,13 +4,14 @@ The quasilinear curvature operator F(g) = scal_g is differentiated in the
 invariant diagonal directions h = a dr^2 + b f^2 g_F.  `linearize_scal_matrix`
 assembles the exact Jacobian of the discrete operator by the chain rule
 through the difference stencils, as a sparse CSR array filled in O(N) numpy
-work on the mesh's cached stencil pattern.  The formal adjoint
+work from the values of the mesh's D1 and D2.  The formal adjoint
 `linearize_scal_adjoint` is the exact transpose of that Jacobian in the mesh
 inner products, so adjointness holds at the level of matrices; the continuum
 expression -(lap u) g + Hess u - u Ric becomes an O(h^2) consistency check
 instead of the implementation.  Every sparsity pattern here depends on N
-only; its index side is built once per N, in bounded caches of read-only
-tables, and a call does only gathers, scatters and solves.
+only, the metrics living over a circle; its index side is built once per N,
+in one bounded cache of read-only tables (`_plan`), and a call does only
+gathers, scatters and solves.
 
 A metric is locally surjective onto nearby curvature functions whenever the
 adjoint has trivial kernel (quantified by `kernel_min_singular`: exactly zero
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import _frozen, _newton
 from .errors import PreconditionError, SolverError
-from .mesh import CIRCLE, INTERVAL, QuotientMesh, _as_values, _stencils, build_mesh
+from .mesh import CIRCLE, INTERVAL, QuotientMesh, _stencils, build_mesh
 from .models import (DiagonalInvariantMetric, WarpedProductMetric, as_diagonal,
                      scal_diagonal, scal_warped)
 
@@ -113,9 +114,10 @@ def linearize_scal_matrix(metric, A=None, B=None) -> sp.csr_array:
     Accepts a warped base (A=1, B=f^2) or explicit diagonal components; the b
     block carries the base factor f^2 because perturbations are measured
     against the warped background.  The chain rule through D1 and D2 is
-    evaluated entry by entry on the mesh's cached `StencilPattern`: O(N) numpy
-    work on one data array.  The indices are sorted and depend on the mesh
-    alone; pattern entries a block does not reach hold exact zeros.
+    evaluated entry by entry on D2's pattern, which holds those of I and D1,
+    from the values of `d1_matrix` and `d2_matrix`: O(N) numpy work.  The
+    sorted index arrays are `_plan`'s, one per N; pattern entries a block
+    does not reach hold exact zeros.
     """
     import scipy.sparse as sp
 
@@ -129,52 +131,43 @@ def linearize_scal_matrix(metric, A=None, B=None) -> sp.csr_array:
             A, B = metric.radial, metric.fiber
         base_fiber = B
     dA, dAr, dB, dF, dFr, dFrr, F = _scal_jacobian_components(mesh, A, B, k, c_f)
-    pattern = mesh.stencil_pattern
-    row, col, diagonal = pattern.row, pattern.col, pattern.diagonal
+    plan, d1 = _plan(n), np.zeros(3 * n)
+    d1[plan.d1] = mesh.d1_matrix().data  # D1's values on D2's pattern
+    row, col, diagonal = plan.d2_rows, plan.d2_cols, plan.diagonal
     # a: diag(dA) + diag(dAr) D1; b: (diag(dB) + (diag(dF) + diag(dFr) D1 +
     # diag(dFrr) D2) diag(1/2F)) diag(base_fiber), summed in that order, so
     # every entry is bit for bit the one the sparse products give
-    block_a = dAr[row] * pattern.d1
+    block_a = dAr[row] * d1
     block_a[diagonal] += dA
-    block_b = dFr[row] * pattern.d1
+    block_b = dFr[row] * d1
     block_b[diagonal] += dF
-    block_b += dFrr[row] * pattern.d2
+    block_b += dFrr[row] * mesh.d2_matrix().data
     block_b *= (0.5 / F)[col]
     block_b[diagonal] += dB
     block_b *= base_fiber[col]
-    indices, indptr, gather, _, _ = _jacobian_layout(mesh.topology, n)
-    data = np.concatenate([block_a, block_b])[gather]
-    return sp.csr_array((data, indices, indptr), shape=(n, 2 * n))
+    data = np.concatenate([block_a, block_b])[plan.gather]
+    return sp.csr_array((data, plan.indices, plan.indptr), shape=(n, 2 * n))
 
 
-@lru_cache(maxsize=32)
-def _jacobian_layout(topology: str, n: int):
-    """J's CSR indices and indptr (int32, as scipy keeps them), the order that
-    gathers its a block's entries, then its b block's, into CSR order, and
-    each entry's row and column.  Both blocks have D2's `StencilPattern`."""
-    d2 = _stencils(topology, n).diff2.cols.T
-    row, term = np.nonzero(d2 < n)
-    keys = np.concatenate([2 * n * row + d2[row, term], 2 * n * row + d2[row, term] + n])
-    gather = np.argsort(keys)
-    rows, indices = np.divmod(keys[gather], 2 * n)
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    layout = indices.astype(np.int32), indptr.astype(np.int32), gather, rows, indices
-    for arr in layout:
-        arr.setflags(write=False)
-    return layout
-
-
-_Plan = namedtuple("_Plan", "rows cols first partner slot solve k ldab unit pair x_at start")
+_Plan = namedtuple("_Plan", "indices indptr gather d2_rows d2_cols diagonal d1 rows cols "
+                            "first partner slot solve k ldab unit pair x_at start")
 
 
 @lru_cache(maxsize=32)
 def _plan(n: int) -> _Plan:
-    """The read-only index side of `newton_prescribe` and `kernel_min_singular`
-    on a circle of ``n`` nodes, with Q = M_h^{-1} J^T M and B as their entries
-    in J's order.  J.Q's entry slot[t], of the pattern `solve` is planned for,
-    sums J[first[t]] Q[partner[t]] in the order of scipy's csr_matmat; the
-    kernel test's band holds 1.0 at `unit` and B's entries at `pair`, twice."""
-    _, _, _, rows, cols = _jacobian_layout(CIRCLE, n)
+    """The read-only index side of the prescription on a circle of ``n``
+    nodes.  D2's entries, 3 a row, are at (d2_rows, d2_cols) in CSR order;
+    I's are at `diagonal` and D1's at `d1`.  J's row i holds D2's row i in
+    each block, the b block's columns + n, which `gather` interleaves: J's
+    int32 CSR arrays are `indices` and 6 arange(n + 1), the rows and columns
+    of its entries `rows` and `cols`.  With Q = M_h^{-1} J^T M and B as their
+    entries in J's order, J.Q's entry slot[t], of the pattern `solve` is
+    planned for, sums J[first[t]] Q[partner[t]] in the order of scipy's
+    csr_matmat; the kernel test's band holds 1.0 at `unit` and B's entries
+    at `pair`, twice."""
+    d2_rows, d2_cols = np.repeat(np.arange(n), 3), _stencils(CIRCLE, n).diff2.cols.T.ravel()
+    gather = (np.arange(3 * n).reshape(n, 1, 3) + [[0], [3 * n]]).ravel()
+    rows, cols = np.repeat(np.arange(n), 6), np.concatenate([d2_cols, d2_cols + n])[gather]
     # J[e] meets the entries of Q's row cols[e], which are the 3 entries of
     # J's column cols[e] on a circle; csr_matmat takes the e in order
     first = np.repeat(np.arange(len(cols)), 3)
@@ -189,11 +182,14 @@ def _plan(n: int) -> _Plan:
     # LAPACK band storage of K, column-major with k more rows for the fill
     # of pivoting: K[a, b] is entry 2k + a + b (ldab - 1) of the flat array
     ldab = 3 * k + 1
-    plan = _Plan(rows, cols, first, partner, slot,
+    plan = _Plan(cols.astype(np.int32), 6 * np.arange(n + 1, dtype=np.int32), gather,
+                 d2_rows, d2_cols, np.flatnonzero(d2_cols == d2_rows),
+                 np.flatnonzero(d2_cols != d2_rows),
+                 rows, cols, first, partner, slot,
                  _newton.condensed_solver(keys // n, keys % n, n, (0, 1)), k, ldab,
                  2 * k + y_at * ldab, 2 * k + np.concatenate([i + j * ldab - j, j + i * ldab - i]),
                  x_at, np.random.default_rng(0).standard_normal(n))
-    for arr in plan[:5] + plan[-4:]:
+    for arr in plan[:12] + plan[-4:]:
         arr.setflags(write=False)
     return plan
 
@@ -202,12 +198,13 @@ def linearize_scal_adjoint(metric: WarpedProductMetric, u) -> MetricPerturbation
     """Formal adjoint of the linearization applied to a function.
 
     Exact transpose of the discrete Jacobian; agrees with the invariant
-    reduction of -(lap u) g + Hess u - u Ric to second order in h.
+    reduction of -(lap u) g + Hess u - u Ric to second order in h.  A ``u``
+    of another length, with a NaN or an infinity, is a `ValueError`.
     """
     n, m, plan = metric.mesh.node_count, metric.mesh.mass_vector(), _plan(metric.mesh.node_count)
     mh = np.concatenate([m, metric.fiber_dim * m])
     Q = (1.0 / mh)[plan.cols] * linearize_scal_matrix(metric).data * m[plan.rows]
-    full = np.bincount(plan.cols, Q * _as_values(u, n)[plan.rows], 2 * n)
+    full = np.bincount(plan.cols, Q * _nodal(u, n, "u")[plan.rows], 2 * n)
     return MetricPerturbation(a=full[:n], b=full[n:])
 
 
@@ -298,19 +295,22 @@ _ESCAPE_BUMP = 1e-3  # relative warping bump that escapes a kernel background
 
 
 def _check_lp_tolerance(p, eps) -> None:
-    """Reject an L^p tolerance that is out of range or NaN."""
+    """Reject an L^p tolerance that is out of range, infinite or NaN."""
     if not p >= 1:
         raise ValueError("p must be >= 1")
     if not eps > 0:
         raise ValueError("eps must be positive")
+    for name, value in (("p", p), ("eps", eps)):
+        if value == np.inf:
+            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
 class PrescribeConfig:
     """Settings of the prescription: ``newton_tol`` and ``newton_max_iter``
     are the residual and step budget of `newton_prescribe`; ``p`` and ``eps``
-    set the L^p tolerance that `approximate_by_diffeo` meets on the
-    reparametrized path.  A NaN or out-of-range setting is a `ValueError`."""
+    the L^p tolerance of `approximate_by_diffeo` on the reparametrized path.
+    A NaN, infinite or out-of-range setting is a `ValueError`."""
 
     newton_tol: float = 1e-8
     newton_max_iter: int = 40
@@ -320,6 +320,8 @@ class PrescribeConfig:
     def __post_init__(self):
         if not (self.newton_tol > 0 and self.newton_max_iter > 0):
             raise ValueError("newton_tol and newton_max_iter must be positive")
+        if self.newton_tol == np.inf:
+            raise ValueError("newton_tol must be finite")
         _check_lp_tolerance(self.p, self.eps)
 
 

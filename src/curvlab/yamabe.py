@@ -117,7 +117,8 @@ class SolverConfig:
     `solve_negative_constant` gets no config).  ``max_iter`` bounds the
     accepted descent steps of `minimize_on_constraint`; a spent budget
     reports ``max_iter + 1`` iterations.  The bordered Newton iteration of
-    both regimes keeps its fixed budget of 40 steps.
+    both regimes keeps its fixed budget of 40 steps.  A NaN, infinite or
+    nonpositive setting is a `ValueError`.
     """
 
     tol_residual: float = 1e-9
@@ -126,6 +127,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.tol_residual > 0 and self.max_iter > 0):
             raise ValueError("tol_residual and max_iter must be positive")
+        if self.tol_residual == np.inf:
+            raise ValueError("tol_residual must be finite")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from curvlab import (CIRCLE, INTERVAL, WarpedProductMetric, build_mesh, circle_mesh, get_preset,
                      scal_warped)
+from curvlab.mesh import uniform_nodes
 from curvlab import mesh as mesh_module
 from curvlab.models import YamabeConstants
 
@@ -50,6 +51,15 @@ def test_build_rejects_a_nonfinite_or_nonpositive_length(topology, length):
     # a NaN or infinite length used to build a mesh of NaN nodes
     with pytest.raises(ValueError, match="length must be finite and positive"):
         build_mesh(topology, 32, length, lambda r: 1.0)
+
+
+@pytest.mark.parametrize("topology", [CIRCLE, INTERVAL])
+@pytest.mark.parametrize("length", [1e-300, 1e-160])
+def test_build_rejects_a_length_too_small_for_the_stencils(topology, length):
+    # h * h underflowed to 0 (or 1/h^2 overflowed) and the curvature came out NaN
+    with pytest.raises(ValueError, match="too small for the stencils"):
+        build_mesh(topology, 32, length, lambda r: 1.0)
+    assert np.isfinite(1.0 / uniform_nodes(topology, 32, 1e-150)[0] ** 2)
 
 
 @pytest.mark.parametrize("topology", [CIRCLE, INTERVAL])
@@ -120,6 +130,13 @@ def test_lp_norm_rejects_p_below_one():
         mesh.lp_norm(np.ones(64), 0.5)
     with pytest.raises(ValueError, match="p must be >= 1"):  # it used to return NaN
         mesh.lp_norm(np.ones(64), np.nan)
+
+
+def test_lp_norm_rejects_an_infinite_exponent():
+    # it used to return 1.0 ** (1 / inf) = 1.0, whatever the function
+    mesh = circle_mesh(64, 2 * np.pi)
+    with pytest.raises(ValueError, match="^p must be >= 1 and finite, got inf$"):
+        mesh.lp_norm(np.full(64, 3.0), np.inf)
 
 
 def test_lp_norm_triangle_inequality():
@@ -330,39 +347,6 @@ def test_laplacian_matrix_is_scaled_stiffness(make):
     assert np.max(np.diff(S.indptr)) <= 5
     gap = -(vol[:, None] * mesh.laplacian_matrix().toarray()) - S.toarray()
     assert np.max(np.abs(gap)) <= 1e-12 * np.max(np.abs(S.toarray()))
-
-
-@pytest.mark.parametrize("make", OPERATOR_MESHES.values(), ids=OPERATOR_MESHES.keys())
-def test_stencil_pattern_is_the_union_of_identity_d1_and_d2(make):
-    mesh = make()
-    n = mesh.node_count
-    pattern = mesh.stencil_pattern
-    assert np.array_equal(pattern.row, np.repeat(np.arange(n), np.diff(pattern.indptr)))
-    keys = n * pattern.row.astype(np.int64) + pattern.col
-    assert np.all(np.diff(keys) > 0)  # sorted CSR order, each entry once
-    d1, d2 = mesh.d1_matrix(), mesh.d2_matrix()
-    union = (abs(d1) + abs(d2) + sp.eye_array(n)).tocoo()
-    assert set(zip(union.row, union.col)) == set(zip(pattern.row, pattern.col))
-    assert np.array_equal(pattern.indptr, d2.indptr)  # the union is D2's pattern
-    assert np.array_equal(pattern.col, d2.indices)
-    for values, op in ((pattern.d1, d1), (pattern.d2, d2)):
-        on_pattern = sp.csr_array((values, pattern.col, pattern.indptr), shape=(n, n))
-        assert np.array_equal(on_pattern.toarray(), op.toarray())
-    assert np.array_equal(pattern.row[pattern.diagonal], np.arange(n))
-    assert np.array_equal(pattern.col[pattern.diagonal], np.arange(n))
-    per_row = np.full(n, 3)
-    if mesh.topology == INTERVAL:
-        per_row[[0, -1]] = 4  # the one-sided D2 closures
-    assert np.array_equal(np.diff(pattern.indptr), per_row)
-
-
-def test_stencil_pattern_is_built_once_and_read_only():
-    mesh = build_mesh(INTERVAL, 17, 1.0, lambda r: 1.0 + r**2)
-    pattern = mesh.stencil_pattern
-    assert mesh.stencil_pattern is pattern
-    for arr in pattern:
-        with pytest.raises(ValueError):
-            arr[0] = arr[0]
 
 
 def test_operator_matrices_are_cached_and_read_only():

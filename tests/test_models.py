@@ -11,6 +11,7 @@ from curvlab import (DiagonalInvariantMetric, LeftInvariantMetric, WarpedProduct
                      YamabeConstants, abelian_metric, as_diagonal, get_preset, ricci_warped,
                      scal_diagonal, scal_left_invariant, scal_warped,
                      sectional_left_invariant, su2_metric, su2_structure)
+from curvlab.mesh import INTERVAL, build_mesh
 from curvlab.models import WARPED_PRESETS
 
 from oracles import curvature_tensor_scal, scal_warped_formula
@@ -193,6 +194,12 @@ def test_diagonal_metric_rejects_nonfinite_components(name, bad):
     components[name][7] = bad
     with pytest.raises(ValueError, match=f"^{name} component must be finite and positive$"):
         DiagonalInvariantMetric(bumpy().mesh, 3, 6.0, **components)
+
+
+def test_diagonal_metric_lives_over_a_circle():
+    mesh = build_mesh(INTERVAL, 33, np.pi, np.sin)
+    with pytest.raises(ValueError, match="circle"):
+        DiagonalInvariantMetric(mesh, 3, 6.0, radial=np.ones(33), fiber=np.full(33, 2.0))
 
 
 @pytest.mark.parametrize("metric", [bumpy(), as_diagonal(bumpy())], ids=["warped", "diagonal"])

@@ -18,10 +18,9 @@ from curvlab import (DiagonalInvariantMetric, Diffeo1D, MetricPerturbation,
                      linearize_scal_adjoint, linearize_scal_matrix,
                      newton_prescribe, ricci_warped,
                      scal_warped, tensor_inner)
-from curvlab.mesh import INTERVAL, build_mesh
 from curvlab._newton import condensed_solver
 from curvlab.prescribe import (_KERNEL_FLOOR, _SUP_TOL, _greedy_walk, _monotone_runs,
-                               _newton_step, _periodic_interp, _window_constant)
+                               _newton_step, _periodic_interp, _plan, _window_constant)
 
 from oracles import (adjoint_formula, adjoint_matrix, adjoint_norm1, dense_kernel_min_singular,
                      dense_scal_jacobian, exact_window, fine_circle_norm, greedy_walk_loop,
@@ -112,28 +111,25 @@ def test_sparse_jacobian_matches_dense_chain_rule(n):
             assert np.max(np.diff(block.tocsr().indptr)) <= 5
 
 
-def jacobian_arguments(n, topology):
+def jacobian_arguments(n):
     """Arguments of `linearize_scal_matrix` whose chain-rule terms vanish in
     different places: a warped base, a constant warping, random A and B, and
-    diagonal metrics on circle and interval meshes."""
+    a diagonal metric."""
     rng = np.random.default_rng(n)
     A = 1.0 + 0.2 * rng.uniform(size=n)
     B = 0.5 + rng.uniform(size=n)
-    if topology == "interval":
-        mesh = build_mesh(INTERVAL, n, np.pi, np.sin)
-        return [(DiagonalInvariantMetric(mesh, 3, 6.0, radial=A, fiber=B),),
-                (DiagonalInvariantMetric(mesh, 2, -2.0, radial=np.ones(n), fiber=np.full(n, 2.0)),)]
     metric = bumpy(n=n)
     return [(metric,), (get_preset("round-fiber", n=n),), (get_preset("flat-torus", n=n),),
             (metric, A, metric.warping**2 * B),
             (DiagonalInvariantMetric(metric.mesh, 3, 6.0, radial=A, fiber=B),)]
 
 
-@pytest.mark.parametrize("topology", ["circle", "interval"])
+@pytest.mark.parametrize("topology", ["circle"])  # the one topology of the Jacobian
 @pytest.mark.parametrize("n", [16, 17, 64])
 def test_pattern_jacobian_matches_dense_chain_rule(n, topology):
     layouts = set()
-    for args in jacobian_arguments(n, topology):
+    for args in jacobian_arguments(n):
+        assert args[0].mesh.topology == topology
         J = linearize_scal_matrix(*args)
         ref = dense_scal_jacobian(*args)
         assert isinstance(J, sp.csr_array) and J.shape == (n, 2 * n)
@@ -142,6 +138,48 @@ def test_pattern_jacobian_matches_dense_chain_rule(n, topology):
         assert np.array_equal(J.toarray(), sparse_product_jacobian(*args).toarray())
         layouts.add((J.indices.tobytes(), J.indptr.tobytes()))
     assert len(layouts) == 1  # the index arrays do not depend on A and B
+
+
+PLAN_MESHES = {
+    "circle-even": lambda: circle_mesh(16, 2 * np.pi, lambda r: 1.0 + 0.3 * np.sin(r)),
+    "circle-odd": lambda: circle_mesh(33, 2 * np.pi, lambda r: 1.0 + 0.3 * np.sin(r)),
+}
+
+
+@pytest.mark.parametrize("make", PLAN_MESHES.values(), ids=PLAN_MESHES.keys())
+def test_plan_is_the_union_of_identity_d1_and_d2(make):
+    # J's row i holds D2's 3 sorted columns, which hold those of I and D1,
+    # then the same columns + n
+    mesh = make()
+    n = mesh.node_count
+    plan, d1, d2 = _plan(n), mesh.d1_matrix(), mesh.d2_matrix()
+    assert plan.indices.dtype == plan.indptr.dtype == np.int32
+    assert np.array_equal(plan.indptr, 6 * np.arange(n + 1))
+    per_row = plan.indices.reshape(n, 6)
+    assert np.all(np.diff(per_row, axis=1) > 0)  # sorted CSR order, each entry once
+    assert np.array_equal(per_row, np.hstack([d2.indices.reshape(n, 3)] * 2) + [0, 0, 0, n, n, n])
+    assert np.array_equal(plan.rows, np.repeat(np.arange(n), 6))
+    assert np.array_equal(plan.cols, plan.indices)
+    row = np.repeat(np.arange(n), 3)
+    union = (abs(d1) + abs(d2) + sp.eye_array(n)).tocoo()
+    assert set(zip(union.row, union.col)) == set(zip(row, d2.indices))
+    # D1's values land on D1's entries, and the diagonal slots on the diagonal
+    d1_values = np.zeros(3 * n)
+    d1_values[plan.d1] = d1.data
+    on_pattern = sp.csr_array((d1_values, d2.indices, d2.indptr), shape=(n, n))
+    assert np.array_equal(on_pattern.toarray(), d1.toarray())
+    assert np.array_equal(row[plan.diagonal], np.arange(n))
+    assert np.array_equal(d2.indices[plan.diagonal], np.arange(n))
+
+
+def test_plan_is_built_once_per_size_and_read_only():
+    plan = _plan(17)
+    assert _plan(17) is plan
+    for name, arr in plan._asdict().items():
+        if name in ("solve", "k", "ldab"):
+            continue
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
 
 
 def test_huge_perturbation_rejected():
@@ -189,6 +227,18 @@ def test_adjoint_matches_formula_to_second_order():
                         np.max(np.abs(exact_adjoint.b - formula.b))))
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.0)
     assert errs[1] / errs[2] == pytest.approx(4.0, abs=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "short"])
+def test_adjoint_rejects_a_nonfinite_or_misshapen_function(bad):
+    metric = bumpy(n=64)
+    u = np.ones(64)
+    if bad == "short":
+        with pytest.raises(ValueError, match="^u length mismatch$"):
+            linearize_scal_adjoint(metric, u[:-1])
+    else:
+        u[7] = bad
+        nonfinite_call(lambda: linearize_scal_adjoint(metric, u), "u")
 
 
 def test_adjointness_identity():
@@ -731,6 +781,22 @@ def test_approximation_rejects_nan_and_out_of_range_settings(name, value):
     f = np.sin(mesh.nodes)
     with pytest.raises(ValueError, match=f"^{SETTING_REJECTIONS[name]}$"):
         approximate_by_diffeo(mesh, f, 0.5 * f, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["newton_tol", "p", "eps"])
+def test_prescribe_config_rejects_an_infinite_setting(name):
+    # newton_tol = inf took no Newton step, eps = inf accepted any map and
+    # p = inf measured every error as 1.0
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        PrescribeConfig(**{name: np.inf})
+
+
+@pytest.mark.parametrize("name", ["p", "eps"])
+def test_approximation_rejects_an_infinite_setting(name):
+    mesh = get_preset("round-fiber").mesh
+    f = np.sin(mesh.nodes)
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        approximate_by_diffeo(mesh, f, 0.5 * f, **{name: np.inf})
 
 
 def nonfinite_call(call, argument):

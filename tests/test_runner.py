@@ -725,6 +725,44 @@ def test_main_rejects_invalid_settings(tmp_path, capsys, args, reason):
     assert not outdir.exists()
 
 
+INFINITE_SETTINGS = [
+    # each used to exit 0: yamabe after 1 iteration, approx with
+    # requested_eps = inf or "achieved 1.000e+00", prescribe without a Newton step
+    ("yamabe --set solver.tol=inf", "tol_residual must be finite"),
+    ("approx --target 6+0.5*sin(r) --set approx.eps=inf", "eps must be finite"),
+    ("approx --target 6+0.5*sin(r) --set approx.p=inf", "p must be finite"),
+    ("prescribe --target 6*(1+0.1*sin(r)) --set solver.tol=inf", "newton_tol must be finite"),
+]
+
+
+@pytest.mark.parametrize("args,reason", INFINITE_SETTINGS,
+                         ids=[a.split()[0] + "_" + a.split("=")[-2].rpartition(".")[2]
+                              for a, _ in INFINITE_SETTINGS])
+def test_main_rejects_infinite_settings(tmp_path, capsys, args, reason):
+    command, *rest = args.split()
+    outdir = tmp_path / "o"
+    code = main([command, "--model", "bumpy", *rest, "--outdir", str(outdir)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"configuration error: {reason}"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("classify", ["--model", "hyperbolic-fiber", "--k", "8"]),
+    ("yamabe", ["--model", "round-fiber"]),
+    ("approx", ["--model", "round-fiber", "--target", "6+0.5*sin(r)"]),
+], ids=["classify", "yamabe", "approx"])
+def test_main_rejects_a_length_too_small_for_the_stencils(tmp_path, capsys, command, extra):
+    # h * h underflowed to 0, scal came out NaN and each ended in a traceback
+    outdir = tmp_path / "o"
+    code = main([command, *extra, "--set", "model.L=1e-300", "--outdir", str(outdir)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: length 1e-300 is too small for the stencils")
+    assert len(err.strip().splitlines()) == 1
+    assert not outdir.exists()
+
+
 def _readme_command_lines():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line")[1].split("```sh\n")[1].split("```")[0]

@@ -297,6 +297,12 @@ def test_solver_config_rejects_nan_and_nonpositive_settings(settings):
         SolverConfig(**settings)
 
 
+def test_solver_config_rejects_an_infinite_tolerance():
+    # it used to stop the descent after one iteration
+    with pytest.raises(ValueError, match="^tol_residual must be finite$"):
+        SolverConfig(tol_residual=np.inf)
+
+
 def test_minimize_rejects_flat_background():
     p = ConformalProblem(get_preset("flat-torus"), c=1.0)
     with pytest.raises(PreconditionError):
