@@ -7,6 +7,11 @@ planes scale by s.  Assembling these over an adapted orthonormal basis gives
 a rational function of s with a 1/s fiber term, so a positively curved fiber
 dominates as s -> 0; the positivity threshold is the first positive root of
 a cubic.
+
+`cv_scal` and `cv_sectional` take s as a float or as a 1-D array of scales,
+and `cv_sectional` its plane indices as indices or index arrays, so a sweep
+over s is one call per quantity; each entry of an array result is the float
+the scalar call returns.  Every scale must be positive.
 """
 
 from __future__ import annotations
@@ -55,23 +60,40 @@ class SubmersionPointData:
         _frozen.store(self, "K_mixed", (nb, k))
 
 
-def cv_sectional(data: SubmersionPointData, s: float, plane: str, i: int = 0,
-                 j: int = 0, fiber_k: float = 0.0) -> float:
-    """Deformed sectional curvature of one plane.
+def _scales(s) -> np.ndarray:
+    """Fiber scales as a 0-d or 1-d float array, checked positive."""
+    ss = np.asarray(s, dtype=float)
+    if ss.ndim > 1:
+        raise ValueError("fiber scales must be a float or a 1-D array")
+    if not np.all(ss > 0):
+        raise ValueError("fiber scale must be positive")
+    return ss
+
+
+def cv_sectional(data: SubmersionPointData, s, plane: str, i=0, j=0,
+                 fiber_k: float = 0.0):
+    """Deformed sectional curvature of one plane, or of many.
 
     plane "hh": K_base(i,j) (1-s) + s K_tot(i,j)
     plane "hv": s^2 K_mixed(i,j)
     plane "vv": s * fiber_k, with fiber_k the undeformed fiber sectional
+
+    ``s``: a float, or a 1-D array of scales; ``i`` and ``j``: indices, or
+    index arrays of one shape.  The value has shape s.shape + i.shape (a
+    float when both are scalars), each entry the float of the scalar call.
     """
-    if not s > 0:
-        raise ValueError("fiber scale must be positive")
-    if plane == "hh":
-        return float(data.K_base[i, j] * (1.0 - s) + s * data.K_tot_hh[i, j])
-    if plane == "hv":
-        return float(s**2 * data.K_mixed[i, j])
+    ss = _scales(s)
     if plane == "vv":
-        return float(s * fiber_k)
-    raise ValueError(f"unknown plane type {plane!r}")
+        value = ss * fiber_k
+    elif plane in ("hh", "hv"):
+        sc = ss.reshape(ss.shape + (1,) * np.broadcast(i, j).ndim)
+        if plane == "hh":
+            value = data.K_base[i, j] * (1.0 - sc) + sc * data.K_tot_hh[i, j]
+        else:
+            value = sc**2 * data.K_mixed[i, j]
+    else:
+        raise ValueError(f"unknown plane type {plane!r}")
+    return value if value.ndim else float(value)
 
 
 def _sums(data: SubmersionPointData) -> tuple:
@@ -79,19 +101,20 @@ def _sums(data: SubmersionPointData) -> tuple:
     return tuple(float(np.sum(t)) for t in (data.K_base, data.K_tot_hh, data.K_mixed))
 
 
-def cv_scal(data: SubmersionPointData, s: float) -> float:
+def cv_scal(data: SubmersionPointData, s):
     """Deformed scalar curvature at the point.
 
     Horizontal part with the plane formula substituted:
         scal_h (1-s) + s [ (1-s) scal_h + s sum K_tot ]
     plus the mixed term 2 s sum K_mixed and the fiber term fiber_scal / s.
     At s = 1 this is the plain orthonormal double sum of the undeformed data.
+    ``s``: a float, or a 1-D array of scales for an array out.
     """
-    if not s > 0:
-        raise ValueError("fiber scale must be positive")
+    ss = _scales(s)
     sb, st, sm = _sums(data)
-    horiz = sb * (1.0 - s) + s * ((1.0 - s) * sb + s * st)
-    return horiz + 2.0 * s * sm + data.fiber_scal / s
+    horiz = sb * (1.0 - ss) + ss * ((1.0 - ss) * sb + ss * st)
+    value = horiz + 2.0 * ss * sm + data.fiber_scal / ss
+    return value if value.ndim else float(value)
 
 
 def positivity_threshold(data: SubmersionPointData) -> float:

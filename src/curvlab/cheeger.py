@@ -20,7 +20,13 @@ the denominator equals Z.(I + tS).Z with S the orbit block of P, so the max
 is the generalized eigenvalue l.(I + tS)^{-1}.l of the coefficient vector l.
 It is evaluated in the eigenbasis of P, where I + tS is diagonal, with no
 search or solve; the dense-sampling route survives as a test oracle.  t may
-be a 1-D array of times: the t-independent work is done once per call.
+be a 1-D array of times: the t-independent work is done once per call, and
+P's eigenbasis once per `OrbitData`.
+
+Every pair summand is symmetric in its pair: the sectional curvature, the
+twist term (its coefficient vector l changes sign with the pair), the
+bracket norm |[v_i, v_j]|^2 and the shrink factors.  `scal_cheeger`
+therefore sums each block over unordered pairs and counts each twice.
 
 The exterior-derivative data dw_Z feeding the numerator:
 
@@ -41,7 +47,8 @@ The exterior-derivative data dw_Z feeding the numerator:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -135,14 +142,22 @@ class OrbitData:
     def orbit_dim(self) -> int:
         return self.algebra.dim
 
+    @cached_property
+    def _tensor_eig(self) -> tuple:
+        """(lam, O) of `orbit_tensor_eig`, factored once, read-only."""
+        lam, O = np.linalg.eigh(self.algebra.tensor)
+        if np.min(lam) <= 0:
+            raise PreconditionError("orbit tensor must be positive definite",
+                                    condition="orbit-tensor-positivity")
+        lam.setflags(write=False)
+        O.setflags(write=False)
+        return lam, O
+
 
 def orbit_tensor_eig(orbit: OrbitData):
-    """Ascending eigenvalues and orthonormal eigenbasis of the orbit tensor."""
-    lam, O = np.linalg.eigh(orbit.algebra.tensor)
-    if np.min(lam) <= 0:
-        raise PreconditionError("orbit tensor must be positive definite",
-                                condition="orbit-tensor-positivity")
-    return lam, O
+    """Ascending eigenvalues and orthonormal eigenbasis of the orbit tensor,
+    computed once per `OrbitData`."""
+    return orbit._tensor_eig
 
 
 def _times(t: float | np.ndarray) -> np.ndarray:
@@ -221,13 +236,15 @@ def scal_cheeger(orbit: OrbitData, iso: IsotropyData | None,
 
     total = np.zeros(ts.shape)
 
+    # each pair block sums its unordered pairs, twice each (module docstring)
+
     # normal-normal block
     if m and orbit.normal_sectionals is not None:
         total += float(np.sum(orbit.normal_sectionals))
     eye_m, zeros_m, zeros_k = np.eye(m), np.zeros(m), np.zeros(k)
-    for i, j in permutations(range(m), 2):
-        total += twist_term(orbit, ts, TangentSplit(eye_m[i], zeros_k),
-                            TangentSplit(eye_m[j], zeros_k), iso)
+    for i, j in combinations(range(m), 2):
+        total += 2.0 * twist_term(orbit, ts, TangentSplit(eye_m[i], zeros_k),
+                                  TangentSplit(eye_m[j], zeros_k), iso)
 
     # mixed block (tables indexed against the eigenbasis of P)
     if m and orbit.mixed_sectionals is not None:
@@ -235,13 +252,13 @@ def scal_cheeger(orbit: OrbitData, iso: IsotropyData | None,
         total += 2.0 * np.sum(mixed / (lam * shrink), axis=-1)
 
     # orbit-orbit block
-    for i, j in permutations(range(k), 2):
+    for i, j in combinations(range(k), 2):
         sec = sectional_left_invariant(alg, O[:, i], O[:, j])
         twist = twist_term(orbit, ts, TangentSplit(zeros_m, O[:, i] / np.sqrt(lam[i])),
                            TangentSplit(zeros_m, O[:, j] / np.sqrt(lam[j])), iso)
         nb2 = float(np.sum(ch[i, j, :] ** 2))
-        total += (sec / (lam[i] * lam[j]) + twist
-                  + lam[i] * lam[j] * ts**3 * 0.25 * nb2) / (shrink[..., i] * shrink[..., j])
+        total += 2.0 * (sec / (lam[i] * lam[j]) + twist
+                        + lam[i] * lam[j] * ts**3 * 0.25 * nb2) / (shrink[..., i] * shrink[..., j])
     return total if ts.ndim else float(total)
 
 

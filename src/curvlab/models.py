@@ -284,27 +284,32 @@ def su2_plus_line_structure() -> np.ndarray:
     return c
 
 
-def _koszul_derivative(m: LeftInvariantMetric, X, Y) -> np.ndarray:
+def _koszul_derivatives(m: LeftInvariantMetric, X, Y) -> np.ndarray:
+    """Levi-Civita derivatives nabla_{X_r} Y_r of left-invariant fields, one
+    per row of X and Y, from the Koszul formula with one solve against P for
+    all rows."""
     c, P = m.structure, m.tensor
-    v1 = np.einsum('jkl,j,l->k', c, Y, P @ X)
-    v2 = np.einsum('kil,i,l->k', c, X, P @ Y)
-    return 0.5 * (m.bracket(X, Y) - np.linalg.solve(P, v1) + np.linalg.solve(P, v2))
+    v1 = np.einsum('jkl,rj,rl->rk', c, Y, X @ P.T)
+    v2 = np.einsum('kil,ri,rl->rk', c, X, Y @ P.T)
+    brackets = np.einsum('ijl,ri,rj->rl', c, X, Y)
+    return 0.5 * (brackets + np.linalg.solve(P, (v2 - v1).T).T)
 
 
 def sectional_left_invariant(m: LeftInvariantMetric, X, Y) -> float:
     """Unnormalized sectional curvature g(R(X, Y)Y, X).
 
     Quadratic in each argument, symmetric, and zero on degenerate planes.
-    Evaluated from the Koszul formula; on a bi-invariant metric it reduces to
-    |[X, Y]|^2 / 4.
+    Evaluated from the Koszul formula in two stages, one solve against P
+    each: nabla_Y Y and nabla_X Y, then the three derivatives of
+    R(X, Y)Y = nabla_X nabla_Y Y - nabla_Y nabla_X Y - nabla_[X,Y] Y.  On a
+    bi-invariant metric it reduces to |[X, Y]|^2 / 4.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    nYY = _koszul_derivative(m, Y, Y)
-    nXY = _koszul_derivative(m, X, Y)
-    R = (_koszul_derivative(m, X, nYY)
-         - _koszul_derivative(m, Y, nXY)
-         - _koszul_derivative(m, m.bracket(X, Y), Y))
+    nYY, nXY = _koszul_derivatives(m, np.stack((Y, X)), np.stack((Y, Y)))
+    first, second, third = _koszul_derivatives(m, np.stack((X, Y, m.bracket(X, Y))),
+                                               np.stack((nYY, nXY, Y)))
+    R = first - second - third
     return float((m.tensor @ R) @ X)
 
 

@@ -388,7 +388,11 @@ def _run_cheeger(cfg, outdir):
         raise ConfigError("cheeger.t_max must lie in (0.01, 1e100]")
     predicted = homogeneous_scal(orbit)  # no isotropy term: a group has no singular orbit
     ts = np.logspace(-2, np.log10(t_max), 60)
-    scal = scal_cheeger(orbit, None, ts)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports overflow
+        scal = scal_cheeger(orbit, None, ts)
+    if not np.all(np.isfinite(scal)):  # e.g. a Berger parameter above 1e154
+        raise ConfigError(f"cheeger sweep is not finite from t = {ts[~np.isfinite(scal)][0]:.6g}: "
+                          "the model's curvature overflows a float")
     over_t = scal / ts
     ratio = over_t / predicted
     emit_csv(outdir / "sweep.csv", ["t", "scal", "scal_over_t", "predicted_limit", "ratio"],
@@ -421,15 +425,15 @@ def _run_canonical(cfg, outdir):
     if not (np.isfinite(hi) and 0 < lo < hi) or steps < 2:
         raise ConfigError("canonical.sweep needs finite 0 < s_min < s_max and steps >= 2")
     fiber_pair = preset["fiber_scal"] / (k * (k - 1)) if k > 1 else preset["fiber_scal"]
-    rows = []
-    for s in np.linspace(lo, hi, steps):
-        hh = [cv.cv_sectional(data, s, "hh", i, j) for i in range(nb) for j in range(nb) if i != j]
-        hv = [cv.cv_sectional(data, s, "hv", i, j) for i in range(nb) for j in range(k)]
-        rows.append((s, cv.cv_scal(data, s), min(hh), max(hh), min(hv), max(hv),
-                     cv.cv_sectional(data, s, "vv", fiber_k=fiber_pair)))
+    ss = np.linspace(lo, hi, steps)
+    hh = cv.cv_sectional(data, ss, "hh", *np.nonzero(~np.eye(nb, dtype=bool)))
+    hv = cv.cv_sectional(data, ss, "hv", *np.indices((nb, k)).reshape(2, -1))
+    scal = cv.cv_scal(data, ss)
     emit_csv(outdir / "sweep.csv",
-             ["s", "scal", "hh_min", "hh_max", "hv_min", "hv_max", "vv_avg"], rows)
-    emit_plotdata(outdir / "plotdata" / "scal.dat", [r[0] for r in rows], [r[1] for r in rows])
+             ["s", "scal", "hh_min", "hh_max", "hv_min", "hv_max", "vv_avg"],
+             zip(ss, scal, hh.min(axis=1), hh.max(axis=1), hv.min(axis=1), hv.max(axis=1),
+                 cv.cv_sectional(data, ss, "vv", fiber_k=fiber_pair)))
+    emit_plotdata(outdir / "plotdata" / "scal.dat", ss, scal)
     threshold = cv.positivity_threshold(data) if preset["fiber_scal"] > 0 else float("nan")
     return {"positivity_threshold": threshold}, {}
 

@@ -78,6 +78,23 @@ def _conformal_class(metric: WarpedProductMetric) -> ConformalClass:
             -1.0: ConformalClass.NEGATIVE}[np.sign(metric.fiber_scal)]
 
 
+def _check_operator_scale(metric: WarpedProductMetric, g: YamabeConstants) -> None:
+    """Reject a circle too short for the conformal operator 4 b_n L.
+
+    The solvers form 4 b_n L, and the classifier its symmetric form
+    4 b_n M^{-1/2} S M^{-1/2}.  Their largest entries are the diagonal ones,
+    4 b_n S_ii / m_i (about 8 b_n / h^2), and each row's entries sum to twice
+    that in magnitude, so that row sum must be a finite float.  The check is
+    O(N), on S's diagonal, and comes before any matrix of a solve is formed.
+    """
+    mesh = metric.mesh
+    with np.errstate(over="ignore", divide="ignore"):
+        row = 8.0 * g.b_n * np.max(mesh.stiffness_matrix().diagonal() / mesh.mass_vector())
+    if not row < np.inf:
+        raise PreconditionError(f"length {mesh.length:g} is too small for the conformal "
+                                "operator: 4 b_n L overflows a float", condition="operator-scale")
+
+
 @dataclass(frozen=True)
 class ConformalProblem:
     """A warped background, the target constant c, and the constraint level."""
@@ -254,6 +271,7 @@ def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
     scal = p.scal
     if p.c <= 0:
         raise PreconditionError("positive regime needs c > 0", condition="positive-c")
+    _check_operator_scale(p.metric, p.constants)
     if np.min(scal) < -1e-11 * max(1.0, float(np.max(np.abs(scal)))):
         raise PreconditionError("background scalar curvature must be nonnegative",
                                 condition="nonnegative-scal-hypothesis")
@@ -344,6 +362,7 @@ def solve_negative_constant(metric: WarpedProductMetric, cfg: SolverConfig | Non
     if (verdict := _conformal_class(metric)) is not ConformalClass.NEGATIVE:
         raise ObstructionError(f"class {verdict.value} (c_F = {metric.fiber_scal:.6g}) admits no "
                                "negative constant", condition="negative-class-obstruction")
+    _check_operator_scale(metric, YamabeConstants.for_dimension(metric.dim))
     cfg = cfg or SolverConfig(tol_residual=1e-8)
     mesh = metric.mesh
     bound = negative_constant_bound(metric)
@@ -405,6 +424,7 @@ def classify_conformal_class(metric: WarpedProductMetric):
     import scipy.sparse as sp
 
     g = YamabeConstants.for_dimension(metric.dim)
+    _check_operator_scale(metric, g)
     mesh = metric.mesh
     root = sp.diags_array(1.0 / np.sqrt(mesh.mass_vector()))
     C = (root @ (4.0 * g.b_n * mesh.stiffness_matrix()) @ root

@@ -17,8 +17,10 @@ split, the whole-array wrap `_periodic_interp` once took, the hand-written
 Newton loop `solve_negative_constant` once ran (on the library's condensed
 solve), the generalized dense eigenproblem `classify_conformal_class` once
 solved, the roll-and-slice stencils `QuotientMesh` once evaluated its
-derivatives, Laplacian and Dirichlet form with, and the closed-form
-warped-product curvature `scal_warped` once evaluated.
+derivatives, Laplacian and Dirichlet form with, the closed-form
+warped-product curvature `scal_warped` once evaluated, the sum over ordered
+pairs `scal_cheeger` once took, and the per-s loop of scalar calls with
+which the canonical command once wrote its sweep.
 Ten small functions that only tests read live here too: the nodewise
 pinching test of a window constant, the exact window of such constants in
 rational arithmetic, the entries of a bordered matrix, the coercive energy
@@ -32,19 +34,23 @@ length.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import scipy.interpolate
 import scipy.linalg
 import scipy.sparse as sp
 
+from curvlab import canonical as cv
 from curvlab._newton import condensed_solver
-from curvlab.cheeger import OrbitData, TangentSplit
+from curvlab.cheeger import OrbitData, TangentSplit, orbit_tensor_eig, twist_term
 from curvlab.errors import PreconditionError, SolverError
 from curvlab.mesh import CIRCLE
 from curvlab.models import (DiagonalInvariantMetric, WarpedProductMetric,
-                            YamabeConstants, ricci_warped, scal_diagonal, scal_warped)
+                            YamabeConstants, ricci_warped, scal_diagonal, scal_warped,
+                            sectional_left_invariant)
 from curvlab.prescribe import MetricPerturbation, _scal_jacobian_components, linearize_scal_matrix
+from curvlab.runner import CANONICAL_PRESETS, emit_csv, emit_plotdata
 from curvlab.yamabe import (_POSITIVITY_FLOOR, ConformalProblem, ConformalSolution,
                             SolverConfig, negative_constant_bound)
 
@@ -721,3 +727,54 @@ def cylinder_length(metric: WarpedProductMetric) -> float:
     warpings at the mesh sizes the tests use.
     """
     return float(metric.mesh.h * np.sum(1.0 / metric.warping))
+
+
+def scal_cheeger_ordered_pairs(orbit: OrbitData, iso, t: float) -> float:
+    """`scal_cheeger` at one time as the sum over ordered pairs it once took:
+    one twist term per ordered normal pair, and one sectional curvature,
+    twist term and bracket norm per ordered pair of P's eigenbasis."""
+    alg = orbit.algebra
+    k, m = alg.dim, orbit.normal_dim
+    lam, O = orbit_tensor_eig(orbit)
+    ch = np.einsum('ijl,ia,jb,lc->abc', alg.structure, O, O, O)
+    shrink = 1.0 + t * lam
+    total = 0.0
+    if m and orbit.normal_sectionals is not None:
+        total += float(np.sum(orbit.normal_sectionals))
+    eye_m, zeros_m, zeros_k = np.eye(m), np.zeros(m), np.zeros(k)
+    for i, j in permutations(range(m), 2):
+        total += twist_term(orbit, t, TangentSplit(eye_m[i], zeros_k),
+                            TangentSplit(eye_m[j], zeros_k), iso)
+    if m and orbit.mixed_sectionals is not None:
+        total += 2.0 * float(np.sum(np.sum(orbit.mixed_sectionals, axis=0) / (lam * shrink)))
+    for i, j in permutations(range(k), 2):
+        sec = sectional_left_invariant(alg, O[:, i], O[:, j])
+        twist = twist_term(orbit, t, TangentSplit(zeros_m, O[:, i] / np.sqrt(lam[i])),
+                           TangentSplit(zeros_m, O[:, j] / np.sqrt(lam[j])), iso)
+        nb2 = float(np.sum(ch[i, j, :] ** 2))
+        total += (sec / (lam[i] * lam[j]) + twist
+                  + lam[i] * lam[j] * t**3 * 0.25 * nb2) / (shrink[i] * shrink[j])
+    return total
+
+
+def canonical_sweep_loop(name: str, lo: float, hi: float, steps: int, outdir) -> None:
+    """The canonical command's sweep.csv and plotdata/scal.dat as its per-s
+    loop of scalar `cv_scal` and `cv_sectional` calls once wrote them."""
+    preset = CANONICAL_PRESETS[name]
+    nb, k = preset["base_dim"], preset["fiber_dim"]
+    K_base = np.zeros((nb, nb))
+    if preset["base_scal"]:
+        K_base = np.full((nb, nb), preset["base_scal"] / (nb * (nb - 1)))
+        np.fill_diagonal(K_base, 0.0)
+    data = cv.SubmersionPointData(base_dim=nb, fiber_dim=k, K_base=K_base, K_tot_hh=K_base,
+                                  K_mixed=np.zeros((nb, k)), fiber_scal=preset["fiber_scal"])
+    fiber_pair = preset["fiber_scal"] / (k * (k - 1)) if k > 1 else preset["fiber_scal"]
+    rows = []
+    for s in np.linspace(lo, hi, steps):
+        hh = [cv.cv_sectional(data, s, "hh", i, j) for i in range(nb) for j in range(nb) if i != j]
+        hv = [cv.cv_sectional(data, s, "hv", i, j) for i in range(nb) for j in range(k)]
+        rows.append((s, cv.cv_scal(data, s), min(hh), max(hh), min(hv), max(hv),
+                     cv.cv_sectional(data, s, "vv", fiber_k=fiber_pair)))
+    emit_csv(outdir / "sweep.csv",
+             ["s", "scal", "hh_min", "hh_max", "hv_min", "hv_max", "vv_avg"], rows)
+    emit_plotdata(outdir / "plotdata" / "scal.dat", [r[0] for r in rows], [r[1] for r in rows])

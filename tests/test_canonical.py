@@ -185,3 +185,50 @@ def test_rejects_nonpositive_scale():
         cv_scal(d, np.nan)
     with pytest.raises(ValueError, match="^fiber scale must be positive$"):
         cv_sectional(d, np.nan, "hv", 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# array forms: one call per plane type
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), base_dim=st.integers(2, 4), fiber_dim=st.integers(1, 3),
+       scales=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=20))
+def test_array_forms_equal_the_scalar_calls(seed, base_dim, fiber_dim, scales):
+    d = generic_data(np.random.default_rng(seed), base_dim, fiber_dim)
+    ss = np.array(scales)
+    hh_i, hh_j = np.nonzero(~np.eye(base_dim, dtype=bool))
+    hv_i, hv_j = np.indices((base_dim, fiber_dim)).reshape(2, -1)
+
+    scal = cv_scal(d, ss)
+    hh = cv_sectional(d, ss, "hh", hh_i, hh_j)
+    hv = cv_sectional(d, ss, "hv", hv_i, hv_j)
+    vv = cv_sectional(d, ss, "vv", fiber_k=0.7)
+    assert scal.shape == vv.shape == ss.shape
+    assert hh.shape == (ss.size, hh_i.size) and hv.shape == (ss.size, hv_i.size)
+    for row, s in enumerate(scales):
+        assert scal[row] == cv_scal(d, s)
+        assert vv[row] == cv_sectional(d, s, "vv", fiber_k=0.7)
+        assert [*hh[row]] == [cv_sectional(d, s, "hh", i, j) for i, j in zip(hh_i, hh_j)]
+        assert [*hv[row]] == [cv_sectional(d, s, "hv", i, j) for i, j in zip(hv_i, hv_j)]
+    # a scalar scale with index arrays, and a scale array with scalar indices
+    assert [*cv_sectional(d, scales[0], "hh", hh_i, hh_j)] == [*hh[0]]
+    assert [*cv_sectional(d, ss, "hv", 1, 0)] == [cv_sectional(d, s, "hv", 1, 0) for s in scales]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, -1e-300, np.nan, -np.inf])
+def test_array_forms_reject_a_nonpositive_entry(bad):
+    d = product_data(base_scal=-4.0)
+    ss = np.linspace(0.01, 2.0, 7)
+    ss[3] = bad
+    with pytest.raises(ValueError, match="^fiber scale must be positive$"):
+        cv_scal(d, ss)
+    for plane in ("hh", "hv", "vv"):
+        with pytest.raises(ValueError, match="^fiber scale must be positive$"):
+            cv_sectional(d, ss, plane, np.array([0, 1]), np.array([1, 0]))
+
+
+def test_array_forms_reject_a_two_dimensional_scale():
+    with pytest.raises(ValueError, match="1-D array"):
+        cv_scal(product_data(), np.ones((2, 2)))

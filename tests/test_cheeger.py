@@ -10,10 +10,10 @@ from curvlab import (IsotropyData, OrbitData, PreconditionError, TangentSplit,
                      orbit_tensor_eig, pinching_limit, scal_cheeger,
                      scal_left_invariant, su2_metric,
                      su2_plus_line_structure, su2_structure, twist_term)
-from curvlab.models import LeftInvariantMetric, abelian_metric
+from curvlab.models import LeftInvariantMetric, abelian_metric, sectional_left_invariant
 
-from oracles import (isotropy_term_loop, ratio_max_sampled_refined, shrink_map_apply,
-                     twist_term_sampled)
+from oracles import (isotropy_term_loop, ratio_max_sampled_refined, scal_cheeger_ordered_pairs,
+                     shrink_map_apply, twist_term_sampled)
 
 T_GRID = (0.0, 0.1, 1.0, 10.0, 100.0)
 
@@ -51,6 +51,18 @@ def test_orbit_tensor_identity_eigs():
 def test_orbit_tensor_diagonal_eigs_sorted():
     lam, _ = orbit_tensor_eig(OrbitData(algebra=su2_metric(np.diag([2.0, 0.5, 1.0]))))
     assert np.allclose(lam, [0.5, 1.0, 2.0])
+
+
+def test_orbit_tensor_is_factored_once_per_orbit(monkeypatch):
+    orbit = OrbitData(algebra=su2_metric(np.diag([2.0, 0.5, 1.0])))
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    first = orbit_tensor_eig(orbit)
+    scal_cheeger(orbit, None, np.array([0.0, 1.0, 10.0]))
+    second = orbit_tensor_eig(orbit)
+    assert len(calls) == 1
+    assert all(a is b and not a.flags.writeable for a, b in zip(first, second))
+    assert orbit_tensor_eig(OrbitData(algebra=orbit.algebra))[0] is not first[0]
 
 
 def test_orbit_tensor_reconstruction():
@@ -551,3 +563,77 @@ def test_isotropy_term_and_pinching_limit_reject_mismatched_isotropy(orbit_dim, 
         scal_cheeger(orbit, iso, 1.0)
     # the matching dimension and the default still evaluate
     assert isotropy_term(iso, iso_dim) == isotropy_term(iso) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the symmetry the unordered pair sums rest on
+# ---------------------------------------------------------------------------
+
+STRUCTURES = {"su2": su2_structure, "su2+line": su2_plus_line_structure,
+              "abelian": lambda: np.zeros((3, 3, 3))}
+
+
+def _random_orbit(kind, rng, normal_dim, iso_dim):
+    """A random SPD tensor on one of the STRUCTURES, with random normal,
+    mixed and dw tables and skew isotropy data on ``normal_dim`` normals."""
+    c = STRUCTURES[kind]()
+    d, m = c.shape[0], normal_dim
+    algebra = LeftInvariantMetric(c, _random_tensor(rng, d))
+    if not m:
+        return OrbitData(algebra=algebra), None
+    normal = rng.normal(size=(m, m))
+    normal += normal.T
+    np.fill_diagonal(normal, 0.0)
+    dw = rng.normal(size=(d, m, m))
+    orbit = OrbitData(algebra=algebra, normal_dim=m, normal_sectionals=normal,
+                      mixed_sectionals=rng.normal(size=(m, d)),
+                      dw_normal=dw - np.swapaxes(dw, 1, 2))
+    if not iso_dim:
+        return orbit, None
+    rho = rng.normal(size=(m, m, iso_dim))
+    return orbit, IsotropyData(isotropy_dim=iso_dim, rho_maps=rho - np.swapaxes(rho, 0, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(sorted(STRUCTURES)), seed=st.integers(0, 2**32 - 1),
+       normal_dim=st.integers(0, 3), iso_dim=st.integers(0, 2),
+       times=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=6))
+def test_pair_summands_are_symmetric(kind, seed, normal_dim, iso_dim, times):
+    rng = np.random.default_rng(seed)
+    orbit, iso = _random_orbit(kind, rng, normal_dim, iso_dim)
+    alg, ts = orbit.algebra, np.array(times)
+    X, Y = rng.normal(size=(2, alg.dim))
+    # relative to |X|^2 |Y|^2 lam_max^2 / lam_min, the size of the Koszul
+    # terms: a small sectional curvature is a difference of such terms
+    lam = np.linalg.eigvalsh(alg.tensor)
+    scale = (X @ X) * (Y @ Y) * lam[-1] ** 2 / lam[0]
+    xy, yx = sectional_left_invariant(alg, X, Y), sectional_left_invariant(alg, Y, X)
+    assert abs(xy - yx) <= 1e-13 * max(abs(xy), scale)
+
+    m = orbit.normal_dim
+    x = TangentSplit(rng.normal(size=m), X)
+    y = TangentSplit(rng.normal(size=m), Y)
+    np.testing.assert_allclose(twist_term(orbit, ts, x, y, iso), twist_term(orbit, ts, y, x, iso),
+                               rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(STRUCTURES)), seed=st.integers(0, 2**32 - 1),
+       normal_dim=st.integers(0, 3), iso_dim=st.integers(0, 2),
+       times=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=6))
+def test_scal_cheeger_equals_the_ordered_pair_sum(kind, seed, normal_dim, iso_dim, times):
+    orbit, iso = _random_orbit(kind, np.random.default_rng(seed), normal_dim, iso_dim)
+    ts = np.array(times)
+    want = np.array([scal_cheeger_ordered_pairs(orbit, iso, t) for t in times])
+    got = scal_cheeger(orbit, iso, ts)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(STRUCTURES)), seed=st.integers(0, 2**32 - 1),
+       times=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=6))
+def test_scal_cheeger_on_a_group_is_the_deformed_group_metric(kind, seed, times):
+    orbit, _ = _random_orbit(kind, np.random.default_rng(seed), 0, 0)
+    want = np.array([scal_left_invariant(deformed_group_metric(orbit.algebra, t)) for t in times])
+    got = scal_cheeger(orbit, None, np.array(times))
+    assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(np.abs(want), 1.0))

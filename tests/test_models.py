@@ -278,6 +278,16 @@ def test_sectional_biinvariant_quarter_bracket_norm():
         assert sectional_left_invariant(m, X, Y) == pytest.approx(expected, rel=1e-11, abs=1e-12)
 
 
+def test_sectional_batches_its_koszul_solves(monkeypatch):
+    # one solve against P per stage: nabla_Y Y and nabla_X Y, then the three
+    # derivatives of R(X, Y)Y (it used to make ten single solves)
+    m = su2_metric(np.diag([0.7, 1.3, 2.0]))
+    shapes, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(b.shape) or solve(a, b))
+    sectional_left_invariant(m, np.array([1.0, 2.0, -0.5]), np.array([0.3, -1.0, 0.8]))
+    assert shapes == [(3, 2), (3, 3)]
+
+
 def test_sectional_orthonormal_sum_reproduces_scal():
     rng = np.random.default_rng(37)
     for _ in range(5):

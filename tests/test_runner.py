@@ -12,6 +12,8 @@ from curvlab.runner import (COMMAND_KEYS, EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITIO
                             KEY_TYPES, RECOGNIZED_KEYS, ScenarioConfig, emit_csv, main,
                             parse_config_file, parse_profile_expr, run_scenario)
 
+from oracles import canonical_sweep_loop
+
 
 # ---------------------------------------------------------------------------
 # expression grammar
@@ -317,6 +319,19 @@ def test_canonical_sweep(tmp_path):
     assert report.summary["positivity_threshold"] == pytest.approx(0.5, abs=1e-9)
     header = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[0]
     assert header == "s,scal,hh_min,hh_max,hv_min,hv_max,vv_avg"
+
+
+@pytest.mark.parametrize("preset", ["product-round-fiber", "negative-base-product"])
+@pytest.mark.parametrize("sweep", [None, "0.0123:1.987:113", "0.5:3:7", "1e-3:40:2"])
+def test_canonical_files_equal_the_scalar_loop(tmp_path, preset, sweep):
+    options = {"model.preset": preset, "run.outdir": str(tmp_path / "out")}
+    if sweep is not None:
+        options["canonical.sweep"] = sweep
+    run_scenario(ScenarioConfig(command="canonical", options=options))
+    lo, hi, steps = (sweep or "0.01:2.0:50").split(":")
+    canonical_sweep_loop(preset, float(lo), float(hi), int(steps), tmp_path / "loop")
+    for name in ("sweep.csv", "plotdata/scal.dat"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "loop" / name).read_bytes()
 
 
 def test_approx_run(tmp_path, monkeypatch):
@@ -760,6 +775,40 @@ def test_main_rejects_a_length_too_small_for_the_stencils(tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith("configuration error: length 1e-300 is too small for the stencils")
     assert len(err.strip().splitlines()) == 1
+    assert not outdir.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", ["1e200", "1e300"])
+def test_main_rejects_a_berger_sweep_that_leaves_the_float_range(tmp_path, capsys, lam):
+    # each used to exit 0 with final_ratio = nan and NaN columns in sweep.csv
+    outdir = tmp_path / "o"
+    code = main(["cheeger", "--model", f"su2-berger({lam})", "--outdir", str(outdir)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cheeger sweep is not finite from t = 0.01")
+    assert len(err.strip().splitlines()) == 1
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--model", "hyperbolic-fiber", "--k", "8"],
+    ["yamabe", "--model", "round-fiber"],
+    ["yamabe", "--model", "hyperbolic-fiber", "--negative"],
+], ids=["classify", "yamabe", "yamabe-negative"])
+@pytest.mark.parametrize("length", ["1e-152", "2e-152"])
+@pytest.mark.filterwarnings("error")
+def test_main_rejects_a_length_too_small_for_the_conformal_operator(tmp_path, capsys, args,
+                                                                    length):
+    # 1/h^2 is finite here but 4 b_n L is not: classify ended in the
+    # eigensolver's "array must not contain infs or NaNs" traceback, yamabe
+    # exited 0 with an overflow warning and achieved_constant = 0
+    outdir = tmp_path / "o"
+    code = main([*args, "--set", f"model.L={length}", "--outdir", str(outdir)])
+    assert code == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err == (f"rejected (operator-scale): length {length} is too small for the conformal "
+                   "operator: 4 b_n L overflows a float\n")
     assert not outdir.exists()
 
 

@@ -666,6 +666,26 @@ def test_cylinder_length_of_a_constant_warping_is_length_over_scale(length, scal
     assert abs(cylinder_length(metric) - length / scale) <= 1e-14 * length / scale
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("length", [1e-152, 2e-152])
+def test_conformal_solvers_reject_a_length_whose_operator_overflows(length):
+    # 1/h^2 is a finite float here, but 4 b_n L is not: the classifier's
+    # eigensolver met infinities, and the positive regime returned
+    # achieved_constant = 0 after an overflow warning
+    hyperbolic = get_preset("hyperbolic-fiber", n=64, length=length, fiber_dim=8)
+    problem = ConformalProblem(get_preset("round-fiber", n=64, length=length), c=1.0)
+    for solve in (lambda: classify_conformal_class(hyperbolic),
+                  lambda: solve_negative_constant(hyperbolic),
+                  lambda: minimize_on_constraint(problem)):
+        with pytest.raises(PreconditionError, match="4 b_n L overflows a float") as info:
+            solve()
+        assert info.value.condition == "operator-scale"
+    # just above the bound every entry and row sum of 4 b_n L is finite
+    verdict, lam1 = classify_conformal_class(
+        get_preset("hyperbolic-fiber", n=64, length=3e-152, fiber_dim=8))
+    assert verdict is ConformalClass.NEGATIVE and np.isfinite(lam1)
+
+
 def test_classifier_invariant_under_scaling():
     for preset in ("round-fiber", "flat-torus", "hyperbolic-fiber"):
         metric = get_preset(preset)
