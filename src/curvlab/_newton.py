@@ -1,7 +1,7 @@
-"""The one backtracking Newton loop of curvlab.  A solver states its problem in
-three callbacks; the driver owns the budget, the line search and the errors.
-`condensed_solver` plans the O(N) linear solve of every Newton step once per
-pattern; each step then does numeric work only.
+"""The one backtracking Newton loop of curvlab, and its one banded LU.  A
+solver states its problem in three callbacks; the driver owns the budget, the
+line search and the errors.  `condensed_solver` plans the O(N) linear solve of
+every Newton step once per pattern; `band_lu` plans every banded factor.
 """
 
 import numpy as np
@@ -49,6 +49,37 @@ def damped_newton(x, evaluate, solve, converged, max_steps: int, name: str):
         history.append(merit)
 
 
+def fold_order(n):
+    """Each node's place in the fold order 0, n-1, 1, n-2, ... of a circle of
+    ``n`` nodes: a cyclic operator of half-bandwidth k, corners included, is a
+    plain band of half-bandwidth at most 2k in that order."""
+    return np.minimum(2 * np.arange(n), 2 * (n - np.arange(n)) - 1)
+
+
+def band_lu(i, j, n):
+    """Plan the banded LU with partial pivoting of the n x n matrix with
+    entries at (``i``, ``j``), each position at most once, and half-bandwidth
+    k = max |i - j|.  ``factor(a)`` places the entries ``a``, in that order,
+    in LAPACK's band storage (by columns, with k more rows on top for the fill
+    of pivoting: entry (r, c) at 2k + r + 3k c) and makes one `dgbtrf`; an
+    exact zero pivot is a `LinAlgError`.  It returns ``solve(rhs)``, which
+    makes one `dgbtrs` for the one or more columns of ``rhs``."""
+    from scipy.linalg import lapack
+
+    k = int(np.abs(i - j).max(initial=0))
+    at = 2 * k + i + 3 * k * j
+
+    def factor(a):
+        band = np.zeros(n * (3 * k + 1))
+        band[at] = a
+        lu, pivots, info = lapack.dgbtrf(band.reshape(n, 3 * k + 1).T, k, k, overwrite_ab=True)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return lambda rhs: lapack.dgbtrs(lu, k, k, rhs, pivots)[0]
+
+    return factor
+
+
 def condensed_solver(i, j, n, sep):
     """Plan the O(n) solve of A x = rhs by condensation onto the nodes ``sep`` = (s, t), s < t.
 
@@ -58,18 +89,14 @@ def condensed_solver(i, j, n, sep):
     banded, as a stencil operator's is on a circle once the nodes its corners
     touch are separators (George, *Nested dissection of a regular finite
     element mesh*, SIAM J. Numer. Anal. 10, 1973); a half-bandwidth above 2 is
-    a `ValueError`.  One banded LU with partial pivoting (LAPACK `gbsv`, or
-    `gtsv` for a tridiagonal block, called as `scipy.linalg.solve_banded`
-    calls them) solves that block for the two separator columns and ``rhs``;
-    the 2x2 Schur complement is rank-tested by its singular values and solved
-    by `np.linalg.solve`, and back-substitution gives the other nodes.  The
-    relative error is about eps times the larger condition number of A and of
-    the banded block.  A singular banded block, or a Schur complement whose
-    smallest singular value is at most n eps times its largest, is a
-    `LinAlgError`.
+    a `ValueError`.  One `band_lu` of that block solves it for the two
+    separator columns and ``rhs``; the 2x2 Schur complement is rank-tested by
+    its singular values and solved by `np.linalg.solve`, and
+    back-substitution gives the other nodes.  The relative error is about eps
+    times the larger condition number of A and of the banded block.  A
+    singular banded block, or a Schur complement whose smallest singular
+    value is at most n eps times its largest, is a `LinAlgError`.
     """
-    from scipy.linalg import get_lapack_funcs
-
     m, (s, t) = n - 2, sep
     # each node's place in the condensed order: the other nodes in index
     # order, then the two separator nodes
@@ -77,39 +104,20 @@ def condensed_solver(i, j, n, sep):
     place[[s, t]] = m, m + 1
     pi, pj = place[i], place[j]
     inner = np.maximum(pi, pj) < m
-    off = pi[inner] - pj[inner]
-    k = int(np.abs(off).max(initial=0))
+    inner, outer = np.flatnonzero(inner), np.flatnonzero(~inner)
+    k = int(np.abs(pi[inner] - pj[inner]).max(initial=0))
     if k > 2:
         raise ValueError(f"the block off the separator has half-bandwidth {k}, more than 2")
-    # one buffer: the band in LAPACK's storage with k zero rows on top for the
-    # fill of pivoting, then the separator columns and rhs as (n, 3), then the
-    # separator rows as (2, n), all in the condensed order.  An entry off the
-    # band is in a separator column if its row is another node, else in a
-    # separator row, so its slot is start[row] + column.
-    size = (3 * k + 1) * m
-    start = size + 3 * np.arange(n) - m
-    start[m:] = size + 3 * n, size + 4 * n
-    at = start[pi] + pj
-    at[inner] = (off + 2 * k) * m + pj[inner]
-    # solve_banded's own LAPACK calls without its wrapper's checks: a 1x1
-    # block is divided, a tridiagonal one goes to gtsv, any other to gbsv
-    gtsv, gbsv = get_lapack_funcs(("gtsv", "gbsv"), dtype=np.float64)
+    factor = band_lu(pi[inner], pj[inner], m)
+    # one buffer for the rest: separator columns and rhs (n, 3), separator rows (2, n)
+    at = np.where(pi < m, 3 * pi + pj - m, 3 * n + (pi - m) * n + pj)[outer]
 
     def solve(a, rhs):
-        buffer = np.zeros(size + 5 * n)
-        buffer[at] = a
-        cols, rows = buffer[size:size + 3 * n].reshape(n, 3), buffer[size + 3 * n:].reshape(2, n)
+        buffer = np.zeros(5 * n)
+        buffer[at] = a[outer]
+        cols, rows = buffer[:3 * n].reshape(n, 3), buffer[3 * n:].reshape(2, n)
         cols[:, 2][place] = rhs
-        band = buffer[:size].reshape(3 * k + 1, m)
-        if m == 1:
-            z, info = cols[:1] / band[2 * k, 0], 0
-        elif k == 1:
-            z, info = gtsv(band[3, :-1], band[2], band[1, 1:], cols[:m], overwrite_dl=True,
-                           overwrite_d=True, overwrite_du=True)[3:]
-        else:
-            z, info = gbsv(k, k, band, cols[:m], overwrite_ab=True)[2:]
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
+        z = factor(a[inner])(cols[:m])
         schur = rows[:, m:] - rows[:, :m] @ z[:, :2]
         sigma = np.linalg.svd(schur, compute_uv=False)
         if not sigma[1] > n * np.finfo(float).eps * sigma[0]:

@@ -157,6 +157,10 @@ class QuotientMesh:
     weights  : orbit volume per node; finite and positive, except possibly
                zero at the two endpoints of an interval
     length   : total coordinate length L
+
+    Every stencil assumes the spacing h, so ``h`` and ``nodes`` must be
+    exactly those of `uniform_nodes`, as `build_mesh` makes them; any other
+    spacing or node set is a ValueError.
     """
 
     topology: str
@@ -182,6 +186,10 @@ class QuotientMesh:
                 raise ValueError("weights must be nonnegative")
         else:
             raise ValueError(f"unknown topology {self.topology!r}")
+        h, nodes = uniform_nodes(self.topology, n, self.length)
+        if not (self.h == h and np.array_equal(self.nodes, nodes)):
+            raise ValueError(f"h and nodes must be those of the uniform {self.topology} mesh "
+                             f"of {n} nodes and length {self.length:g}")
         if self.total_volume() <= 0:
             raise ValueError("total volume must be positive")
 

@@ -18,16 +18,15 @@ adjoint has trivial kernel (quantified by `kernel_min_singular`: exactly zero
 on the flat model, where constants are annihilated, and bounded away from
 zero on generic backgrounds).  That test forms no dense matrix: a short
 Lanczos run with full reorthogonalization iterates on the inverse Gram
-operator of the adjoint, applied through the augmented system.  Numbered in
-fold order 0, N-1, 1, N-2, ..., that system is a band without corners: one
-banded LU (`dgbtrf`) factors it, and each Lanczos step is one banded solve
-(`dgbtrs`), in O(N) work and memory; the Ritz values of the small
-tridiagonal matrix come from `dstev`, so the test needs no ARPACK.
+operator of the adjoint, applied through the augmented system, which in
+fold order is a band: one `_newton.band_lu` factors it, and each Lanczos
+step is one banded solve, in O(N) work and memory; the Ritz values of the
+small tridiagonal matrix come from `dstev`, so the test needs no ARPACK.
 `newton_prescribe` tests the kernel once per metric, then solves
 F(g + adjoint(u)) = K by Newton iterations whose linear systems use the
 composition jacobian . adjoint.  That composition is cyclic pentadiagonal,
 so each step is O(N): one `np.bincount` forms it, and a planned condensed
-solve makes one banded LU (`scipy.linalg`) and a 2x2 Schur complement.
+solve makes one banded LU and a 2x2 Schur complement.
 `full_prescribe` chains the pinching window, the escape from a kernel
 background, an optional measure-concentrating reparametrization phi, and
 the Newton solve.
@@ -150,7 +149,7 @@ def linearize_scal_matrix(metric, A=None, B=None) -> sp.csr_array:
 
 
 _Plan = namedtuple("_Plan", "indices indptr gather d2_rows d2_cols diagonal d1 rows cols "
-                            "first partner slot solve k ldab unit pair x_at start")
+                            "first partner slot solve kernel x_at start")
 
 
 @lru_cache(maxsize=32)
@@ -163,8 +162,8 @@ def _plan(n: int) -> _Plan:
     of its entries `rows` and `cols`.  With Q = M_h^{-1} J^T M and B as their
     entries in J's order, J.Q's entry slot[t], of the pattern `solve` is
     planned for, sums J[first[t]] Q[partner[t]] in the order of scipy's
-    csr_matmat; the kernel test's band holds 1.0 at `unit` and B's entries
-    at `pair`, twice."""
+    csr_matmat; `kernel` factors the kernel test's K from its entries: 2n
+    ones, then B twice.  K's x is at `x_at`."""
     d2_rows, d2_cols = np.repeat(np.arange(n), 3), _stencils(CIRCLE, n).diff2.cols.T.ravel()
     gather = (np.arange(3 * n).reshape(n, 1, 3) + [[0], [3 * n]]).ravel()
     rows, cols = np.repeat(np.arange(n), 6), np.concatenate([d2_cols, d2_cols + n])[gather]
@@ -173,23 +172,18 @@ def _plan(n: int) -> _Plan:
     first = np.repeat(np.arange(len(cols)), 3)
     partner = np.argsort(cols, kind="stable").reshape(2 * n, 3)[cols].ravel()
     keys, slot = np.unique(n * rows[first] + rows[partner], return_inverse=True)
-    # fold order 0, N-1, 1, N-2, ...: stencil neighbours are at most 2 places
-    # apart, and node j's y_a, y_b and x are rows 3p, 3p + 1, 3p + 2 of K
-    place = np.minimum(2 * np.arange(n), 2 * (n - np.arange(n)) - 1)
+    # in fold order node j's y_a, y_b and x are rows 3p, 3p + 1, 3p + 2 of K
+    place = _newton.fold_order(n)
     y_at, x_at = np.concatenate([3 * place, 3 * place + 1]), 3 * place + 2
     i, j = y_at[cols], x_at[rows]
-    k = int(np.abs(i - j).max())
-    # LAPACK band storage of K, column-major with k more rows for the fill
-    # of pivoting: K[a, b] is entry 2k + a + b (ldab - 1) of the flat array
-    ldab = 3 * k + 1
     plan = _Plan(cols.astype(np.int32), 6 * np.arange(n + 1, dtype=np.int32), gather,
                  d2_rows, d2_cols, np.flatnonzero(d2_cols == d2_rows),
                  np.flatnonzero(d2_cols != d2_rows),
                  rows, cols, first, partner, slot,
-                 _newton.condensed_solver(keys // n, keys % n, n, (0, 1)), k, ldab,
-                 2 * k + y_at * ldab, 2 * k + np.concatenate([i + j * ldab - j, j + i * ldab - i]),
+                 _newton.condensed_solver(keys // n, keys % n, n, (0, 1)),
+                 _newton.band_lu(np.concatenate([y_at, i, j]), np.concatenate([y_at, j, i]), 3 * n),
                  x_at, np.random.default_rng(0).standard_normal(n))
-    for arr in plan[:12] + plan[-4:]:
+    for arr in plan[:12] + plan[-2:]:
         arr.setflags(write=False)
     return plan
 
@@ -222,11 +216,9 @@ def kernel_min_singular(metric: WarpedProductMetric) -> float:
     coordinates, the augmented matrix K = [[I, B], [B^T, 0]] is factored
     once: the solve of K (y, x) = (0, -v) gives x = (B^T B)^{-1} v (Bjorck,
     *Numerical Methods for Least Squares Problems*, 1996, on the augmented
-    system).  Numbered in fold order 0, N-1, 1, N-2, ..., with node j's
-    unknowns (y_a, y_b, x) side by side, K is a band of half-bandwidth 8
-    without corner entries, so one `dgbtrf` (banded LU with partial
-    pivoting) factors it and each solve is one `dgbtrs`; where B's entries go
-    in the band is read from a table built once per N.  A Lanczos run on that
+    system).  Numbered in `_newton.fold_order`, with node j's unknowns (y_a,
+    y_b, x) side by side, K is a band of half-bandwidth 8, and the
+    `_newton.band_lu` planned once per N factors it.  A Lanczos run on that
     inverse (Paige 1972; Parlett, *The Symmetric Eigenvalue Problem*, 1998,
     ch. 13) starts from a fixed seeded vector, so that two calls return the
     same float.  Each step makes one solve, orthogonalizes the new vector
@@ -240,23 +232,20 @@ def kernel_min_singular(metric: WarpedProductMetric) -> float:
     An exact zero pivot means K has a kernel and returns 0.0; a run that
     reaches its cap of `_LANCZOS_STEPS` steps is a `SolverError`.
     """
-    from scipy.linalg.lapack import dgbtrf, dgbtrs, dstev
+    from scipy.linalg.lapack import dstev
 
     n, m, plan = metric.mesh.node_count, metric.mesh.mass_vector(), _plan(metric.mesh.node_count)
     mh = np.concatenate([m, metric.fiber_dim * m])
     B = (1.0 / np.sqrt(mh))[plan.cols] * linearize_scal_matrix(metric).data * np.sqrt(m)[plan.rows]
-    k, size = plan.k, 3 * n
-    band = np.zeros(size * plan.ldab)
-    band[plan.unit] = 1.0
-    band[plan.pair] = np.concatenate([B, B])
-    lu, pivots, info = dgbtrf(band.reshape(size, plan.ldab).T, k, k, overwrite_ab=True)
-    if info > 0:  # an exact zero pivot: K is singular
+    try:
+        solve = plan.kernel(np.concatenate([np.ones(2 * n), B, B]))
+    except np.linalg.LinAlgError:  # an exact zero pivot: K is singular
         return 0.0
-    rhs = np.zeros(size)
+    rhs = np.zeros(3 * n)
 
     def inverse_gram(v):
         rhs[plan.x_at] = -v
-        return dgbtrs(lu, k, k, rhs, pivots)[0][plan.x_at]
+        return solve(rhs)[plan.x_at]
 
     # a constant start is an exact eigenvector of B^T B on the homogeneous
     # backgrounds, not the extreme one.  The largest |theta|, not the largest

@@ -39,12 +39,12 @@ curvature c_F (Schoen, LNM 1365, 1989).
 
 This module imports numpy only, so `import curvlab` loads no scipy at all.
 Each scipy subpackage is imported inside the functions that use it:
-`scipy.sparse` in `minimize_on_constraint` and `classify_conformal_class`
-(a mesh imports it with its first sparse matrix, such as the Laplacian of
-`_bordered_newton`; its stencils, and so `conformal_scal` and `el_residual`,
-need numpy only); `scipy.sparse.linalg` in `minimize_on_constraint`;
-`scipy.linalg` in `classify_conformal_class` and in
-`_newton.condensed_solver`, the Newton step of both regimes.  Together they
+`scipy.sparse` in `classify_conformal_class` (a mesh imports it with its
+first sparse matrix, such as the stiffness of `minimize_on_constraint` or
+the Laplacian of `_bordered_newton`; its stencils, and so `conformal_scal`
+and `el_residual`, need numpy only); `scipy.linalg` in
+`classify_conformal_class` and in `_newton.band_lu`, the banded LU of the
+descent's Riesz map and of the Newton step of both regimes.  Together they
 cost more to import than the rest of curvlab, and most commands never call
 those functions.
 """
@@ -254,18 +254,18 @@ def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
 
     Hypotheses: scal >= 0 and not identically zero, c > 0.  Each descent step
     maps the weighted-L2 gradient of J and the constraint normal c u^gamma to
-    their H^1 representatives by one solve with H = 4 b_n S + M (factored once
-    per call), projects the gradient onto the constraint's tangent space in
-    the H inner product, and backtracks on J with an Armijo test against the
-    squared H-norm of the step.  The descent phase runs until the weighted-L2
-    projected gradient is small, then a bordered Newton polish resolves the
-    critical point to tolerance (the energy history records the descent
-    phase, along which the energy never increases).  The reported residual is
-    the Euler-Lagrange defect at the recovered constant c' = (1 + lam) c.
+    their H^1 representatives by one solve with H = 4 b_n S + M (one
+    `_newton.band_lu` per call, in `_newton.fold_order`), projects the
+    gradient onto the constraint's tangent space in the H inner product, and
+    backtracks on J with an Armijo test against the squared H-norm of the
+    step.  The descent phase runs until the weighted-L2 projected gradient is
+    small, then a bordered Newton polish resolves the critical point to
+    tolerance (the energy history records the descent phase, along which the
+    energy never increases).  The reported residual is the Euler-Lagrange
+    defect at the recovered constant c' = (1 + lam) c.  An exactly singular
+    H, or a polished c' that is not positive, as on a circle too short for
+    M to register against 4 b_n S, is a `SolverError`.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg
-
     cfg = cfg or SolverConfig()
     mesh = p.mesh
     scal = p.scal
@@ -279,11 +279,15 @@ def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
         raise PreconditionError("background scalar curvature vanishes identically",
                                 condition="nonvanishing-scal-hypothesis")
 
-    m = mesh.mass_vector()
-    # the H-representative x of a functional with weighted-L2 gradient G
-    # satisfies <x, v>_H = <G, v>_w for all v, i.e. H x = M G
-    riesz = scipy.sparse.linalg.factorized(sp.csc_array(
-        4.0 * p.constants.b_n * mesh.stiffness_matrix() + sp.diags_array(m)))
+    m, S = mesh.mass_vector(), mesh.stiffness_matrix().tocoo()
+    # H x = M G gives x with <x, v>_H = <G, v>_w for all v: the H-representative
+    place, entries = _newton.fold_order(mesh.node_count), 4.0 * p.constants.b_n * S.data
+    entries[S.row == S.col] += m
+    try:
+        solve = _newton.band_lu(place[S.row], place[S.col], mesh.node_count)(entries)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"Sobolev descent: singular Riesz map 4 b_n S + M ({exc})") from exc
+    order = np.argsort(place)
     u = project_to_constraint(p, np.ones(mesh.node_count) if u0 is None else np.asarray(u0, float))
     energy = conformal_energy(p, u)
     history = [energy]
@@ -297,7 +301,7 @@ def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
         tangent = grad - mult * normal
         if np.sqrt(mesh.inner(tangent, tangent)) < 1e-5 * scale or iterations > cfg.max_iter:
             break
-        grad_h, normal_h = riesz(m * grad), riesz(m * normal)
+        grad_h, normal_h = solve(np.column_stack((m * grad, m * normal))[order])[place].T
         # <x, normal_h>_H = <x, normal>_w: the H-projection keeps the step
         # tangent to the constraint
         direction = -(grad_h - mesh.inner(grad_h, normal) / mesh.inner(normal_h, normal) * normal_h)
@@ -328,6 +332,9 @@ def minimize_on_constraint(p: ConformalProblem, cfg: SolverConfig | None = None,
     # every exit leaves u where the loop last evaluated mult
     u, achieved, _ = _bordered_newton(p, u, (1.0 + mult) * p.c, constraint,
                                       0.05 * cfg.tol_residual, p.epsilon)
+    if not achieved > 0:
+        raise SolverError(f"polished to c' = {achieved:.3e} from c = {p.c:.6g}: "
+                          "the mesh does not resolve the positive regime")
     lam = achieved / p.c - 1.0
     residual = mesh.lp_norm(el_residual(p, u, achieved), 2)
     if residual > cfg.tol_residual:
@@ -418,7 +425,10 @@ def classify_conformal_class(metric: WarpedProductMetric):
     the verdict when |c_F| is that small.  M is diagonal, so the pencil is
     solved in standard form, as the smallest eigenvalue of
     4 b_n M^{-1/2} S M^{-1/2} + diag(scal), whose zero mode M^{1/2} 1 of a
-    vanishing potential is resolved to rounding.
+    vanishing potential is resolved to rounding.  That rounding is about eps
+    times the matrix's norm, 16 b_n / h^2, and swamps lambda_1 on short
+    circles: at N = 64 and length 1e-10 the round, flat and hyperbolic
+    fibers all read -6.36e8, while the verdict stays exact.
     """
     import scipy.linalg
     import scipy.sparse as sp

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from curvlab import (CIRCLE, INTERVAL, WarpedProductMetric, build_mesh, circle_mesh, get_preset,
-                     scal_warped)
+from curvlab import (CIRCLE, INTERVAL, QuotientMesh, WarpedProductMetric, build_mesh, circle_mesh,
+                     get_preset, scal_warped)
 from curvlab.mesh import uniform_nodes
 from curvlab import mesh as mesh_module
 from curvlab.models import YamabeConstants
@@ -84,6 +84,23 @@ def test_build_broadcasts_a_scalar_profile():
 def test_build_rejects_a_profile_of_another_shape(weight):
     with pytest.raises(ValueError, match="profile has shape"):
         build_mesh(CIRCLE, 32, 2.0, weight)
+
+
+@pytest.mark.parametrize("topology", [CIRCLE, INTERVAL])
+def test_mesh_rejects_nodes_or_spacing_of_another_mesh(topology):
+    # every stencil assumes the spacing h: 32 random sorted nodes with h = 0.1
+    # and length 6.28 were accepted, and integrate(1) then read 3.2
+    h, nodes = uniform_nodes(topology, 32, 6.28)
+    shifted = nodes.copy()
+    shifted[5] = np.nextafter(shifted[5], np.inf)
+    wrong = [dict(nodes=np.sort(np.random.default_rng(0).uniform(0.0, 6.28, 32)), h=0.1),
+             dict(h=0.1), dict(h=np.nextafter(h, 0.0)), dict(length=3.14), dict(nodes=shifted)]
+    for fields in wrong:
+        with pytest.raises(ValueError, match="^h and nodes must be those of the uniform"):
+            QuotientMesh(**{**dict(topology=topology, nodes=nodes, h=h, weights=np.ones(32),
+                                   length=6.28), **fields})
+    mesh = QuotientMesh(topology, nodes, h, np.ones(32), 6.28)
+    assert mesh.integrate(np.ones(32)) == pytest.approx(6.28)
 
 
 def test_integrate_total_measure():

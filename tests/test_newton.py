@@ -1,10 +1,12 @@
-"""The damped Newton driver on scalar toy problems, one per exit, and the
-condensed solve of its O(N) steps."""
+"""The damped Newton driver on scalar toy problems, one per exit, the
+condensed solve of its O(N) steps, and the banded LU they share."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curvlab._newton import condensed_solver, damped_newton
+from curvlab._newton import band_lu, condensed_solver, damped_newton, fold_order
 from curvlab.errors import SolverError
 
 
@@ -138,8 +140,7 @@ def separated_band(n, k, rng):
 
 @pytest.mark.parametrize("n, k", [(3, 0), (16, 0), (16, 1), (17, 2)])
 def test_condensed_solve_matches_the_dense_system_at_each_band_width(n, k):
-    # a 1x1 block is divided; a tridiagonal one goes to LAPACK gtsv, the
-    # others to gbsv
+    # a 1x1, a diagonal, a tridiagonal and a pentadiagonal block
     rng = np.random.default_rng(n + k)
     dense, rhs = separated_band(n, k, rng), rng.normal(size=n)
     i, j = np.nonzero(dense)
@@ -156,3 +157,50 @@ def test_condensed_solve_of_a_singular_band_is_a_linalg_error(k):
     a = np.where((i > 1) & (j > 1), 0.0, dense[i, j])
     with pytest.raises(np.linalg.LinAlgError, match="^singular matrix$"):
         condensed_solver(i, j, 17, (0, 1))(a, np.ones(17))
+
+
+def banded_entries(n, k, rng):
+    """The pattern and entries of an n x n band of half-bandwidth k with a
+    dominant diagonal."""
+    i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= k)
+    return i, j, rng.uniform(-1.0, 1.0, len(i)) + 4.0 * (k + 1) * (i == j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), k=st.integers(0, 8), columns=st.sampled_from([None, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_band_lu_solves_like_the_dense_system(n, k, columns, seed):
+    rng = np.random.default_rng(seed)
+    i, j, a = banded_entries(n, k, rng)
+    dense = np.zeros((n, n))
+    dense[i, j] = a
+    rhs = rng.normal(size=n if columns is None else (n, columns))
+    solve = band_lu(i, j, n)(a)
+    expected = np.linalg.solve(dense, rhs)
+    for _ in range(2):  # one factor serves every solve
+        x = solve(rhs)
+        assert x.shape == rhs.shape
+        assert np.linalg.norm(x - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 300), k=st.integers(0, 8), data=st.data())
+def test_band_lu_of_a_singular_band_is_a_linalg_error(n, k, data):
+    # one column of the band keeps its pattern but holds only zeros
+    i, j, a = banded_entries(n, k, np.random.default_rng(n + k))
+    zero = data.draw(st.integers(0, n - 1))
+    with pytest.raises(np.linalg.LinAlgError, match="^singular matrix$"):
+        band_lu(i, j, n)(np.where(j == zero, 0.0, a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), k=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_fold_order_turns_a_cyclic_band_into_a_plain_band(n, k, seed):
+    # entries (i, i + d mod n), |d| <= k: the corners of a cyclic band included
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, n, 4 * n)
+    j = (i + rng.integers(-k, k + 1, 4 * n)) % n
+    place = fold_order(n)
+    assert np.array_equal(np.sort(place), np.arange(n))
+    assert list(np.argsort(place)[:4]) == [0, n - 1, 1, n - 2][:n]
+    assert np.max(np.abs(place[i] - place[j])) <= 2 * k

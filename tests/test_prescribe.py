@@ -176,7 +176,7 @@ def test_plan_is_built_once_per_size_and_read_only():
     plan = _plan(17)
     assert _plan(17) is plan
     for name, arr in plan._asdict().items():
-        if name in ("solve", "k", "ldab"):
+        if name in ("solve", "kernel"):
             continue
         with pytest.raises(ValueError):
             arr[0] = arr[0]

@@ -438,6 +438,33 @@ def test_main_solver_failure_exit_code(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("length, reason", [("1e-100", "c'"), ("1e-60", "c'"),
+                                            ("1e-50", "Sobolev descent"),
+                                            ("1e-20", "bordered Newton")])
+def test_main_positive_regime_on_a_tiny_circle_is_a_solver_failure(length, reason, tmp_path,
+                                                                   capsys):
+    # the round fiber at N = 64: at 1e-100 and 1e-60 the polish converged to
+    # c' = 0 and exited 0; at 1e-50 and 1e-20 the Riesz map's factor met an
+    # exact zero pivot and raised a traceback.  At 1e-20 the band LU's pivots
+    # stay nonzero, and the polish finds its Schur complement rank-deficient
+    from curvlab.runner import EXIT_SOLVER
+    code = main(["yamabe", "--model", "round-fiber", "--N", "64", "--L", length,
+                 "--outdir", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and reason in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_main_positive_regime_on_a_short_circle_still_solves(tmp_path, capsys):
+    # constant u with u^4 = 4 / L solves it: c' = 6 / u^2 = 3 sqrt(L) = 3e-8
+    code = main(["yamabe", "--model", "round-fiber", "--N", "64", "--L", "1e-16",
+                 "--outdir", str(tmp_path / "o")])
+    assert code == EXIT_OK
+    summary = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert float(summary["achieved_constant"]) == pytest.approx(3.0e-8, rel=1e-6)
+
+
 def test_main_yamabe_negative_rejects_max_iter(tmp_path, capsys):
     # the negative regime reads no solver.max_iter, so setting one is an error
     outdir = tmp_path / "o"
